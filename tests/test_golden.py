@@ -1,0 +1,58 @@
+"""Golden outputs of the README commands.
+
+The `.out` files under tests/golden/ hold the stdout of each README command
+on the small inputs stored beside them.  Closed-form commands must reproduce
+their file byte for byte; commands that run numerical solvers must match
+number by number within GOLDEN_RTOL, with all non-numeric text identical.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from sdpi.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_RTOL = 1e-9
+_NUMBER = re.compile(r"-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+EXACT = {
+    "fi-curve-bsc": ["fi-curve", "--channel", "bsc:0.1", "--t-grid", "0:0.6:0.01"],
+    "bounds-horiz": ["bounds", "horiz", "--gamma", "1.0", "--eps-grid", "1e-6:1e-5:1e-6"],
+    "contraction-eta": ["contraction", "--noise", "gaussian", "--what", "eta",
+                        "--t-grid", "0:6:0.1"],
+    "check-strict": ["check", "strict", "--density", str(GOLDEN / "noise.csv"),
+                     "--shift-grid=-5:5:0.25"],
+    "verify-bsc": ["verify", "--suite", "bsc", "--seed", "0"],
+}
+NUMERIC = {
+    "bounds-diag": ["bounds", "diag", "--gamma", "1.0", "--t-grid", "0.1:1:0.05"],
+    "bounds-general-diag": ["bounds", "general-diag", "--noise", "laplace:1.0",
+                            "--t-grid", "0.1:1:0.1"],
+    "deconv": ["deconv", "--noise", "gaussian", "--p", str(GOLDEN / "P.csv"),
+               "--q", str(GOLDEN / "Q.csv")],
+}
+
+
+def _stdout(argv, capsys) -> str:
+    capsys.readouterr()
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(EXACT))
+def test_closed_form_commands_byte_identical(name, capsys):
+    assert _stdout(EXACT[name], capsys) == (GOLDEN / f"{name}.out").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(NUMERIC))
+def test_solver_commands_within_tolerance(name, capsys):
+    out = _stdout(NUMERIC[name], capsys)
+    ref = (GOLDEN / f"{name}.out").read_text()
+    assert _NUMBER.sub("#", out) == _NUMBER.sub("#", ref)
+    got = [float(x) for x in _NUMBER.findall(out)]
+    want = [float(x) for x in _NUMBER.findall(ref)]
+    assert got == pytest.approx(want, rel=GOLDEN_RTOL, abs=0.0)
