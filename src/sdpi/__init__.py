@@ -15,7 +15,7 @@ from .channels import (  # noqa: F401
 )
 from .contraction import (  # noqa: F401
     ThresholdReport, a1_star, a2_star, alpha_star, dobrushin_dmc,
-    eta_tv_amplitude, eta_tv_complement, theta_shift,
+    eta_tv_amplitude, eta_tv_complement,
 )
 from .fi_curves import (  # noqa: F401
     fi_bsc, fi_dmc_envelope, fi_erasure, fi_fixed_marginal_bsc,

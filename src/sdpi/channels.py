@@ -15,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .core_prob import DiscretePMF, GridDensity, tv_distance
+from .core_prob import (DiscretePMF, GridDensity, char_fn, mi_joint,
+                        uniform_mixture_entropy)
 from .errors import DomainError, ShapeError
 
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(127)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_H_GAUSS = 0.5 * math.log(2.0 * math.pi * math.e)
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,9 @@ class DMCKernel:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2:
             raise ShapeError("kernel must be a 2-d matrix")
-        if np.any(m < 0):
+        if not np.all(m >= 0):
             raise DomainError("kernel entries must be nonnegative")
-        if np.any(np.abs(m.sum(axis=1) - 1.0) > 1e-12):
+        if not np.all(np.abs(m.sum(axis=1) - 1.0) <= 1e-12):
             raise DomainError("every kernel row must sum to 1")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -77,20 +77,20 @@ class NoiseModel:
 
     @staticmethod
     def gaussian(sigma: float = 1.0) -> "NoiseModel":
-        if sigma <= 0:
-            raise DomainError("sigma must be positive")
+        if not 0 < sigma < math.inf:
+            raise DomainError("sigma must be positive and finite")
         return NoiseModel("gaussian", (float(sigma),))
 
     @staticmethod
     def uniform(a: float = 0.0, b: float = 1.0) -> "NoiseModel":
-        if b <= a:
-            raise DomainError("need b > a")
+        if not -math.inf < a < b < math.inf:
+            raise DomainError("need finite a < b")
         return NoiseModel("uniform", (float(a), float(b)))
 
     @staticmethod
     def laplace(b: float = 1.0) -> "NoiseModel":
-        if b <= 0:
-            raise DomainError("scale must be positive")
+        if not 0 < b < math.inf:
+            raise DomainError("scale must be positive and finite")
         return NoiseModel("laplace", (float(b),))
 
     @staticmethod
@@ -161,9 +161,7 @@ class NoiseModel:
             b, = self.params
             out = 1.0 / (1.0 + (b * omega) ** 2)
         else:
-            from .core_prob import char_fn
-            out = np.abs(np.atleast_1d(char_fn(self.grid_density, omega)))
-            out = out.reshape(omega.shape) if omega.ndim else out[0]
+            out = np.abs(char_fn(self.grid_density, omega))
         return out if np.ndim(out) else float(out)
 
     def support(self) -> tuple[float, float]:
@@ -211,38 +209,26 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class AdditiveChannel:
-    """Y = sqrt(gamma) X + Z with an optional input moment constraint."""
+    """Y = sqrt(gamma) X + Z."""
 
     noise: NoiseModel
     gamma: float
-    p: float = 2.0
-    budget: float = 1.0
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise DomainError("gamma must be nonnegative")
-        if self.p < 1:
-            raise DomainError("moment order p must be >= 1")
+        if not 0 <= self.gamma < math.inf:
+            raise DomainError("gamma must be nonnegative and finite")
 
 
 # ---------------------------------------------------------------------------
 # discrete channels
 # ---------------------------------------------------------------------------
 
-def _entropy(w: np.ndarray) -> float:
-    w = w[w > 0]
-    return float(-(w * np.log(w)).sum())
-
-
 def mi_dmc(input: DiscretePMF | np.ndarray, K: DMCKernel) -> float:
     """I(X;Y) for a discrete input through a row-stochastic kernel."""
     w = input.weights if isinstance(input, DiscretePMF) else np.asarray(input, dtype=float)
     if len(w) != K.matrix.shape[0]:
         raise ShapeError("input length does not match the kernel rows")
-    py = w @ K.matrix
-    h_y = _entropy(py)
-    h_y_given_x = float(sum(wi * _entropy(K.matrix[i]) for i, wi in enumerate(w) if wi > 0))
-    return max(h_y - h_y_given_x, 0.0)
+    return mi_joint(w[:, None] * K.matrix)
 
 
 def dmc_capacity(K: DMCKernel, tol: float = 1e-10, max_iter: int = 5000) -> float:
@@ -293,16 +279,8 @@ def _mi_gaussian_noise(atoms: np.ndarray, weights: np.ndarray, gamma: float,
 def _mi_uniform_noise(atoms: np.ndarray, weights: np.ndarray, gamma: float,
                       a: float, b: float) -> float:
     """Exact MI for uniform noise: output density is piecewise constant."""
-    mu = math.sqrt(gamma) * atoms
-    width = b - a
-    edges = np.unique(np.concatenate([mu + a, mu + b]))
-    h_y = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (lo + hi)
-        dens = weights[(mid >= mu + a) & (mid <= mu + b)].sum() / width
-        if dens > 0:
-            h_y -= (hi - lo) * dens * math.log(dens)
-    return max(h_y - math.log(width), 0.0)
+    h_y = uniform_mixture_entropy(math.sqrt(gamma) * atoms, weights, a, b)
+    return max(h_y - math.log(b - a), 0.0)
 
 
 def _mi_generic_noise(atoms: np.ndarray, weights: np.ndarray, gamma: float,
@@ -342,7 +320,7 @@ def mi_additive(input: DiscretePMF, ch: AdditiveChannel) -> float:
 
 
 def awgn_capacity(gamma: float) -> float:
-    if gamma < 0:
+    if not gamma >= 0:
         raise DomainError("gamma must be nonnegative")
     return 0.5 * math.log1p(gamma)
 
@@ -354,21 +332,21 @@ def awgn_capacity(gamma: float) -> float:
 def normalize_input(input: DiscretePMF) -> DiscretePMF:
     """Shift and scale to mean 0, variance 1."""
     v = input.var()
-    if v <= 0:
+    if not v > 0:
         raise DomainError("zero-variance input cannot be normalized")
     m = input.mean()
     return DiscretePMF((input.atoms - m) / math.sqrt(v), input.weights)
 
 
 def lmmse(gamma: float) -> float:
-    if gamma < 0:
+    if not gamma >= 0:
         raise DomainError("gamma must be nonnegative")
     return 1.0 / (1.0 + gamma)
 
 
 def mmse_numeric(input: DiscretePMF, gamma: float) -> float:
     """E (X - E[X|Y_gamma])^2 for standard Gaussian noise, unit-variance X."""
-    if gamma < 0:
+    if not gamma >= 0:
         raise DomainError("gamma must be nonnegative")
     var = input.var()
     if gamma == 0.0:

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import __version__
 from .channels import DMCKernel, NoiseModel
-from .contraction import eta_tv_amplitude, theta_shift
-from .core_prob import DiscretePMF, GridDensity
+from .contraction import eta_tv_amplitude
+from .core_prob import DiscretePMF, GridDensity, ks_distance, tv_after_noise
 from .deconv import esseen_bound, g1_profile, ks_deconv_solve, ks_from_tv_bound
 from .errors import DomainError
 from .fi_curves import fi_bsc, fi_dmc_envelope, fi_erasure
@@ -149,7 +149,7 @@ def _cmd_contraction(args):
     if args.what == "theta":
         out = _meta_line(args, noise=args.noise)
         out += "delta,theta\n"
-        out += "".join(f"{float(d)!r},{float(theta_shift(noise, d))!r}\n" for d in grid)
+        out += "".join(f"{float(d)!r},{float(noise.theta(d))!r}\n" for d in grid)
     else:
         out = _meta_line(args, noise=args.noise)
         out += "A,eta_tv\n"
@@ -159,23 +159,10 @@ def _cmd_contraction(args):
 
 
 def _cmd_deconv(args):
-    from .core_prob import convolve, ks_distance, tv_distance
     noise = _parse_noise(args.noise)
     P = _load_distribution(args.p_dist)
     Q = _load_distribution(args.q_dist)
-    z = noise.to_grid(step=args.step)
-    pc = convolve(P, z)
-    qc = convolve(Q, z)
-    # align grids for TV
-    lo = min(pc.x_min, qc.x_min)
-    hi = max(pc.x_max, qc.x_max)
-    grid = np.arange(round(lo / z.step), round(hi / z.step) + 1) * z.step
-
-    def on_grid(d):
-        v = np.interp(grid, d.grid, d.values, left=0.0, right=0.0)
-        return v / np.trapezoid(v, dx=z.step)
-
-    d_tv = float(0.5 * np.trapezoid(np.abs(on_grid(pc) - on_grid(qc)), dx=z.step))
+    d_tv = tv_after_noise(P, Q, noise.to_grid(step=args.step))
     d_ks = ks_distance(P, Q)
     m2 = Q.max_density() if isinstance(Q, GridDensity) else None
     report = {"d_tv_conv": d_tv, "d_ks": d_ks}

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import DMCKernel, NoiseModel
+from .core_prob import bisect, golden_max, q_function
 from .errors import DomainError, NoSolutionError
 
 _BISECT_TOL = 1e-9
@@ -29,11 +30,6 @@ class ThresholdReport:
     satisfied_at_value: bool = True
 
 
-def theta_shift(noise: NoiseModel, delta: float) -> float:
-    """theta(delta) = d_TV(P_Z, P_{Z+delta})."""
-    return noise.theta(delta)
-
-
 _UNIMODAL = ("gaussian", "uniform", "laplace")
 
 
@@ -43,7 +39,7 @@ def eta_tv_amplitude(noise: NoiseModel, A: float) -> float:
     Unimodal families have monotone theta, so the sup sits at the endpoint;
     grid noise gets a 512-point scan plus golden-section refinement.
     """
-    if A < 0:
+    if not A >= 0:
         raise DomainError("A must be nonnegative")
     if A == 0:
         return 0.0
@@ -52,17 +48,9 @@ def eta_tv_amplitude(noise: NoiseModel, A: float) -> float:
     deltas = np.linspace(0.0, 2.0 * A, 512)
     vals = np.array([noise.theta(d) for d in deltas])
     i = int(np.argmax(vals))
-    lo = deltas[max(i - 1, 0)]
-    hi = deltas[min(i + 1, len(deltas) - 1)]
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    while hi - lo > 1e-8 * max(1.0, A):
-        d1 = hi - phi * (hi - lo)
-        d2 = lo + phi * (hi - lo)
-        if noise.theta(d1) < noise.theta(d2):
-            lo = d1
-        else:
-            hi = d2
-    return max(float(vals[i]), noise.theta(0.5 * (lo + hi)))
+    _, best = golden_max(noise.theta, deltas[max(i - 1, 0)],
+                         deltas[min(i + 1, len(deltas) - 1)], 1e-8 * max(1.0, A))
+    return max(float(vals[i]), best)
 
 
 def eta_tv_complement(noise: NoiseModel, A: float) -> float:
@@ -72,12 +60,11 @@ def eta_tv_complement(noise: NoiseModel, A: float) -> float:
     underflows in `1 - eta_tv_amplitude(...)`; the closed-form families admit
     a direct expression for the complement.
     """
-    if A < 0:
+    if not A >= 0:
         raise DomainError("A must be nonnegative")
     if A == 0:
         return 1.0
     if noise.kind == "gaussian":
-        from .core_prob import q_function
         return 2.0 * q_function(A / noise.params[0])
     if noise.kind == "uniform":
         a, b = noise.params
@@ -98,19 +85,6 @@ def dobrushin_dmc(K: DMCKernel) -> float:
     return best
 
 
-def _bisect_threshold(cond, lo: float, hi: float, tol: float = _BISECT_TOL):
-    """Smallest x in [lo, hi] with cond(x) True; cond must be monotone."""
-    it = 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if cond(mid):
-            hi = mid
-        else:
-            lo = mid
-        it += 1
-    return hi, it, (lo, hi)
-
-
 def alpha_star(noise: NoiseModel, search_max: float = 1e6) -> ThresholdReport:
     """Smallest alpha > 0 with eta_tv(1/(2 alpha)) <= 1/3."""
     target = 1.0 / 3.0
@@ -127,7 +101,7 @@ def alpha_star(noise: NoiseModel, search_max: float = 1e6) -> ThresholdReport:
         # already below the target at tiny alpha; shrink further to find the inf
         while lo > 1e-12 and ok(lo / 2.0):
             lo /= 2.0
-    value, it, bracket = _bisect_threshold(ok, lo, search_max)
+    value, it, bracket = bisect(ok, lo, search_max, _BISECT_TOL)
     return ThresholdReport(value, it, bracket, ok(value))
 
 
@@ -136,11 +110,11 @@ def a2_star(noise: NoiseModel, t: float, gamma: float, p: float) -> ThresholdRep
 
     Floor: A^p >= max{e, 2 gamma, alpha* e^3 / gamma}.
     """
-    if t <= 0:
+    if not t > 0:
         raise DomainError("t must be positive")
-    if gamma <= 0:
-        raise DomainError("gamma must be positive")
-    if p < 1:
+    if not 0 < gamma < math.inf:
+        raise DomainError("gamma must be positive and finite")
+    if not p >= 1:
         raise DomainError("p must be >= 1")
     astar = alpha_star(noise).value
     floor_ap = max(math.e, 2.0 * gamma, astar * math.e ** 3 / gamma)
@@ -157,7 +131,7 @@ def a2_star(noise: NoiseModel, t: float, gamma: float, p: float) -> ThresholdRep
         hi *= 2.0
         if hi > 1e12:
             raise NoSolutionError("a2_star search exceeded range")
-    value, it, bracket = _bisect_threshold(cond, floor_a, hi)
+    value, it, bracket = bisect(cond, floor_a, hi, _BISECT_TOL)
     return ThresholdReport(value, it, bracket, cond(value))
 
 
@@ -166,12 +140,14 @@ def a1_star(gamma: float, p: float, grid_step: float, entropy: float) -> Thresho
 
     Floor: A^p >= max{e, 2 gamma, e^3 / (gamma Delta)}.
     """
-    if entropy <= 0:
+    if not entropy > 0:
         raise DomainError("entropy must be positive")
-    if grid_step <= 0:
+    if not grid_step > 0:
         raise DomainError("grid_step must be positive")
-    if gamma <= 0:
-        raise DomainError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise DomainError("gamma must be positive and finite")
+    if not p >= 1:
+        raise DomainError("p must be >= 1")
     floor_ap = max(math.e, 2.0 * gamma, math.e ** 3 / (gamma * grid_step))
     floor_a = floor_ap ** (1.0 / p)
     target = entropy / (6.0 * gamma)
@@ -187,5 +163,5 @@ def a1_star(gamma: float, p: float, grid_step: float, entropy: float) -> Thresho
         hi *= 2.0
         if hi > 1e12:
             raise NoSolutionError("a1_star search exceeded range")
-    value, it, bracket = _bisect_threshold(cond, floor_a, hi)
+    value, it, bracket = bisect(cond, floor_a, hi, _BISECT_TOL)
     return ThresholdReport(value, it, bracket, cond(value))

@@ -42,11 +42,13 @@ class DiscretePMF:
             raise ShapeError("atoms and weights must be 1-d arrays of equal length")
         if atoms.size == 0:
             raise DomainError("empty support")
-        if np.any(np.diff(atoms) <= 0):
+        if not np.all(np.isfinite(atoms)):
+            raise DomainError("atoms must be finite")
+        if not np.all(np.diff(atoms) > 0):
             raise DomainError("atoms must be strictly increasing")
-        if np.any(weights < 0):
+        if not np.all(weights >= 0):
             raise DomainError("weights must be nonnegative")
-        if abs(weights.sum() - 1.0) > _WEIGHT_SUM_TOL:
+        if not abs(weights.sum() - 1.0) <= _WEIGHT_SUM_TOL:
             raise DomainError(f"weights sum to {weights.sum()!r}, not 1")
         atoms.setflags(write=False)
         weights.setflags(write=False)
@@ -115,17 +117,17 @@ class GridDensity:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        if self.step <= 0:
+        if not 0 < self.step < math.inf:
             raise DomainError("step must be positive")
         n_cells = (self.x_max - self.x_min) / self.step
-        if abs(n_cells - round(n_cells)) > 1e-9:
+        if not (math.isfinite(n_cells) and abs(n_cells - round(n_cells)) <= 1e-9):
             raise DomainError("grid span is not a whole number of cells")
         if values.ndim != 1 or values.size != round(n_cells) + 1:
             raise ShapeError("values length does not match the grid")
-        if np.any(values < 0):
+        if not np.all(values >= 0):
             raise DomainError("density values must be nonnegative")
         integral = float(np.trapezoid(values, dx=self.step))
-        if abs(integral - 1.0) > _GRID_INTEGRAL_TOL:
+        if not abs(integral - 1.0) <= _GRID_INTEGRAL_TOL:
             raise DomainError(f"trapezoid integral is {integral!r}, not 1")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -138,7 +140,7 @@ class GridDensity:
         v = np.maximum(np.asarray(f(x), dtype=float), 0.0)
         if renormalize:
             z = np.trapezoid(v, dx=step)
-            if z <= 0:
+            if not z > 0:
                 raise DomainError("function integrates to zero on the grid")
             v = v / z
         return GridDensity(x_min, x_min + n * step, step, v)
@@ -207,7 +209,7 @@ class Ccurve:
     def __post_init__(self):
         ts = np.array([p[0] for p in self.points], dtype=float)
         vs = np.array([p[1] for p in self.points], dtype=float)
-        if len(ts) and np.any(np.diff(ts) <= 0):
+        if not np.all(np.diff(ts) > 0):
             raise DomainError("curve arguments must be strictly increasing")
         if not np.all(np.isfinite(vs)):
             raise DomainError("curve values must be finite")
@@ -233,6 +235,55 @@ class BoundReport:
 
 
 # ---------------------------------------------------------------------------
+# one-dimensional searches
+# ---------------------------------------------------------------------------
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Golden-section search for the maximum of a unimodal f on [lo, hi].
+
+    One interior point is reused per step, so each step costs one new
+    evaluation.  Stops once the bracket is at most tol wide and returns
+    (x, f(x)) at its midpoint.
+    """
+    x1, x2 = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > tol:
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INV_PHI * (hi - lo)
+            f2 = f(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INV_PHI * (hi - lo)
+            f1 = f(x1)
+    x = 0.5 * (lo + hi)
+    return x, f(x)
+
+
+def bisect(cond, lo: float, hi: float, tol: float = 0.0):
+    """Smallest x in [lo, hi] with cond(x) True, for cond monotone in x.
+
+    cond should be False at lo and True at hi.  Halves the bracket until it is
+    at most tol wide or its midpoint no longer splits it (the bracket is then
+    two adjacent floats).  Returns (hi, iterations, (lo, hi)).
+    """
+    it = 0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if cond(mid):
+            hi = mid
+        else:
+            lo = mid
+        it += 1
+    return hi, it, (lo, hi)
+
+
+# ---------------------------------------------------------------------------
 # special functions
 # ---------------------------------------------------------------------------
 
@@ -252,13 +303,7 @@ def binary_entropy_inv(h: float) -> float:
     h = min(h, LOG2)
     if h == 0.0:
         return 0.0
-    lo, hi = 0.0, 0.5
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        if binary_entropy(mid) < h:
-            lo = mid
-        else:
-            hi = mid
+    _, _, (lo, hi) = bisect(lambda p: binary_entropy(p) >= h, 0.0, 0.5, 1e-13)
     return 0.5 * (lo + hi)
 
 
@@ -277,7 +322,7 @@ def q_inverse(p: float) -> float:
 
 def max_entropy_integer(mean_abs: float) -> float:
     """Entropy cap for integer-valued variables with E|U| <= mean_abs."""
-    if mean_abs < 0:
+    if not mean_abs >= 0:
         raise DomainError("mean_abs must be nonnegative")
     m = mean_abs
     return (m + 1.0) * binary_entropy(1.0 / (m + 1.0)) + LOG2
@@ -304,15 +349,46 @@ def v_hat(omega) -> float | np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# distances and divergences
+# entropy and mutual information
 # ---------------------------------------------------------------------------
 
-def _xlogx(v: np.ndarray) -> np.ndarray:
+def xlogx(v: np.ndarray) -> np.ndarray:
+    """Elementwise v log v with the convention 0 log 0 = 0."""
     out = np.zeros_like(v)
     mask = v > 0
     out[mask] = v[mask] * np.log(v[mask])
     return out
 
+
+def mi_joint(q: np.ndarray) -> float:
+    """Mutual information between the row and column index of a joint pmf."""
+    qw = q.sum(axis=1)
+    qx = q.sum(axis=0)
+    mask = q > 0
+    val = float(np.sum(q[mask] * np.log(q[mask] / np.outer(qw, qx)[mask])))
+    return max(val, 0.0)
+
+
+def uniform_mixture_entropy(mu: np.ndarray, v: np.ndarray, a: float, b: float) -> float:
+    """Differential entropy of sum_k v_k U[mu_k + a, mu_k + b].
+
+    The density is piecewise constant between the sorted interval endpoints,
+    so the entropy is an exact finite sum.
+    """
+    width = b - a
+    edges = np.unique(np.concatenate([mu + a, mu + b]))
+    h = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid = 0.5 * (lo + hi)
+        dens = v[(mid >= mu + a) & (mid <= mu + b)].sum() / width
+        if dens > 0:
+            h -= (hi - lo) * dens * math.log(dens)
+    return h
+
+
+# ---------------------------------------------------------------------------
+# distances and divergences
+# ---------------------------------------------------------------------------
 
 def _align_atoms(P: DiscretePMF, Q: DiscretePMF):
     """Union support with weights; atoms matched within tolerance."""
@@ -408,7 +484,7 @@ def ks_distance(P: Distribution, Q: Distribution) -> float:
 
 def levy_concentration(P: Distribution, delta: float) -> float:
     """Levy concentration: sup over centers x of P[x - delta, x + delta]."""
-    if delta < 0:
+    if not delta >= 0:
         raise DomainError("delta must be nonnegative")
     if isinstance(P, DiscretePMF):
         # the sup is attained with the window's left edge at an atom
@@ -423,17 +499,27 @@ def levy_concentration(P: Distribution, delta: float) -> float:
     return float(np.max(mass))
 
 
+_CF_CHUNK = 512
+
+
 def char_fn(P: Distribution, omega) -> complex | np.ndarray:
-    """Characteristic function E[exp(i w X)] by atom sum or trapezoid."""
+    """Characteristic function E[exp(i w X)] by atom sum or trapezoid.
+
+    Frequencies are processed in blocks of _CF_CHUNK, so the working array
+    never exceeds _CF_CHUNK x (number of atoms or grid nodes).
+    """
     omega = np.asarray(omega, dtype=float)
     w = omega.reshape(-1, 1)
     if isinstance(P, DiscretePMF):
-        out = (P.weights * np.exp(1j * w * P.atoms)).sum(axis=1)
+        x, mass = P.atoms, P.weights
     else:
         x = P.grid
         tw = np.full_like(P.values, P.step)
         tw[0] = tw[-1] = 0.5 * P.step
-        out = ((P.values * tw) * np.exp(1j * w * x)).sum(axis=1)
+        mass = P.values * tw
+    out = np.empty(len(w), dtype=complex)
+    for i in range(0, len(w), _CF_CHUNK):
+        out[i:i + _CF_CHUNK] = (mass * np.exp(1j * w[i:i + _CF_CHUNK] * x)).sum(axis=1)
     return out.reshape(omega.shape) if omega.ndim else complex(out[0])
 
 
@@ -508,6 +594,25 @@ def convolve(P: Distribution, Z: GridDensity, max_span: float | None = None) -> 
 
     z = np.trapezoid(vals, dx=step)
     return GridDensity(out_min, float(grid[-1]), step, vals / z)
+
+
+def tv_after_noise(P: Distribution, Q: Distribution, Z: GridDensity) -> float:
+    """d_TV(P * P_Z, Q * P_Z) on a common grid with the noise step.
+
+    Both convolutions are interpolated onto one grid covering their union,
+    renormalized there, and compared by the trapezoid rule.
+    """
+    step = Z.step
+    pc, qc = convolve(P, Z), convolve(Q, Z)
+    lo = min(pc.x_min, qc.x_min)
+    hi = max(pc.x_max, qc.x_max)
+    grid = np.arange(round(lo / step), round(hi / step) + 1) * step
+
+    def on_grid(d):
+        v = np.interp(grid, d.grid, d.values, left=0.0, right=0.0)
+        return v / np.trapezoid(v, dx=step)
+
+    return float(0.5 * np.trapezoid(np.abs(on_grid(pc) - on_grid(qc)), dx=step))
 
 
 def gaussian_grid(mu: float = 0.0, sigma: float = 1.0, span_sd: float = 10.0,

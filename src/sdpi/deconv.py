@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .channels import NoiseModel
-from .core_prob import DiscretePMF, Distribution, GridDensity, char_fn
+from .core_prob import Distribution, char_fn
 from .errors import DomainError, ProfileFailureError
 
 # constant of the spectral-window lemma, from the two-term proof chain:
@@ -38,24 +38,6 @@ class CfProfile:
     g1_of_u: Callable[[float], float]
 
 
-def _cf_abs(P: Distribution, omegas: np.ndarray, chunk: int = 512) -> np.ndarray:
-    out = np.empty(len(omegas))
-    for i in range(0, len(omegas), chunk):
-        out[i:i + chunk] = np.abs(char_fn(P, omegas[i:i + chunk]))
-    return out
-
-
-def _cf_vals(P: Distribution, omegas: np.ndarray, chunk: int = 512) -> np.ndarray:
-    out = np.empty(len(omegas), dtype=complex)
-    for i in range(0, len(omegas), chunk):
-        out[i:i + chunk] = char_fn(P, omegas[i:i + chunk])
-    return out
-
-
-def _abs_moment1(P: Distribution) -> float:
-    return P.abs_moment(1.0)
-
-
 # ---------------------------------------------------------------------------
 # Esseen smoothing inequality
 # ---------------------------------------------------------------------------
@@ -66,19 +48,19 @@ def esseen_bound(P: Distribution, Q: Distribution, m2: float, T: float) -> float
     Q must have a density bounded by m2.  The removable singularity at 0 is
     handled through |phi_P - phi_Q| <= |w| (E|X_P| + E|X_Q|).
     """
-    if T <= 0:
-        raise DomainError("T must be positive")
+    if not 0 < T < math.inf:
+        raise DomainError("T must be positive and finite")
     step = min(1e-3, T / 4096.0)
     n = int(math.ceil(T / step))
     if n % 2 == 1:
         n += 1
     omegas = np.linspace(0.0, T, n + 1)
-    diff = np.abs(_cf_vals(P, omegas[1:]) - _cf_vals(Q, omegas[1:]))
+    diff = np.abs(char_fn(P, omegas[1:]) - char_fn(Q, omegas[1:]))
     integrand = np.empty(n + 1)
     integrand[1:] = diff / omegas[1:]
     # limit at 0 from the first-moment Lipschitz bound
     integrand[0] = min(abs(P.mean() - Q.mean()),
-                       _abs_moment1(P) + _abs_moment1(Q))
+                       P.abs_moment(1.0) + Q.abs_moment(1.0))
     h = T / n
     simpson = h / 3.0 * (integrand[0] + integrand[-1]
                          + 4.0 * integrand[1:-1:2].sum() + 2.0 * integrand[2:-1:2].sum())
@@ -95,7 +77,7 @@ def _numeric_g1(noise: NoiseModel):
     step = 1e-2
     t_candidates = [2.0 ** k for k in range(-6, 8)]
     omegas = np.arange(0.0, t_candidates[-1] + step, step)
-    cf = _cf_abs(noise.grid_density, omegas, chunk=2048)
+    cf = noise.abs_cf(omegas)
 
     def g1(u: float) -> float:
         if not 0.0 < u <= 1.0:
@@ -203,7 +185,7 @@ def ks_from_tv_bound(noise: NoiseModel, m2: float, first_moments: tuple[float, f
     Passing w1 = W_1(P*P_Z, Q*P_Z) switches the last term to the refined
     2 T w1 / (pi g(T)) form, valid when second moments are finite.
     """
-    if T <= 0:
+    if not T > 0:
         raise DomainError("T must be positive")
     if not 0.0 <= d_tv <= 1.0:
         raise DomainError("d_tv must lie in [0, 1]")
@@ -223,20 +205,15 @@ def ks_from_tv_bound(noise: NoiseModel, m2: float, first_moments: tuple[float, f
 def _cf_envelope(noise: NoiseModel, t_hi: float, step: float = 5e-5):
     """Running minimum of |phi_Z| on [0, t_hi], sampled at `step`."""
     omegas = np.arange(0.0, t_hi + step, step)
-    if noise.kind in ("gaussian", "uniform", "laplace"):
-        cf = np.asarray(noise.abs_cf(omegas))
-    else:
-        cf = _cf_abs(noise.grid_density, omegas, chunk=4096)
-    return omegas, np.minimum.accumulate(cf)
+    return omegas, np.minimum.accumulate(noise.abs_cf(omegas))
 
 
 def ks_deconv_solve(noise: NoiseModel, d_tv: float, m2: float,
                     first_moments: tuple[float, float]) -> float:
     """KS bound 2 C0 / T where T solves g(T)^2 = d_tv T^5, g = inf |phi_Z|.
 
-    Gaussian noise takes the fast path T = sqrt(log(1/d_tv)/2).  For other
-    noise the running-minimum CF envelope is used; the solved T always lies
-    before any CF zero, so no zero enters the working frequency range.
+    Gaussian noise takes the fast path T = sqrt(log(1/d_tv)/2); other noise
+    takes T from `deconv_root_residual`.
     """
     if not 0.0 < d_tv < 1.0:
         raise DomainError("d_tv must lie in (0, 1)")
@@ -245,7 +222,21 @@ def ks_deconv_solve(noise: NoiseModel, d_tv: float, m2: float,
     if noise.kind == "gaussian":
         s, = noise.params
         T = math.sqrt(math.log(1.0 / d_tv) / 2.0) / s
-        return 2.0 * c0 / T
+    else:
+        T, _ = deconv_root_residual(noise, d_tv)
+    return 2.0 * c0 / T
+
+
+def deconv_root_residual(noise: NoiseModel, d_tv: float) -> tuple[float, float]:
+    """Root T of g(T)^2 = d_tv T^5 on the running-minimum CF envelope g, and
+    the residual |g(T)^2 - d_tv T^5| at it.
+
+    The envelope is sampled on [0, t_hi] with t_hi doubling until the root is
+    bracketed, so the solved T always lies before any CF zero and no zero
+    enters the working frequency range.
+    """
+    if not 0.0 < d_tv < 1.0:
+        raise DomainError("d_tv must lie in (0, 1)")
     t_hi = 2.0
     while True:
         omegas, env = _cf_envelope(noise, t_hi)
@@ -262,22 +253,6 @@ def ks_deconv_solve(noise: NoiseModel, d_tv: float, m2: float,
     g0 = env[idx - 1]
     if g0 <= 1e-300:
         raise ProfileFailureError("characteristic function has a zero before the root")
-    T = (g0 * g0 / d_tv) ** 0.2
-    T = min(max(T, omegas[idx - 1]), omegas[idx])
-    return 2.0 * c0 / T
-
-
-def deconv_root_residual(noise: NoiseModel, d_tv: float) -> tuple[float, float]:
-    """The solved T and the residual |g(T)^2 - d_tv T^5| (diagnostic)."""
-    t_hi = 2.0
-    while True:
-        omegas, env = _cf_envelope(noise, t_hi)
-        f = env ** 2 - d_tv * omegas ** 5
-        if f[-1] < 0:
-            break
-        t_hi *= 2.0
-    idx = int(np.argmax(f < 0))
-    g0 = env[idx - 1]
     T = (g0 * g0 / d_tv) ** 0.2
     T = min(max(T, omegas[idx - 1]), omegas[idx])
     return T, abs(g0 * g0 - d_tv * T ** 5)

@@ -12,12 +12,12 @@ import math
 import numpy as np
 
 from .channels import DMCKernel, dmc_capacity
-from .core_prob import LOG2, Ccurve, binary_entropy, binary_entropy_inv
+from .core_prob import LOG2, Ccurve, binary_entropy, binary_entropy_inv, mi_joint
 from .errors import DomainError
 
 
 def fi_erasure(t: float, alpha: float, alphabet_size: int) -> float:
-    if t < 0:
+    if not t >= 0:
         raise DomainError("t must be nonnegative")
     if not 0.0 <= alpha <= 1.0:
         raise DomainError("alpha must lie in [0, 1]")
@@ -42,7 +42,7 @@ def mrs_gerber(x: float, delta: float) -> float:
 
 def fi_bsc(t: float, delta: float) -> float:
     """Exact F_I curve of the binary symmetric channel."""
-    if t < 0:
+    if not t >= 0:
         raise DomainError("t must be nonnegative")
     if not 0.0 <= delta <= 0.5:
         raise DomainError("delta must lie in [0, 1/2]")
@@ -59,7 +59,7 @@ def fi_fixed_marginal_bsc(x: float, p: float, delta: float) -> float:
     if not 0.0 <= delta <= 0.5:
         raise DomainError("delta must lie in [0, 1/2]")
     hp = binary_entropy(p)
-    if x < 0 or x > hp + 1e-12:
+    if not 0 <= x <= hp + 1e-12:
         raise DomainError("x must lie in [0, h_b(p)]")
     x = min(x, hp)
     return binary_entropy(_star(p, delta)) - mrs_gerber(hp - x, delta)
@@ -69,19 +69,10 @@ def fi_fixed_marginal_bsc(x: float, p: float, delta: float) -> float:
 # general kernels: Lagrangian envelope optimizer
 # ---------------------------------------------------------------------------
 
-def _mi_from_joint(q: np.ndarray) -> float:
-    """I between the two coordinates of a joint pmf matrix."""
-    qw = q.sum(axis=1)
-    qx = q.sum(axis=0)
-    mask = q > 0
-    val = float(np.sum(q[mask] * np.log(q[mask] / np.outer(qw, qx)[mask])))
-    return max(val, 0.0)
-
-
 def _objective(q: np.ndarray, K: np.ndarray, lam: float):
     qwy = q @ K
-    i_wx = _mi_from_joint(q)
-    i_wy = _mi_from_joint(qwy)
+    i_wx = mi_joint(q)
+    i_wy = mi_joint(qwy)
     return i_wy - lam * i_wx, i_wx, i_wy
 
 
@@ -149,7 +140,7 @@ def fi_dmc_envelope(K: DMCKernel, t_grid, solver_params: dict | None = None) -> 
     anchored at the origin and capped at capacity, is the returned curve.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or (len(t_grid) > 1 and np.any(np.diff(t_grid) <= 0)):
+    if t_grid.ndim != 1 or not np.all(np.diff(t_grid) > 0):
         raise DomainError("t_grid must be increasing")
     params = dict(restarts=32, n_lambdas=64, iters=400, seed=0, w_size=None)
     params.update(solver_params or {})

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import AdditiveChannel, NoiseModel, awgn_capacity, mi_additive
-from .core_prob import (BoundReport, DiscretePMF, binary_entropy, q_function)
+from .core_prob import BoundReport, DiscretePMF, binary_entropy, bisect, golden_max, q_function
 from .errors import AccuracyError, DomainError
 
 A0 = 24.0 / math.pi ** 1.5
@@ -46,26 +46,17 @@ def _gd_bracket(x: np.ndarray, t: float, gamma: float) -> np.ndarray:
 
 def gd_lower(t: float, gamma: float) -> float:
     """Lower bound on the diagonal gap g_d(t) for the AWGN channel."""
-    if t < 0:
-        raise DomainError("t must be nonnegative")
-    if gamma <= 0:
-        raise DomainError("gamma must be positive")
+    if not 0 <= t < math.inf:
+        raise DomainError("t must be nonnegative and finite")
+    if not 0 < gamma < math.inf:
+        raise DomainError("gamma must be positive and finite")
     if t == 0.0:
         return 0.0
     xs = np.linspace(0.0, 0.5, 2001)
     vals = _gd_bracket(xs, t, gamma)
     i = int(np.argmax(vals))
-    lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, len(xs) - 1)]
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    while hi - lo > 1e-10:
-        x1 = hi - phi * (hi - lo)
-        x2 = lo + phi * (hi - lo)
-        if _gd_bracket(np.array([x1]), t, gamma)[0] < _gd_bracket(np.array([x2]), t, gamma)[0]:
-            lo = x1
-        else:
-            hi = x2
-    best = _gd_bracket(np.array([0.5 * (lo + hi)]), t, gamma)[0]
+    _, best = golden_max(lambda x: _gd_bracket(np.array([x]), t, gamma)[0],
+                         xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)], 1e-10)
     return float(max(best, vals[i]))
 
 
@@ -75,9 +66,9 @@ def gd_rate_small_t(u: float, gamma: float) -> float:
     This is a restriction of the maximization in gd_lower to one point, so
     the return value never exceeds gd_lower(1/u, gamma).
     """
-    if gamma <= 0:
+    if not gamma > 0:
         raise DomainError("gamma must be positive")
-    if u <= 1.0 or u * math.log(u) < 1.0:
+    if not (u > 1.0 and u * math.log(u) >= 1.0):
         raise DomainError("u too small: need 1/(2 u log u) <= 1/2")
     x = 1.0 / (2.0 * u * math.log(u))
     t = 1.0 / u
@@ -88,7 +79,7 @@ def gd_subgaussian(t: float, gamma: float, s: float) -> float:
     """Diagonal bound for s-subgaussian inputs, polynomial in t."""
     if not 0.0 < t <= 0.25:
         raise DomainError("t must lie in (0, 1/4]")
-    if gamma <= 0 or s <= 0:
+    if not (gamma > 0 and s > 0):
         raise DomainError("gamma and s must be positive")
     y = t / math.log(1.0 / t)
     if y > 0.5:
@@ -105,9 +96,9 @@ def diag_achievability(a: float, gamma: float) -> tuple[float, float, float]:
     the minimum-distance estimate errs with probability at most
     Q(sqrt(gamma) a / 2), giving I >= H(X) - h_b(Q(sqrt(gamma) a / 2)).
     """
-    if a <= 1.0:
+    if not a > 1.0:
         raise DomainError("need a > 1 so that 1/a^2 < 1")
-    if gamma <= 0:
+    if not gamma > 0:
         raise DomainError("gamma must be positive")
     q = 1.0 / (a * a)
     x = DiscretePMF(np.array([0.0, a]), np.array([1.0 - q, q]))
@@ -126,7 +117,7 @@ def ks_from_mmse_gap(epsilon: float, gamma: float) -> float:
     """KS distance to the standard Gaussian from an MMSE gap epsilon."""
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must lie in (0, 1)")
-    if gamma <= 0:
+    if not gamma > 0:
         raise DomainError("gamma must be positive")
     L = math.log(1.0 / epsilon)
     return A0 * math.sqrt(1.0 / (gamma * L)) + A1 * (1.0 + gamma) * epsilon ** 0.25 * math.sqrt(gamma * L)
@@ -134,9 +125,9 @@ def ks_from_mmse_gap(epsilon: float, gamma: float) -> float:
 
 def ks_from_capacity_gap(epsilon: float, gamma: float) -> float:
     """KS distance to the standard Gaussian from a capacity gap epsilon."""
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise DomainError("epsilon must be positive")
-    if gamma <= 4.0 * epsilon:
+    if not gamma > 4.0 * epsilon:
         raise DomainError("need gamma > 4 epsilon")
     L = math.log(gamma / (4.0 * epsilon))
     return (A0 * math.sqrt(2.0 / (gamma * L))
@@ -147,7 +138,7 @@ def ks_talagrand(epsilon: float, gamma: float) -> float:
     """Transportation-inequality variant of the capacity-gap KS bound."""
     if not 0.0 < epsilon < 1.0:
         raise DomainError("epsilon must lie in (0, 1)")
-    if gamma <= 0:
+    if not gamma > 0:
         raise DomainError("gamma must be positive")
     L = math.log(1.0 / epsilon)
     return (24.0 / (math.pi ** 1.5 * math.sqrt(gamma * L))
@@ -197,8 +188,8 @@ def _kappa(gamma: float) -> float:
 
 def horizontal_constants(gamma: float) -> HorizontalConstants:
     """Assemble kappa(gamma), c1(gamma) and the validity threshold eps0."""
-    if gamma <= 0:
-        raise DomainError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise DomainError("gamma must be positive and finite")
     kappa = _kappa(gamma)
     c1_sq = math.exp(A5) * kappa
     log_c1 = 0.5 * (A5 + math.log(kappa))
@@ -221,12 +212,7 @@ def horizontal_constants(gamma: float) -> HorizontalConstants:
     if cond(lo):
         hi = lo
     else:
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            if cond(mid):
-                hi = mid
-            else:
-                lo = mid
+        hi, _, _ = bisect(cond, lo, hi)
     return HorizontalConstants(gamma, kappa, A5, math.sqrt(c1_sq), log_c1, -hi)
 
 
@@ -240,10 +226,10 @@ def t_lower_from_gap(epsilon: float, gamma: float, log_eps: float | None = None)
     """
     hc = horizontal_constants(gamma)
     if log_eps is None:
-        if epsilon <= 0.0:
+        if not epsilon > 0.0:
             raise DomainError("epsilon must be positive (or pass log_eps)")
         log_eps = math.log(epsilon)
-    if log_eps > hc.log_eps0:
+    if not log_eps <= hc.log_eps0:
         raise DomainError(
             f"epsilon outside validity range: need log(eps) <= {hc.log_eps0:.6g} "
             f"(eps0 = exp({hc.log_eps0:.6g}))")
@@ -253,7 +239,7 @@ def t_lower_from_gap(epsilon: float, gamma: float, log_eps: float | None = None)
 
 def gh_lower(t: float, gamma: float) -> float:
     """Lower bound exp(-c1(gamma) e^{4t}) on the horizontal gap g_h(t)."""
-    if t < 0:
+    if not t >= 0:
         raise DomainError("t must be nonnegative")
     hc = horizontal_constants(gamma)
     exponent = -hc.c1 * math.exp(4.0 * t)
@@ -296,9 +282,9 @@ def gh_upper_achievability(t: float, gamma: float) -> tuple[int, float, float]:
     Returns (m, closed-form gap bound 4(1+gamma)(gamma/(1+gamma))^{2m},
     numerically measured gap C(gamma) - I(X_m; Y_gamma)).
     """
-    if gamma < 0:
+    if not gamma >= 0:
         raise DomainError("gamma must be nonnegative")
-    if t < math.log(2.0) - 1e-12:
+    if not t >= math.log(2.0) - 1e-12:
         raise DomainError("need t >= log 2 so that m >= 2")
     m = int(math.floor(math.exp(t)))
     bound = 4.0 * (1.0 + gamma) * (gamma / (1.0 + gamma)) ** (2 * m)

@@ -16,7 +16,7 @@ import numpy as np
 from .channels import NoiseModel
 from .contraction import (a1_star, a2_star, alpha_star, eta_tv_amplitude,
                           eta_tv_complement)
-from .core_prob import BoundReport, Distribution, GridDensity, levy_concentration
+from .core_prob import BoundReport, Distribution, GridDensity, bisect, levy_concentration
 from .deconv import C_WINDOW, g1_profile
 from .errors import DomainError, NoSolutionError
 
@@ -25,7 +25,7 @@ def diag_master_bound(I_WX: float, h_eps: float, eps: float,
                       I_cond_E1: float, eta_bar: float) -> float:
     """Transparent calculator for the master diagonal inequality:
     I(W;Y) <= I_WX - eta_bar (I_WX - h_eps - eps I_cond_E1)."""
-    if min(I_WX, h_eps, eps, I_cond_E1) < 0:
+    if not all(v >= 0 for v in (I_WX, h_eps, eps, I_cond_E1)):
         raise DomainError("all inputs must be nonnegative")
     if not 0.0 <= eta_bar <= 1.0:
         raise DomainError("eta_bar must lie in [0, 1]")
@@ -46,7 +46,7 @@ def general_diag_bound(t: float, noise: NoiseModel, p: float, gamma: float) -> f
     returned value is a certified (possibly weaker) gap.  Returns 0 when the
     noise admits no contracting amplitude at all.
     """
-    if t <= 0:
+    if not t > 0:
         raise DomainError("t must be positive")
     try:
         rep = a2_star(noise, t, gamma, p)
@@ -117,15 +117,13 @@ def _validity_value(eps: float, noise: NoiseModel, x_star: Distribution,
 def rho_eps0(noise: NoiseModel, x_star: Distribution) -> float:
     """Largest eps with L(X*; T^{-3/4}) + (4+2c)/sqrt(T) < 1, T = g1(m1 sqrt(eps))."""
     profile = g1_profile(noise)
-    lo, hi = -700.0, 0.0  # bisect on log eps
-    if _validity_value(math.exp(lo), noise, x_star, profile)[0] >= 1.0:
+
+    def invalid(log_eps):
+        return _validity_value(math.exp(log_eps), noise, x_star, profile)[0] >= 1.0
+
+    if invalid(-700.0):
         return 0.0
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        if _validity_value(math.exp(mid), noise, x_star, profile)[0] < 1.0:
-            lo = mid
-        else:
-            hi = mid
+    _, _, (lo, _) = bisect(invalid, -700.0, 0.0)
     return math.exp(lo)
 
 
@@ -135,7 +133,7 @@ def rho_horizontal(epsilon: float, noise: NoiseModel, x_star: Distribution) -> f
     Requires eps below the computed validity threshold eps0; x_star is the
     (caller-supplied) capacity-achieving input approximation.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise DomainError("epsilon must be positive")
     profile = g1_profile(noise)
     val, _ = _validity_value(epsilon, noise, x_star, profile)

@@ -1,9 +1,10 @@
 """Independent brute-force ground truth.
 
 Nothing here shares a code path with the closed forms it validates beyond
-the primitives in core_prob: mutual informations are recomputed from scratch
-(lattice entropies, Monte Carlo, direct quadrature) so that agreement is
-evidence, not circularity.
+the primitives in core_prob (`xlogx`, `mi_joint`, `uniform_mixture_entropy`,
+`bisect`) and the Gauss-Hermite table of `channels`: the methods are the
+oracle's own (lattice search, Monte Carlo, random couplings), so that
+agreement is evidence, not circularity.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ from math import comb
 import numpy as np
 from scipy.special import logsumexp
 
-from .channels import DMCKernel, NoiseModel
-from .core_prob import DiscretePMF
+from .channels import _GH_NODES, _GH_WEIGHTS, DMCKernel, NoiseModel
+from .core_prob import DiscretePMF, bisect, mi_joint, uniform_mixture_entropy, xlogx
 from .errors import BudgetError, DomainError
 
-_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(127)
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# lattice envelopes kept for repeated calls; the oldest is evicted beyond this
+_ENVELOPE_CACHE_SIZE = 8
 
 
 # ---------------------------------------------------------------------------
@@ -62,20 +63,6 @@ def _iter_compositions(n: int, cells: int, comp4):
     yield from rec(0, n)
 
 
-def _xlogx_table(n: int) -> np.ndarray:
-    k = np.arange(n + 1, dtype=float)
-    t = np.zeros(n + 1)
-    t[1:] = (k[1:] / n) * np.log(k[1:] / n)
-    return t
-
-
-def _xlogx(a: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(a)
-    m = a > 0
-    out[m] = a[m] * np.log(a[m])
-    return out
-
-
 _ENVELOPE_CACHE: dict = {}
 
 
@@ -93,7 +80,7 @@ def _bruteforce_envelope(K: DMCKernel, w_size: int, resolution: int,
     if total > max_points:
         raise BudgetError(f"{total} lattice points exceed the budget {max_points:g}")
     comp4 = _comp4_tables(n)
-    xlx = _xlogx_table(n)
+    xlx = xlogx(np.arange(n + 1) / n)
     bin_w = 1e-4
     n_bins = int(math.log(min(nx, w_size) + 1) / bin_w) + 2
     bin_vals = np.full(n_bins, -np.inf)
@@ -107,8 +94,8 @@ def _bruteforce_envelope(K: DMCKernel, w_size: int, resolution: int,
         i_wx = np.maximum(h_wx - h_w - h_x, 0.0)
         q = c / n
         p_wy = q @ Km
-        i_wy = _xlogx(p_wy).sum(axis=(1, 2)) - h_w \
-            - _xlogx(p_wy.sum(axis=1)).sum(axis=1)
+        i_wy = xlogx(p_wy).sum(axis=(1, 2)) - h_w \
+            - xlogx(p_wy.sum(axis=1)).sum(axis=1)
         i_wy = np.maximum(i_wy, 0.0)
         # bin by the ceiling so bin b only holds samples with I_WX <= b*bin_w
         bins = np.ceil(i_wx / bin_w - 1e-12).astype(np.int64)
@@ -117,6 +104,8 @@ def _bruteforce_envelope(K: DMCKernel, w_size: int, resolution: int,
         hit = i_wy >= bin_vals[bins]
         bin_rows[bins[hit]] = q.reshape(len(q), cells)[hit]
     stair = np.maximum.accumulate(bin_vals)
+    if len(_ENVELOPE_CACHE) >= _ENVELOPE_CACHE_SIZE:
+        del _ENVELOPE_CACHE[next(iter(_ENVELOPE_CACHE))]
     _ENVELOPE_CACHE[key] = (bin_w, stair, bin_vals, bin_rows)
     return _ENVELOPE_CACHE[key]
 
@@ -125,11 +114,7 @@ def _joint_mi_pair(q: np.ndarray, Km: np.ndarray, w_size: int) -> tuple[float, f
     """(I(W;X), I(W;Y)) for a joint pmf q over W x X, Y = X through Km."""
     j = np.clip(q, 0.0, None).reshape(w_size, Km.shape[0])
     j = j / j.sum()
-    pw, px = j.sum(axis=1), j.sum(axis=0)
-    i_wx = _xlogx(j).sum() - _xlogx(pw).sum() - _xlogx(px).sum()
-    jy = j @ Km
-    i_wy = _xlogx(jy).sum() - _xlogx(pw).sum() - _xlogx(jy.sum(axis=0)).sum()
-    return max(float(i_wx), 0.0), max(float(i_wy), 0.0)
+    return mi_joint(j), mi_joint(j @ Km)
 
 
 def _polish_coupling(q0: np.ndarray, Km: np.ndarray, w_size: int,
@@ -162,15 +147,12 @@ def _polish_coupling(q0: np.ndarray, Km: np.ndarray, w_size: int,
     q = q / q.sum()
     prod = np.outer(q.reshape(w_size, -1).sum(axis=1),
                     q.reshape(w_size, -1).sum(axis=0)).ravel()
-    lam_lo, lam_hi = 0.0, 1.0
     if _joint_mi_pair(q, Km, w_size)[0] > t:
-        for _ in range(60):  # mix toward independence until feasible
-            lam = 0.5 * (lam_lo + lam_hi)
-            if _joint_mi_pair((1 - lam) * q + lam * prod, Km, w_size)[0] > t:
-                lam_lo = lam
-            else:
-                lam_hi = lam
-        q = (1 - lam_hi) * q + lam_hi * prod
+        # mix toward independence until feasible
+        lam, _, _ = bisect(
+            lambda lam: _joint_mi_pair((1 - lam) * q + lam * prod, Km, w_size)[0] <= t,
+            0.0, 1.0, 2.0 ** -60)
+        q = (1 - lam) * q + lam * prod
     i_wx, i_wy = _joint_mi_pair(q, Km, w_size)
     return i_wy if i_wx <= t + 1e-15 else 0.0
 
@@ -182,7 +164,7 @@ def fi_bruteforce_dmc(K: DMCKernel, t: float, w_size: int = 3,
     The coupling simplex is discretized on the (k/n) lattice; the result is
     a certified lower bound on F_I(t) at the stated resolution.
     """
-    if t < 0:
+    if not t >= 0:
         raise DomainError("t must be nonnegative")
     nx = K.matrix.shape[0]
     if nx > 3:
@@ -269,13 +251,6 @@ class SweepResult:
     violations: tuple = field(default_factory=tuple)
 
 
-def _mi_discrete_joint(pw: np.ndarray, rows: np.ndarray) -> float:
-    joint = pw[:, None] * rows
-    px = joint.sum(axis=0)
-    val = _xlogx(joint).sum() - _xlogx(pw).sum() - _xlogx(px).sum()
-    return max(float(val), 0.0)
-
-
 def _mi_wy_gaussian(mu: np.ndarray, pw: np.ndarray, rows: np.ndarray) -> float:
     """I(W;Y), Y = mixture of unit Gaussians at mu, mixed per row of rows."""
     y = mu[:, None] + math.sqrt(2.0) * _GH_NODES[None, :]          # (k, j)
@@ -293,23 +268,11 @@ def _mi_wy_gaussian(mu: np.ndarray, pw: np.ndarray, rows: np.ndarray) -> float:
     return max(total, 0.0)
 
 
-def _uniform_mixture_entropy(mu: np.ndarray, v: np.ndarray, a: float, b: float) -> float:
-    width = b - a
-    edges = np.unique(np.concatenate([mu + a, mu + b]))
-    h = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (lo + hi)
-        dens = v[(mid >= mu + a) & (mid <= mu + b)].sum() / width
-        if dens > 0:
-            h -= (hi - lo) * dens * math.log(dens)
-    return h
-
-
 def _mi_wy_uniform(mu: np.ndarray, pw: np.ndarray, rows: np.ndarray,
                    a: float, b: float) -> float:
     px = pw @ rows
-    h_y = _uniform_mixture_entropy(mu, px, a, b)
-    h_cond = sum(pw[w] * _uniform_mixture_entropy(mu, rows[w], a, b)
+    h_y = uniform_mixture_entropy(mu, px, a, b)
+    h_cond = sum(pw[w] * uniform_mixture_entropy(mu, rows[w], a, b)
                  for w in range(len(pw)) if pw[w] > 0)
     return max(h_y - h_cond, 0.0)
 
@@ -341,7 +304,7 @@ def sdpi_pair_sampler(noise: NoiseModel, gamma: float, p: float,
         rows = rng.dirichlet(np.ones(k), size=nw)
         px = pw @ rows
         moment = float(px @ np.abs(atoms) ** p)
-        i_wx = _mi_discrete_joint(pw, rows)
+        i_wx = mi_joint(pw[:, None] * rows)
         if noise.kind == "gaussian":
             # AWGN convention: E|X|^p = 1 budget, channel applies sqrt(gamma)
             atoms = atoms * (1.0 / moment) ** (1.0 / p)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .channels import DMCKernel, NoiseModel, awgn_capacity
-from .core_prob import DiscretePMF, GridDensity, convolve, ks_distance
+from .core_prob import DiscretePMF, GridDensity, ks_distance, tv_after_noise
 from .deconv import esseen_bound, g1_profile, ks_deconv_solve, ks_from_tv_bound
 from .errors import DomainError
 from .fi_curves import fi_bsc
@@ -79,17 +79,7 @@ def _suite_deconv(seed: int) -> dict:
     for trial in range(6):
         noise = NoiseModel.gaussian() if trial % 2 == 0 else NoiseModel.uniform(0.0, 2.0)
         P, Q = _random_pair(rng)
-        z = noise.to_grid(step=0.01)
-        pc, qc = convolve(P, z), convolve(Q, z)
-        lo = min(pc.x_min, qc.x_min)
-        hi = max(pc.x_max, qc.x_max)
-        grid = np.arange(round(lo / 0.01), round(hi / 0.01) + 1) * 0.01
-
-        def on(d):
-            v = np.interp(grid, d.grid, d.values, left=0.0, right=0.0)
-            return v / np.trapezoid(v, dx=0.01)
-
-        d_tv = float(0.5 * np.trapezoid(np.abs(on(pc) - on(qc)), dx=0.01))
+        d_tv = tv_after_noise(P, Q, noise.to_grid(step=0.01))
         d_tv = min(max(d_tv, 1e-12), 1.0 - 1e-12)
         d_ks = ks_distance(P, Q)
         m2 = Q.max_density()

@@ -17,8 +17,8 @@ from sdpi.channels import (
 )
 from sdpi.contraction import eta_tv_amplitude
 from sdpi.core_prob import (
-    Ccurve, DiscretePMF, GridDensity, binary_entropy, char_fn, convolve,
-    ks_distance, levy_concentration, q_function, v_hat, v_window,
+    Ccurve, DiscretePMF, GridDensity, binary_entropy, char_fn, ks_distance,
+    levy_concentration, q_function, tv_after_noise, v_hat, v_window,
 )
 from sdpi.deconv import esseen_bound, g1_profile, ks_deconv_solve, ks_from_tv_bound
 from sdpi.errors import DomainError
@@ -195,17 +195,7 @@ def test_criterion_8_deconv_domination():
         Q = GridDensity.from_function(
             lambda x: np.exp(-0.5 * (x / sig) ** 2), -8 * sig, 8 * sig, step)
 
-        z = noise.to_grid(step=step)
-        pc, qc = convolve(P, z), convolve(Q, z)
-        lo = min(pc.x_min, qc.x_min)
-        hi = max(pc.x_max, qc.x_max)
-        grid = np.arange(round(lo / step), round(hi / step) + 1) * step
-
-        def on(d):
-            v = np.interp(grid, d.grid, d.values, left=0.0, right=0.0)
-            return v / np.trapezoid(v, dx=step)
-
-        d_tv = float(0.5 * np.trapezoid(np.abs(on(pc) - on(qc)), dx=step))
+        d_tv = tv_after_noise(P, Q, noise.to_grid(step=step))
         d_tv = min(max(d_tv, 1e-12), 1.0 - 1e-12)
         d_ks = ks_distance(P, Q)
         m2 = Q.max_density()

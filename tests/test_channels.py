@@ -148,14 +148,14 @@ class TestMiAdditive:
         # X uniform on {0, 2}, Z uniform on [0, 1]: output pieces are disjoint
         # except nowhere, so I = H(X) = log 2
         x = DiscretePMF(np.array([0.0, 2.0]), np.array([0.5, 0.5]))
-        ch = AdditiveChannel(NoiseModel.uniform(0.0, 1.0), 1.0, budget=None)
+        ch = AdditiveChannel(NoiseModel.uniform(0.0, 1.0), 1.0)
         assert mi_additive(x, ch) == pytest.approx(LOG2, abs=1e-9)
 
     def test_uniform_noise_overlap(self):
         # X on {0, 0.5}, Z uniform on [0, 1]: overlap of width 1/2 costs
         # exactly (1/2) log 2 of the entropy
         x = DiscretePMF(np.array([0.0, 0.5]), np.array([0.5, 0.5]))
-        ch = AdditiveChannel(NoiseModel.uniform(0.0, 1.0), 1.0, budget=None)
+        ch = AdditiveChannel(NoiseModel.uniform(0.0, 1.0), 1.0)
         assert mi_additive(x, ch) == pytest.approx(0.5 * LOG2, abs=1e-9)
 
 

@@ -165,6 +165,16 @@ class TestConfigAndErrors:
         code, _, _ = run(["bogus"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "diag", "--gamma", "nan"],
+        ["bounds", "general-diag", "--noise", "laplace:nan"],
+    ])
+    def test_nan_parameter_rejected(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
     def test_bad_grid_spec(self, capsys):
         code, _, err = run(["fi-curve", "--channel", "bsc:0.1",
                             "--t-grid", "nope"], capsys)

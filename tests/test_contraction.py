@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from sdpi.channels import DMCKernel, NoiseModel
 from sdpi.contraction import (
     a1_star, a2_star, alpha_star, dobrushin_dmc, eta_tv_amplitude,
-    eta_tv_complement, theta_shift,
+    eta_tv_complement,
 )
 from sdpi.core_prob import q_function
 from sdpi.errors import DomainError, NoSolutionError
@@ -17,17 +17,17 @@ class TestThetaShift:
     def test_zero_shift(self):
         for z in (NoiseModel.gaussian(), NoiseModel.uniform(0, 1),
                   NoiseModel.laplace(1.0)):
-            assert theta_shift(z, 0.0) == 0.0
+            assert z.theta(0.0) == 0.0
 
     def test_gaussian_closed_form(self):
         z = NoiseModel.gaussian(2.0)
         for d in (0.5, 1.0, 3.0):
-            assert theta_shift(z, d) == pytest.approx(
+            assert z.theta(d) == pytest.approx(
                 1.0 - 2.0 * q_function(d / 4.0), abs=1e-12)
 
     def test_symmetric(self):
         z = NoiseModel.laplace(0.5)
-        assert theta_shift(z, -1.3) == pytest.approx(theta_shift(z, 1.3), abs=1e-14)
+        assert z.theta(-1.3) == pytest.approx(z.theta(1.3), abs=1e-14)
 
     def test_closed_form_matches_grid_tv(self):
         # closed forms cross-checked against brute-force TV on a fine grid
@@ -41,7 +41,7 @@ class TestThetaShift:
             vals = np.concatenate([np.zeros(k), g.values, np.zeros(k)])
             shifted = np.roll(vals, k)
             direct = 0.5 * np.trapezoid(np.abs(vals - shifted), dx=g.step)
-            assert theta_shift(z, d) == pytest.approx(float(direct), abs=2e-3)
+            assert z.theta(d) == pytest.approx(float(direct), abs=2e-3)
 
 
 class TestEtaTv:

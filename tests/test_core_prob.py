@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sdpi.channels import DMCKernel, mi_dmc
 from sdpi.core_prob import (
-    LOG2, DiscretePMF, GridDensity, binary_entropy, binary_entropy_inv,
-    char_fn, convolve, gaussian_grid, kl_divergence, ks_distance,
-    levy_concentration, max_entropy_integer, q_function, q_inverse,
-    tv_distance, v_window, wasserstein,
+    LOG2, DiscretePMF, GridDensity, binary_entropy, binary_entropy_inv, bisect,
+    char_fn, convolve, gaussian_grid, golden_max, kl_divergence, ks_distance,
+    levy_concentration, max_entropy_integer, mi_joint, q_function, q_inverse,
+    tv_after_noise, tv_distance, uniform_mixture_entropy, v_window, wasserstein,
+    xlogx,
 )
 from sdpi.errors import DomainError, ShapeError
 
@@ -74,6 +76,17 @@ class TestDiscretePMF:
     def test_duplicate_atoms(self):
         with pytest.raises(DomainError):
             DiscretePMF(np.array([1.0, 1.0]), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("atoms, weights", [
+        ([0.0, math.nan], [0.5, 0.5]),
+        ([math.nan], [1.0]),
+        ([0.0, math.inf], [0.5, 0.5]),
+        ([0.0, 1.0], [math.nan, 0.5]),
+        ([0.0, 1.0], [math.nan, math.nan]),
+    ])
+    def test_nan_and_inf_rejected(self, atoms, weights):
+        with pytest.raises(DomainError):
+            DiscretePMF(np.array(atoms), np.array(weights))
 
     def test_moments(self):
         P = DiscretePMF(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
@@ -261,6 +274,107 @@ class TestCharFn:
         g = std_normal_grid()
         for w in (0.5, 1.0, 2.0):
             assert abs(char_fn(g, w)) == pytest.approx(math.exp(-0.5 * w * w), abs=1e-4)
+
+    @pytest.mark.parametrize("P", [
+        DiscretePMF(np.array([-1.0, 0.3, 2.0]), np.array([0.2, 0.5, 0.3])),
+        std_normal_grid(step=0.05),
+    ])
+    def test_many_frequencies_match_one_at_a_time(self, P):
+        # more than one 512-frequency block, with a partial last block
+        omegas = np.linspace(-20.0, 20.0, 1300).reshape(2, 650)
+        together = char_fn(P, omegas)
+        assert together.shape == omegas.shape
+        one_by_one = np.array([char_fn(P, float(w)) for w in omegas.ravel()])
+        np.testing.assert_allclose(together.ravel(), one_by_one, rtol=0, atol=1e-15)
+
+
+class TestSearches:
+    def test_golden_max_within_tol(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return -(x - 0.3137) ** 2
+
+        tol = 1e-9
+        x, fx = golden_max(f, 0.0, 1.0, tol)
+        evaluations = len(calls)
+        assert abs(x - 0.3137) <= tol
+        assert fx == f(x)
+        # two initial points, one new point per step, one at the midpoint
+        steps = math.ceil(math.log(tol) / math.log((math.sqrt(5.0) - 1.0) / 2.0))
+        assert evaluations <= steps + 4
+
+    def test_golden_max_at_bracket_edge(self):
+        x, fx = golden_max(lambda x: x, 2.0, 3.0, 1e-8)
+        assert x == pytest.approx(3.0, abs=1e-8)
+        assert fx == x
+
+    def test_bisect_smallest_true(self):
+        x, it, (lo, hi) = bisect(lambda v: v >= 0.3, 0.0, 1.0, 1e-12)
+        assert x == hi and lo < 0.3 <= hi
+        assert hi - lo <= 1e-12
+        assert it > 0
+
+    def test_bisect_to_adjacent_floats(self):
+        # tol 0: stops once the midpoint no longer splits the bracket
+        x, _, (lo, hi) = bisect(lambda v: v >= 0.3, 0.0, 1.0)
+        assert x == 0.3
+        assert lo == np.nextafter(0.3, 0.0)
+
+    def test_bisect_threshold_of_decreasing_function(self):
+        x, _, _ = bisect(lambda v: math.exp(-v) <= 0.25, 0.0, 10.0, 1e-12)
+        assert x == pytest.approx(math.log(4.0), abs=1e-12)
+
+
+class TestMutualInformation:
+    def test_xlogx(self):
+        v = np.array([0.0, 0.5, 1.0, 2.0])
+        np.testing.assert_array_equal(xlogx(v), [0.0, 0.5 * math.log(0.5), 0.0, 2.0 * math.log(2.0)])
+
+    def test_mi_joint_matches_entropy_form(self):
+        rng = np.random.default_rng(5)
+        for shape in ((2, 2), (3, 4), (4, 6)):
+            q = rng.dirichlet(np.ones(shape[0] * shape[1])).reshape(shape)
+            q[0, 0] = 0.0  # exercise the 0 log 0 convention
+            q /= q.sum()
+            entropy_form = (xlogx(q).sum() - xlogx(q.sum(axis=1)).sum()
+                            - xlogx(q.sum(axis=0)).sum())
+            assert mi_joint(q) == pytest.approx(entropy_form, abs=1e-12)
+
+    def test_mi_joint_matches_mi_dmc_and_bsc_closed_form(self):
+        delta, p = 0.1, 0.3
+        K = DMCKernel.bsc(delta)
+        w = np.array([p, 1.0 - p])
+        closed = binary_entropy(p * (1 - delta) + (1 - p) * delta) - binary_entropy(delta)
+        assert mi_joint(w[:, None] * K.matrix) == pytest.approx(closed, abs=1e-14)
+        assert mi_dmc(w, K) == pytest.approx(closed, abs=1e-14)
+
+    def test_independent_joint_is_zero(self):
+        assert mi_joint(np.outer([0.2, 0.8], [0.5, 0.25, 0.25])) == 0.0
+
+    def test_uniform_mixture_entropy(self):
+        # one component: log(b - a); two disjoint halves: log 2 + log(b - a)
+        assert uniform_mixture_entropy(np.array([0.0]), np.array([1.0]), 0.0, 3.0) \
+            == pytest.approx(math.log(3.0), abs=1e-15)
+        h = uniform_mixture_entropy(np.array([0.0, 5.0]), np.array([0.5, 0.5]), 0.0, 1.0)
+        assert h == pytest.approx(LOG2, abs=1e-15)
+
+
+class TestTvAfterNoise:
+    def test_same_input_is_zero(self):
+        P = DiscretePMF(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
+        assert tv_after_noise(P, P, gaussian_grid(step=0.01)) == pytest.approx(0.0, abs=1e-12)
+
+    def test_far_apart_inputs_near_one(self):
+        P, Q = DiscretePMF.point_mass(-10.0), DiscretePMF.point_mass(10.0)
+        assert tv_after_noise(P, Q, gaussian_grid(step=0.01)) == pytest.approx(1.0, abs=1e-9)
+
+    def test_contracts_tv(self):
+        P = DiscretePMF(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+        Q = DiscretePMF(np.array([0.0, 1.0]), np.array([0.2, 0.8]))
+        d = tv_after_noise(P, Q, gaussian_grid(step=0.01))
+        assert 0.0 < d < tv_distance(P, Q)
 
 
 class TestConvolve:

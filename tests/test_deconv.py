@@ -172,6 +172,18 @@ class TestKsDeconvSolve:
         val = ks_deconv_solve(NoiseModel.uniform(0.0, 2.0), 1e-3, 0.4, (1.0, 1.0))
         assert val > 0.0
 
+    def test_solve_uses_the_root(self):
+        noise, d_tv, m2, mom = NoiseModel.laplace(1.0), 1e-3, 0.4, (1.0, 0.8)
+        T, _ = deconv_root_residual(noise, d_tv)
+        c0 = max(24.0 * m2 + 2.0 * (mom[0] + mom[1]),
+                 math.sqrt(8.0 * noise.m1 * math.pi)) / math.pi
+        assert ks_deconv_solve(noise, d_tv, m2, mom) == 2.0 * c0 / T
+
+    @pytest.mark.parametrize("d_tv", [0.0, -1.0, 1.0, math.nan])
+    def test_root_domain(self, d_tv):
+        with pytest.raises(DomainError):
+            deconv_root_residual(NoiseModel.laplace(1.0), d_tv)
+
     def test_smaller_tv_smaller_bound(self):
         noise = NoiseModel.laplace(1.0)
         v1 = ks_deconv_solve(noise, 1e-2, 0.4, (1.0, 1.0))
