@@ -1,10 +1,11 @@
 """Channel models and mutual-information / MMSE evaluation.
 
 Two channel families: row-stochastic discrete kernels and additive-noise
-channels Y = sqrt(gamma) X + Z.  Gaussian-noise integrals run on a 127-node
-Gauss-Hermite rule with log-sum-exp mixtures; uniform noise is handled
-exactly through its piecewise-constant output density; other noise laws fall
-back to trapezoid quadrature on a fine grid.
+channels Y = sqrt(gamma) X + Z, where each noise family is a `NoiseModel`
+subclass that owns the family's closed forms.  Gaussian-noise integrals run
+on a 127-node Gauss-Hermite rule with log-sum-exp mixtures; uniform noise is
+handled exactly through its piecewise-constant output density; other noise
+laws fall back to trapezoid quadrature on a fine grid.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import erf, logsumexp
 
-from .core_prob import (DiscretePMF, GridDensity, char_fn, mi_joint,
+from .core_prob import (DiscretePMF, GridDensity, char_fn, mi_joint, q_function,
                         uniform_mixture_entropy)
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ProfileFailureError, ShapeError
 
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(127)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -61,150 +62,257 @@ class DMCKernel:
         return DMCKernel(np.eye(size))
 
 
-@dataclass(frozen=True)
 class NoiseModel:
-    """Additive noise law: analytic family or a grid-backed density."""
+    """Additive noise law: one frozen subclass per family, built by the factories.
 
-    kind: str
-    params: tuple = ()
-    grid_density: GridDensity | None = None
+    Besides the methods below, a family has `m1` (sup of the density),
+    `variance`, `support` (tails cut at density 1e-16), `sample(n, rng)` and
+    `cf_decay()`, the CF decay profile (label, g, h, g1) with g1 on (0, 1].
+    A `unimodal` family (theta nondecreasing in |delta|) also has
+    `tv_complement(A)`, 1 - theta(2A) without cancellation.
+    """
 
-    def __post_init__(self):
-        if self.kind not in ("gaussian", "uniform", "laplace", "grid"):
-            raise DomainError(f"unknown noise kind {self.kind!r}")
-        if self.kind == "grid" and self.grid_density is None:
-            raise DomainError("grid noise requires a GridDensity")
-
-    @staticmethod
-    def gaussian(sigma: float = 1.0) -> "NoiseModel":
-        if not 0 < sigma < math.inf:
-            raise DomainError("sigma must be positive and finite")
-        return NoiseModel("gaussian", (float(sigma),))
+    unimodal = True
+    # grid cells added beyond the support on each side by `to_grid`
+    _grid_pad = 0
 
     @staticmethod
-    def uniform(a: float = 0.0, b: float = 1.0) -> "NoiseModel":
-        if not -math.inf < a < b < math.inf:
-            raise DomainError("need finite a < b")
-        return NoiseModel("uniform", (float(a), float(b)))
+    def gaussian(sigma: float = 1.0) -> "GaussianNoise":
+        return GaussianNoise(float(sigma))
 
     @staticmethod
-    def laplace(b: float = 1.0) -> "NoiseModel":
-        if not 0 < b < math.inf:
-            raise DomainError("scale must be positive and finite")
-        return NoiseModel("laplace", (float(b),))
+    def uniform(a: float = 0.0, b: float = 1.0) -> "UniformNoise":
+        return UniformNoise(float(a), float(b))
 
     @staticmethod
-    def from_grid(density: GridDensity) -> "NoiseModel":
-        return NoiseModel("grid", (), density)
+    def laplace(b: float = 1.0) -> "LaplaceNoise":
+        return LaplaceNoise(float(b))
 
-    # -- density and friends -------------------------------------------
+    @staticmethod
+    def from_grid(density: GridDensity) -> "GridNoise":
+        return GridNoise(density)
 
     def density(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.kind == "gaussian":
-            s, = self.params
-            out = np.exp(-0.5 * (x / s) ** 2) / (s * math.sqrt(2 * math.pi))
-        elif self.kind == "uniform":
-            a, b = self.params
-            out = np.where((x >= a) & (x <= b), 1.0 / (b - a), 0.0)
-        elif self.kind == "laplace":
-            b, = self.params
-            out = np.exp(-np.abs(x) / b) / (2.0 * b)
-        else:
-            g = self.grid_density
-            out = np.interp(x, g.grid, g.values, left=0.0, right=0.0)
+        out = self._density(np.asarray(x, dtype=float))
         return out if out.ndim else float(out)
-
-    @property
-    def m1(self) -> float:
-        """Sup of the noise density."""
-        if self.kind == "gaussian":
-            return 1.0 / (self.params[0] * math.sqrt(2 * math.pi))
-        if self.kind == "uniform":
-            a, b = self.params
-            return 1.0 / (b - a)
-        if self.kind == "laplace":
-            return 1.0 / (2.0 * self.params[0])
-        return self.grid_density.max_density()
-
-    def variance(self) -> float:
-        if self.kind == "gaussian":
-            return self.params[0] ** 2
-        if self.kind == "uniform":
-            a, b = self.params
-            return (b - a) ** 2 / 12.0
-        if self.kind == "laplace":
-            return 2.0 * self.params[0] ** 2
-        return self.grid_density.var()
-
-    def mean(self) -> float:
-        if self.kind == "gaussian":
-            return 0.0
-        if self.kind == "uniform":
-            a, b = self.params
-            return 0.5 * (a + b)
-        if self.kind == "laplace":
-            return 0.0
-        return self.grid_density.mean()
 
     def abs_cf(self, omega) -> np.ndarray:
         """|phi_Z(omega)|, closed form where available."""
-        omega = np.asarray(omega, dtype=float)
-        if self.kind == "gaussian":
-            s, = self.params
-            out = np.exp(-0.5 * (s * omega) ** 2)
-        elif self.kind == "uniform":
-            a, b = self.params
-            u = 0.5 * (b - a) * omega
-            out = np.abs(np.sinc(u / math.pi))
-        elif self.kind == "laplace":
-            b, = self.params
-            out = 1.0 / (1.0 + (b * omega) ** 2)
-        else:
-            out = np.abs(char_fn(self.grid_density, omega))
+        out = self._abs_cf(np.asarray(omega, dtype=float))
         return out if np.ndim(out) else float(out)
 
-    def support(self) -> tuple[float, float]:
-        """Effective support interval (tails cut at density 1e-16)."""
-        if self.kind == "gaussian":
-            s, = self.params
-            return (-9.0 * s, 9.0 * s)
-        if self.kind == "uniform":
-            return self.params
-        if self.kind == "laplace":
-            b, = self.params
-            return (-38.0 * b, 38.0 * b)
-        return (self.grid_density.x_min, self.grid_density.x_max)
-
     def to_grid(self, step: float = 0.005) -> GridDensity:
-        if self.kind == "grid":
-            return self.grid_density
         lo, hi = self.support()
-        if self.kind == "uniform":
-            # keep the jump inside the grid
-            lo, hi = lo - 2 * step, hi + 2 * step
+        lo, hi = lo - self._grid_pad * step, hi + self._grid_pad * step
         return GridDensity.from_function(self.density, math.floor(lo / step) * step,
                                          math.ceil(hi / step) * step, step)
 
     def theta(self, delta: float) -> float:
         """TV distance between the noise and its delta-translate."""
-        d = abs(float(delta))
-        if d == 0.0:
-            return 0.0
-        if self.kind == "gaussian":
-            from scipy.special import erf
-            s, = self.params
-            # 1 - 2 Q(d / (2 sigma))
-            return float(erf(d / (2.0 * s * math.sqrt(2.0))))
-        if self.kind == "uniform":
-            a, b = self.params
-            return min(d / (b - a), 1.0)
-        if self.kind == "laplace":
-            b, = self.params
-            return 1.0 - math.exp(-d / (2.0 * b))
+        return self._theta(abs(float(delta)))
+
+
+@dataclass(frozen=True)
+class GaussianNoise(NoiseModel):
+    sigma: float
+
+    def __post_init__(self):
+        if not 0 < self.sigma < math.inf:
+            raise DomainError("sigma must be positive and finite")
+
+    def _density(self, x):
+        return np.exp(-0.5 * (x / self.sigma) ** 2) / (self.sigma * math.sqrt(2 * math.pi))
+
+    @property
+    def m1(self) -> float:
+        return 1.0 / (self.sigma * math.sqrt(2 * math.pi))
+
+    def variance(self) -> float:
+        return self.sigma ** 2
+
+    def _abs_cf(self, omega):
+        return np.exp(-0.5 * (self.sigma * omega) ** 2)
+
+    def support(self) -> tuple[float, float]:
+        return (-9.0 * self.sigma, 9.0 * self.sigma)
+
+    def _theta(self, d: float) -> float:
+        # 1 - 2 Q(d / (2 sigma))
+        return float(erf(d / (2.0 * self.sigma * math.sqrt(2.0))))
+
+    def tv_complement(self, A: float) -> float:
+        return 2.0 * q_function(A / self.sigma)
+
+    def sample(self, n: int, rng) -> np.ndarray:
+        return self.sigma * rng.standard_normal(n)
+
+    def cf_decay(self):
+        return ("gaussian",
+                lambda T: math.exp(-0.5 * (self.sigma * T) ** 2),
+                lambda T: 0.0,
+                lambda u: math.sqrt(-math.log(u)) / self.sigma if u < 1.0 else 0.0)
+
+
+@dataclass(frozen=True)
+class UniformNoise(NoiseModel):
+    a: float
+    b: float
+    _grid_pad = 2  # keeps the jumps of the density inside the grid
+
+    def __post_init__(self):
+        if not -math.inf < self.a < self.b < math.inf:
+            raise DomainError("need finite a < b")
+
+    def _density(self, x):
+        return np.where((x >= self.a) & (x <= self.b), 1.0 / (self.b - self.a), 0.0)
+
+    @property
+    def m1(self) -> float:
+        return 1.0 / (self.b - self.a)
+
+    def variance(self) -> float:
+        return (self.b - self.a) ** 2 / 12.0
+
+    def _abs_cf(self, omega):
+        u = 0.5 * (self.b - self.a) * omega
+        return np.abs(np.sinc(u / math.pi))
+
+    def support(self) -> tuple[float, float]:
+        return (self.a, self.b)
+
+    def _theta(self, d: float) -> float:
+        return min(d / (self.b - self.a), 1.0)
+
+    def tv_complement(self, A: float) -> float:
+        return max(1.0 - 2.0 * A / (self.b - self.a), 0.0)
+
+    def sample(self, n: int, rng) -> np.ndarray:
+        return rng.uniform(self.a, self.b, n)
+
+    def cf_decay(self):
+        w = self.b - self.a
+        if w < 1.0 - 1e-12:
+            raise ProfileFailureError(
+                "closed-form uniform profile certified only for width >= 1")
+        return ("uniform",
+                lambda T: (w * T) ** -1.5 if T > 0 else 1.0,
+                math.sqrt,
+                lambda u: u ** (-1.0 / 3.0) / w)
+
+
+@dataclass(frozen=True)
+class LaplaceNoise(NoiseModel):
+    b: float
+
+    def __post_init__(self):
+        if not 0 < self.b < math.inf:
+            raise DomainError("scale must be positive and finite")
+
+    def _density(self, x):
+        return np.exp(-np.abs(x) / self.b) / (2.0 * self.b)
+
+    @property
+    def m1(self) -> float:
+        return 1.0 / (2.0 * self.b)
+
+    def variance(self) -> float:
+        return 2.0 * self.b ** 2
+
+    def _abs_cf(self, omega):
+        return 1.0 / (1.0 + (self.b * omega) ** 2)
+
+    def support(self) -> tuple[float, float]:
+        return (-38.0 * self.b, 38.0 * self.b)
+
+    def _theta(self, d: float) -> float:
+        return 1.0 - math.exp(-d / (2.0 * self.b))
+
+    def tv_complement(self, A: float) -> float:
+        return math.exp(-A / self.b)
+
+    def sample(self, n: int, rng) -> np.ndarray:
+        return rng.laplace(0.0, self.b, n)
+
+    def cf_decay(self):
+        return ("laplace",
+                lambda T: 1.0 / (1.0 + (self.b * T) ** 2),
+                lambda T: 0.0,
+                lambda u: math.sqrt(max(u ** -0.5 - 1.0, 0.0)) / self.b)
+
+
+# hashed by identity: the density array has no value hash
+@dataclass(frozen=True, eq=False)
+class GridNoise(NoiseModel):
+    grid_density: GridDensity
+    unimodal = False
+
+    def __post_init__(self):
+        if not isinstance(self.grid_density, GridDensity):
+            raise DomainError("grid noise requires a GridDensity")
+
+    def _density(self, x):
+        g = self.grid_density
+        return np.interp(x, g.grid, g.values, left=0.0, right=0.0)
+
+    @property
+    def m1(self) -> float:
+        return self.grid_density.max_density()
+
+    def variance(self) -> float:
+        return self.grid_density.var()
+
+    def _abs_cf(self, omega):
+        return np.abs(char_fn(self.grid_density, omega))
+
+    def support(self) -> tuple[float, float]:
+        return (self.grid_density.x_min, self.grid_density.x_max)
+
+    def to_grid(self, step: float = 0.005) -> GridDensity:
+        return self.grid_density
+
+    def _theta(self, d: float) -> float:
         g = self.grid_density
         shifted = np.interp(g.grid, g.grid + d, g.values, left=0.0, right=0.0)
         return float(0.5 * np.trapezoid(np.abs(g.values - shifted), dx=g.step))
+
+    def sample(self, n: int, rng) -> np.ndarray:
+        return self.grid_density.quantile(rng.uniform(0.0, 1.0, n))
+
+    def cf_decay(self):
+        """No closed-form floor g; g1(u) is the largest dyadic T with the
+        measure of {|phi_Z| <= sqrt(u), |w| <= T} at most sqrt(T)."""
+        step = 1e-2
+        t_candidates = [2.0 ** k for k in range(-6, 8)]
+        omegas = np.arange(0.0, t_candidates[-1] + step, step)
+        cf = self.abs_cf(omegas)
+
+        def g1(u: float) -> float:
+            root_u = math.sqrt(u)
+            below = cf <= root_u
+            cum = np.concatenate([[0], np.cumsum(below)])
+            best = None
+            failed_T = None
+            for T in t_candidates:
+                k = int(T / step)
+                measure = 2.0 * step * cum[min(k, len(cum) - 1)]
+                if measure <= math.sqrt(T):
+                    best = T
+                elif best is not None:
+                    failed_T = T
+                    break
+            if best is None:
+                raise ProfileFailureError(f"no admissible T for u = {u}")
+            if failed_T is not None and u < 1e-6:
+                # distinguish a hard CF zero-interval from a mere threshold issue
+                k = int(failed_T / step)
+                hard_zero = 2.0 * step * np.count_nonzero(cf[:k + 1] <= 1e-10)
+                if hard_zero > math.sqrt(failed_T):
+                    raise ProfileFailureError(
+                        "characteristic function vanishes on an interval; "
+                        "no deconvolution inequality is possible")
+            return best
+
+        return ("grid", lambda T: None, math.sqrt, g1)
 
 
 @dataclass(frozen=True)
@@ -276,13 +384,6 @@ def _mi_gaussian_noise(atoms: np.ndarray, weights: np.ndarray, gamma: float,
     return max(total, 0.0)
 
 
-def _mi_uniform_noise(atoms: np.ndarray, weights: np.ndarray, gamma: float,
-                      a: float, b: float) -> float:
-    """Exact MI for uniform noise: output density is piecewise constant."""
-    h_y = uniform_mixture_entropy(math.sqrt(gamma) * atoms, weights, a, b)
-    return max(h_y - math.log(b - a), 0.0)
-
-
 def _mi_generic_noise(atoms: np.ndarray, weights: np.ndarray, gamma: float,
                       noise: NoiseModel, step: float = 0.002) -> float:
     mu = math.sqrt(gamma) * atoms
@@ -312,10 +413,12 @@ def mi_additive(input: DiscretePMF, ch: AdditiveChannel) -> float:
     keep = weights > 0
     atoms, weights = atoms[keep], weights[keep]
     noise = ch.noise
-    if noise.kind == "gaussian":
-        return _mi_gaussian_noise(atoms, weights, ch.gamma, noise.params[0])
-    if noise.kind == "uniform":
-        return _mi_uniform_noise(atoms, weights, ch.gamma, *noise.params)
+    if isinstance(noise, GaussianNoise):
+        return _mi_gaussian_noise(atoms, weights, ch.gamma, noise.sigma)
+    if isinstance(noise, UniformNoise):
+        # exact: the output density is piecewise constant
+        h_y = uniform_mixture_entropy(math.sqrt(ch.gamma) * atoms, weights, noise.a, noise.b)
+        return max(h_y - math.log(noise.b - noise.a), 0.0)
     return _mi_generic_noise(atoms, weights, ch.gamma, noise)
 
 

@@ -25,11 +25,18 @@ from .gaussian_sdpi import gd_lower, horizontal_constants, t_lower_from_gap
 from .general_sdpi import general_diag_bound, strict_contraction_check
 
 
+_MAX_GRID_STEPS = 10 ** 6
+
+
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         lo, hi, step = (float(x) for x in spec.split(":"))
     except ValueError:
         raise DomainError(f"bad grid spec {spec!r}, expected lo:hi:step")
+    if not (-math.inf < lo <= hi < math.inf and 0 < step < math.inf
+            and (hi - lo) / step <= _MAX_GRID_STEPS):
+        raise DomainError(f"bad grid spec {spec!r}: need finite lo <= hi, step > 0 "
+                          f"and at most {_MAX_GRID_STEPS} steps")
     n = int(round((hi - lo) / step))
     return lo + step * np.arange(n + 1)
 

@@ -8,13 +8,14 @@ upper bound, which is sound for all the bounds built on top.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import DMCKernel, NoiseModel
-from .core_prob import bisect, golden_max, q_function
+from .core_prob import bisect, golden_max
 from .errors import DomainError, NoSolutionError
 
 _BISECT_TOL = 1e-9
@@ -30,9 +31,6 @@ class ThresholdReport:
     satisfied_at_value: bool = True
 
 
-_UNIMODAL = ("gaussian", "uniform", "laplace")
-
-
 def eta_tv_amplitude(noise: NoiseModel, A: float) -> float:
     """sup of theta(delta) over |delta| <= 2A.
 
@@ -43,7 +41,7 @@ def eta_tv_amplitude(noise: NoiseModel, A: float) -> float:
         raise DomainError("A must be nonnegative")
     if A == 0:
         return 0.0
-    if noise.kind in _UNIMODAL:
+    if noise.unimodal:
         return noise.theta(2.0 * A)
     deltas = np.linspace(0.0, 2.0 * A, 512)
     vals = np.array([noise.theta(d) for d in deltas])
@@ -57,20 +55,11 @@ def eta_tv_complement(noise: NoiseModel, A: float) -> float:
     """1 - eta_tv(A), computed without cancellation.
 
     For large amplitudes eta_tv is within a few ulps of 1 and the difference
-    underflows in `1 - eta_tv_amplitude(...)`; the closed-form families admit
+    underflows in `1 - eta_tv_amplitude(...)`; the unimodal families admit
     a direct expression for the complement.
     """
-    if not A >= 0:
-        raise DomainError("A must be nonnegative")
-    if A == 0:
-        return 1.0
-    if noise.kind == "gaussian":
-        return 2.0 * q_function(A / noise.params[0])
-    if noise.kind == "uniform":
-        a, b = noise.params
-        return max(1.0 - 2.0 * A / (b - a), 0.0)
-    if noise.kind == "laplace":
-        return math.exp(-A / noise.params[0])
+    if noise.unimodal and A > 0:
+        return noise.tv_complement(A)
     return 1.0 - eta_tv_amplitude(noise, A)
 
 
@@ -85,8 +74,10 @@ def dobrushin_dmc(K: DMCKernel) -> float:
     return best
 
 
+@functools.lru_cache(maxsize=8)
 def alpha_star(noise: NoiseModel, search_max: float = 1e6) -> ThresholdReport:
-    """Smallest alpha > 0 with eta_tv(1/(2 alpha)) <= 1/3."""
+    """Smallest alpha > 0 with eta_tv(1/(2 alpha)) <= 1/3; cached, as a2_star
+    asks for it at every t."""
     target = 1.0 / 3.0
 
     def ok(alpha):
@@ -105,6 +96,26 @@ def alpha_star(noise: NoiseModel, search_max: float = 1e6) -> ThresholdReport:
     return ThresholdReport(value, it, bracket, ok(value))
 
 
+def _threshold(scale: float, target: float, p: float, floor_ap: float,
+               name: str) -> ThresholdReport:
+    """Smallest A with A^p >= floor_ap and scale log(A^p) / A^p <= target."""
+    floor_a = floor_ap ** (1.0 / p)
+
+    def cond(A):
+        ap = A ** p
+        return scale * math.log(ap) / ap <= target
+
+    if cond(floor_a):
+        return ThresholdReport(floor_a, 0, (floor_a, floor_a), True)
+    hi = floor_a
+    while not cond(hi):
+        hi *= 2.0
+        if hi > 1e12:
+            raise NoSolutionError(f"{name} search exceeded range")
+    value, it, bracket = bisect(cond, floor_a, hi, _BISECT_TOL)
+    return ThresholdReport(value, it, bracket, cond(value))
+
+
 def a2_star(noise: NoiseModel, t: float, gamma: float, p: float) -> ThresholdReport:
     """Smallest A with 18 gamma A^-p log(A^p) <= t above the amplitude floor.
 
@@ -118,21 +129,7 @@ def a2_star(noise: NoiseModel, t: float, gamma: float, p: float) -> ThresholdRep
         raise DomainError("p must be >= 1")
     astar = alpha_star(noise).value
     floor_ap = max(math.e, 2.0 * gamma, astar * math.e ** 3 / gamma)
-    floor_a = floor_ap ** (1.0 / p)
-
-    def cond(A):
-        ap = A ** p
-        return 18.0 * gamma * math.log(ap) / ap <= t
-
-    if cond(floor_a):
-        return ThresholdReport(floor_a, 0, (floor_a, floor_a), True)
-    hi = floor_a
-    while not cond(hi):
-        hi *= 2.0
-        if hi > 1e12:
-            raise NoSolutionError("a2_star search exceeded range")
-    value, it, bracket = bisect(cond, floor_a, hi, _BISECT_TOL)
-    return ThresholdReport(value, it, bracket, cond(value))
+    return _threshold(18.0 * gamma, t, p, floor_ap, "a2_star")
 
 
 def a1_star(gamma: float, p: float, grid_step: float, entropy: float) -> ThresholdReport:
@@ -149,19 +146,4 @@ def a1_star(gamma: float, p: float, grid_step: float, entropy: float) -> Thresho
     if not p >= 1:
         raise DomainError("p must be >= 1")
     floor_ap = max(math.e, 2.0 * gamma, math.e ** 3 / (gamma * grid_step))
-    floor_a = floor_ap ** (1.0 / p)
-    target = entropy / (6.0 * gamma)
-
-    def cond(A):
-        ap = A ** p
-        return math.log(ap) / ap <= target
-
-    if cond(floor_a):
-        return ThresholdReport(floor_a, 0, (floor_a, floor_a), True)
-    hi = floor_a
-    while not cond(hi):
-        hi *= 2.0
-        if hi > 1e12:
-            raise NoSolutionError("a1_star search exceeded range")
-    value, it, bracket = bisect(cond, floor_a, hi, _BISECT_TOL)
-    return ThresholdReport(value, it, bracket, cond(value))
+    return _threshold(1.0, entropy / (6.0 * gamma), p, floor_ap, "a1_star")

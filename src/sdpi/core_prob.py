@@ -175,6 +175,14 @@ class GridDensity:
     def max_density(self) -> float:
         return float(self.values.max())
 
+    def quantile(self, u) -> np.ndarray:
+        """Inverse of the renormalized trapezoid CDF."""
+        c = self.cdf_values()
+        c = c / c[-1]
+        # make strictly increasing for interp
+        c = np.maximum.accumulate(c + 1e-15 * np.arange(len(c)))
+        return np.interp(u, c, self.grid)
+
     def to_csv(self) -> str:
         buf = io.StringIO()
         buf.write("x,value\n")
@@ -535,11 +543,7 @@ def wasserstein(P: Distribution, Q: Distribution, order: int = 1) -> float:
             cum = np.cumsum(D.weights)
             idx = np.minimum(np.searchsorted(cum, u, side="left"), len(D.atoms) - 1)
             return D.atoms[idx]
-        c = D.cdf_values()
-        c = c / c[-1]
-        # make strictly increasing for interp
-        c = np.maximum.accumulate(c + 1e-15 * np.arange(len(c)))
-        return np.interp(u, c, D.grid)
+        return D.quantile(u)
 
     d = np.abs(quantiles(P) - quantiles(Q))
     if order == 1:

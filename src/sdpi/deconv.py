@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import NoiseModel
+from .channels import GaussianNoise, NoiseModel
 from .core_prob import Distribution, char_fn
 from .errors import DomainError, ProfileFailureError
 
@@ -71,92 +71,16 @@ def esseen_bound(P: Distribution, Q: Distribution, m2: float, T: float) -> float
 # decay profiles
 # ---------------------------------------------------------------------------
 
-def _numeric_g1(noise: NoiseModel):
-    """Numeric profile for grid noise: largest dyadic T with the measure of
-    {|phi_Z| <= sqrt(u), |w| <= T} at most sqrt(T)."""
-    step = 1e-2
-    t_candidates = [2.0 ** k for k in range(-6, 8)]
-    omegas = np.arange(0.0, t_candidates[-1] + step, step)
-    cf = noise.abs_cf(omegas)
-
-    def g1(u: float) -> float:
-        if not 0.0 < u <= 1.0:
-            raise DomainError("u must lie in (0, 1]")
-        root_u = math.sqrt(u)
-        below = cf <= root_u
-        cum = np.concatenate([[0], np.cumsum(below)])
-        best = None
-        failed_T = None
-        for T in t_candidates:
-            k = int(T / step)
-            measure = 2.0 * step * cum[min(k, len(cum) - 1)]
-            if measure <= math.sqrt(T):
-                best = T
-            elif best is not None:
-                failed_T = T
-                break
-        if best is None:
-            raise ProfileFailureError(f"no admissible T for u = {u}")
-        if failed_T is not None and u < 1e-6:
-            # distinguish a hard CF zero-interval from a mere threshold issue
-            k = int(failed_T / step)
-            hard_zero = 2.0 * step * np.count_nonzero(cf[:k + 1] <= 1e-10)
-            if hard_zero > math.sqrt(failed_T):
-                raise ProfileFailureError(
-                    "characteristic function vanishes on an interval; "
-                    "no deconvolution inequality is possible")
-        return best
-
-    return g1
-
-
 def g1_profile(noise: NoiseModel) -> CfProfile:
     """Decay profile (g, h, g1) of the noise characteristic function."""
-    if noise.kind == "gaussian":
-        s, = noise.params
+    kind, g, h, g1 = noise.cf_decay()
 
-        def g1(u):
-            if not 0.0 < u <= 1.0:
-                raise DomainError("u must lie in (0, 1]")
-            return math.sqrt(-math.log(u)) / s if u < 1.0 else 0.0
+    def checked_g1(u: float) -> float:
+        if not 0.0 < u <= 1.0:
+            raise DomainError("u must lie in (0, 1]")
+        return g1(u)
 
-        return CfProfile("gaussian",
-                         lambda T: math.exp(-0.5 * (s * T) ** 2),
-                         lambda T: 0.0,
-                         g1)
-    if noise.kind == "uniform":
-        a, b = noise.params
-        w = b - a
-        if w < 1.0 - 1e-12:
-            raise ProfileFailureError(
-                "closed-form uniform profile certified only for width >= 1")
-
-        def g1(u):
-            if not 0.0 < u <= 1.0:
-                raise DomainError("u must lie in (0, 1]")
-            return u ** (-1.0 / 3.0) / w
-
-        return CfProfile("uniform",
-                         lambda T: (w * T) ** -1.5 if T > 0 else 1.0,
-                         lambda T: math.sqrt(T),
-                         g1)
-    if noise.kind == "laplace":
-        b, = noise.params
-
-        def g1(u):
-            if not 0.0 < u <= 1.0:
-                raise DomainError("u must lie in (0, 1]")
-            return math.sqrt(max(u ** -0.5 - 1.0, 0.0)) / b
-
-        return CfProfile("laplace",
-                         lambda T: 1.0 / (1.0 + (b * T) ** 2),
-                         lambda T: 0.0,
-                         g1)
-    g1 = _numeric_g1(noise)
-    return CfProfile("grid",
-                     lambda T: None,  # no closed-form floor for grid noise
-                     lambda T: math.sqrt(T),
-                     g1)
+    return CfProfile(kind, g, h, checked_g1)
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +126,6 @@ def ks_from_tv_bound(noise: NoiseModel, m2: float, first_moments: tuple[float, f
     return term1 + term2 + term3
 
 
-def _cf_envelope(noise: NoiseModel, t_hi: float, step: float = 5e-5):
-    """Running minimum of |phi_Z| on [0, t_hi], sampled at `step`."""
-    omegas = np.arange(0.0, t_hi + step, step)
-    return omegas, np.minimum.accumulate(noise.abs_cf(omegas))
-
-
 def ks_deconv_solve(noise: NoiseModel, d_tv: float, m2: float,
                     first_moments: tuple[float, float]) -> float:
     """KS bound 2 C0 / T where T solves g(T)^2 = d_tv T^5, g = inf |phi_Z|.
@@ -219,9 +137,8 @@ def ks_deconv_solve(noise: NoiseModel, d_tv: float, m2: float,
         raise DomainError("d_tv must lie in (0, 1)")
     mp, mq = first_moments
     c0 = max(24.0 * m2 + 2.0 * (mp + mq), math.sqrt(8.0 * noise.m1 * math.pi)) / math.pi
-    if noise.kind == "gaussian":
-        s, = noise.params
-        T = math.sqrt(math.log(1.0 / d_tv) / 2.0) / s
+    if isinstance(noise, GaussianNoise):
+        T = math.sqrt(math.log(1.0 / d_tv) / 2.0) / noise.sigma
     else:
         T, _ = deconv_root_residual(noise, d_tv)
     return 2.0 * c0 / T
@@ -231,28 +148,32 @@ def deconv_root_residual(noise: NoiseModel, d_tv: float) -> tuple[float, float]:
     """Root T of g(T)^2 = d_tv T^5 on the running-minimum CF envelope g, and
     the residual |g(T)^2 - d_tv T^5| at it.
 
-    The envelope is sampled on [0, t_hi] with t_hi doubling until the root is
-    bracketed, so the solved T always lies before any CF zero and no zero
-    enters the working frequency range.
+    The envelope is scanned from 0 in blocks, carrying the running minimum.
+    g^2 - d_tv w^5 is strictly decreasing, so the scan stops at its first
+    negative sample: T lies before any CF zero and no zero enters the
+    working frequency range.
     """
     if not 0.0 < d_tv < 1.0:
         raise DomainError("d_tv must lie in (0, 1)")
-    t_hi = 2.0
-    while True:
-        omegas, env = _cf_envelope(noise, t_hi)
-        f = env ** 2 - d_tv * omegas ** 5
-        if f[-1] < 0:
+    step, block = 5e-5, 8192  # a block is a whole number of char_fn blocks
+    n_max = math.ceil((2.0 ** 16 + step) / step)  # the scan stops at w = 2^16
+    g_prev = math.inf
+    for i0 in range(0, n_max, block):
+        omegas = step * np.arange(i0, min(i0 + block, n_max))
+        env = np.minimum(np.minimum.accumulate(noise.abs_cf(omegas)), g_prev)
+        neg = np.flatnonzero(env ** 2 - d_tv * omegas ** 5 < 0)
+        if neg.size:
             break
-        t_hi *= 2.0
-        if t_hi > 1e5:
-            raise ProfileFailureError("no root found: CF decays too slowly")
-    idx = int(np.argmax(f < 0))
-    if idx == 0:
+        g_prev = env[-1]
+    else:
+        raise ProfileFailureError("no root found: CF decays too slowly")
+    k = int(neg[0])
+    if i0 + k == 0:
         raise DomainError("d_tv too large: no positive root")
     # g is (numerically) constant across one sample step; solve exactly there
-    g0 = env[idx - 1]
+    g0 = env[k - 1] if k else g_prev
     if g0 <= 1e-300:
         raise ProfileFailureError("characteristic function has a zero before the root")
     T = (g0 * g0 / d_tv) ** 0.2
-    T = min(max(T, omegas[idx - 1]), omegas[idx])
+    T = min(max(T, step * (i0 + k - 1)), omegas[k])
     return T, abs(g0 * g0 - d_tv * T ** 5)

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import NoiseModel
-from .contraction import (a1_star, a2_star, alpha_star, eta_tv_amplitude,
-                          eta_tv_complement)
+from .contraction import a1_star, a2_star, alpha_star, eta_tv_complement
 from .core_prob import BoundReport, Distribution, GridDensity, bisect, levy_concentration
 from .deconv import C_WINDOW, g1_profile
 from .errors import DomainError, NoSolutionError

@@ -2,9 +2,10 @@
 
 Nothing here shares a code path with the closed forms it validates beyond
 the primitives in core_prob (`xlogx`, `mi_joint`, `uniform_mixture_entropy`,
-`bisect`) and the Gauss-Hermite table of `channels`: the methods are the
-oracle's own (lattice search, Monte Carlo, random couplings), so that
-agreement is evidence, not circularity.
+`bisect`), the Gauss-Hermite table of `channels` and the noise laws' own
+`density` and `sample`: the methods are the oracle's own (lattice search,
+Monte Carlo, random couplings), so that agreement is evidence, not
+circularity.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from math import comb
 import numpy as np
 from scipy.special import logsumexp
 
-from .channels import _GH_NODES, _GH_WEIGHTS, DMCKernel, NoiseModel
+from .channels import (_GH_NODES, _GH_WEIGHTS, DMCKernel, GaussianNoise, NoiseModel,
+                       UniformNoise)
 from .core_prob import DiscretePMF, bisect, mi_joint, uniform_mixture_entropy, xlogx
 from .errors import BudgetError, DomainError
 
@@ -189,21 +191,6 @@ def fi_bruteforce_dmc(K: DMCKernel, t: float, w_size: int = 3,
 # Monte Carlo mutual information
 # ---------------------------------------------------------------------------
 
-def _sample_noise(noise: NoiseModel, n: int, rng) -> np.ndarray:
-    if noise.kind == "gaussian":
-        return noise.params[0] * rng.standard_normal(n)
-    if noise.kind == "uniform":
-        a, b = noise.params
-        return rng.uniform(a, b, n)
-    if noise.kind == "laplace":
-        return rng.laplace(0.0, noise.params[0], n)
-    g = noise.grid_density
-    c = g.cdf_values()
-    c = c / c[-1]
-    c = np.maximum.accumulate(c + 1e-15 * np.arange(len(c)))
-    return np.interp(rng.uniform(0.0, 1.0, n), c, g.grid)
-
-
 def mc_mutual_info(input: DiscretePMF, noise: NoiseModel, gamma: float,
                    n_samples: int = 10 ** 6, seed: int = 0) -> tuple[float, float]:
     """MI estimate by density-ratio averaging; returns (estimate, 3-sigma)."""
@@ -213,25 +200,16 @@ def mc_mutual_info(input: DiscretePMF, noise: NoiseModel, gamma: float,
     atoms, weights = input.atoms, input.weights
     mu = math.sqrt(gamma) * atoms
     idx = rng.choice(len(atoms), size=n_samples, p=weights)
-    z = _sample_noise(noise, n_samples, rng)
+    z = noise.sample(n_samples, rng)
     y = mu[idx] + z
     chunk = 200_000
     vals = np.empty(n_samples)
-    logw = np.log(np.maximum(weights, 1e-300))
     for i in range(0, n_samples, chunk):
         yc = y[i:i + chunk]
-        if noise.kind == "gaussian":
-            s = noise.params[0]
-            le = logw[None, :] - 0.5 * ((yc[:, None] - mu[None, :]) / s) ** 2
-            log_py = logsumexp(le, axis=1)
-            log_cond = -0.5 * ((yc - mu[idx[i:i + chunk]]) / s) ** 2
-        else:
-            dens = np.stack([np.asarray(noise.density(yc - m)) for m in mu], axis=1)
-            log_py = np.log(np.maximum((dens * weights[None, :]).sum(axis=1), 1e-300))
-            cond = dens[np.arange(len(yc)), idx[i:i + chunk]]
-            log_cond = np.log(np.maximum(cond, 1e-300))
-            vals[i:i + chunk] = log_cond - log_py
-            continue
+        dens = np.stack([np.asarray(noise.density(yc - m)) for m in mu], axis=1)
+        log_py = np.log(np.maximum((dens * weights[None, :]).sum(axis=1), 1e-300))
+        cond = dens[np.arange(len(yc)), idx[i:i + chunk]]
+        log_cond = np.log(np.maximum(cond, 1e-300))
         vals[i:i + chunk] = log_cond - log_py
     est = float(vals.mean())
     ci = 3.0 * float(vals.std(ddof=1)) / math.sqrt(n_samples)
@@ -305,15 +283,15 @@ def sdpi_pair_sampler(noise: NoiseModel, gamma: float, p: float,
         px = pw @ rows
         moment = float(px @ np.abs(atoms) ** p)
         i_wx = mi_joint(pw[:, None] * rows)
-        if noise.kind == "gaussian":
+        if isinstance(noise, GaussianNoise):
             # AWGN convention: E|X|^p = 1 budget, channel applies sqrt(gamma)
             atoms = atoms * (1.0 / moment) ** (1.0 / p)
-            mu = math.sqrt(gamma) * atoms / noise.params[0]
+            mu = math.sqrt(gamma) * atoms / noise.sigma
             i_wy = _mi_wy_gaussian(mu, pw, rows)
-        elif noise.kind == "uniform":
+        elif isinstance(noise, UniformNoise):
             # general-noise convention: Y = X + Z with E|X|^p = gamma
             atoms = atoms * (gamma / moment) ** (1.0 / p)
-            i_wy = _mi_wy_uniform(atoms, pw, rows, *noise.params)
+            i_wy = _mi_wy_uniform(atoms, pw, rows, noise.a, noise.b)
         else:
             raise DomainError("sampler supports gaussian and uniform noise")
         samples[i] = (i_wx, i_wy)

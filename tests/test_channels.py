@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sdpi.channels import (
-    AdditiveChannel, DMCKernel, NoiseModel, awgn_capacity, dmc_capacity,
-    immse_gap_check, lmmse, mi_additive, mi_dmc, mmse_numeric, normalize_input,
+    AdditiveChannel, DMCKernel, GaussianNoise, GridNoise, LaplaceNoise, NoiseModel,
+    UniformNoise, awgn_capacity, dmc_capacity, immse_gap_check, lmmse, mi_additive,
+    mi_dmc, mmse_numeric, normalize_input,
 )
-from sdpi.core_prob import LOG2, DiscretePMF, binary_entropy
+from sdpi.core_prob import LOG2, DiscretePMF, GridDensity, binary_entropy
 from sdpi.errors import DomainError, ShapeError
 
 
@@ -113,6 +114,26 @@ class TestNoiseModel:
     def test_theta_triangle(self, d1, d2):
         z = NoiseModel.laplace(0.7)
         assert z.theta(d1 + d2) <= z.theta(d1) + z.theta(d2) + 1e-12
+
+    @pytest.mark.parametrize("make", [
+        lambda: GaussianNoise(math.nan), lambda: GaussianNoise(math.inf),
+        lambda: UniformNoise(math.nan, 1.0), lambda: UniformNoise(0.0, math.inf),
+        lambda: UniformNoise(-math.inf, 0.0), lambda: LaplaceNoise(math.nan),
+        lambda: LaplaceNoise(math.inf), lambda: GridNoise(np.array([0.5, 0.5])),
+    ])
+    def test_direct_construction_rejects_non_finite(self, make):
+        with pytest.raises(DomainError):
+            make()
+
+    @pytest.mark.parametrize("z", [
+        NoiseModel.gaussian(0.7), NoiseModel.uniform(-1.0, 2.0), NoiseModel.laplace(1.3),
+        NoiseModel.from_grid(GridDensity.from_function(
+            lambda x: np.maximum(1.0 - np.abs(x - 0.5), 0.0), -0.5, 1.5, 0.01)),
+    ], ids=["gaussian", "uniform", "laplace", "grid"])
+    def test_sample_variance(self, z):
+        x = z.sample(400_000, np.random.default_rng(3))
+        assert x.shape == (400_000,)
+        assert np.var(x) == pytest.approx(z.variance(), rel=0.01)
 
 
 class TestNormalizeInput:

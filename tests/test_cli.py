@@ -180,6 +180,15 @@ class TestConfigAndErrors:
                             "--t-grid", "nope"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("grid", [
+        "1:0:0.1", "0:1:-0.1", "0:1:0", "0.1:inf:0.1", "nan:1:0.1", "0:1:1e-7",
+    ])
+    def test_degenerate_grid_rejected(self, grid, capsys):
+        code, out, err = run(["bounds", "diag", "--t-grid", grid], capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
 
 class TestVerifyCommand:
     def test_bsc_suite(self, capsys):

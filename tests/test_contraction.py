@@ -94,6 +94,14 @@ class TestEtaTvComplement:
     def test_uniform_exact_zero(self):
         assert eta_tv_complement(NoiseModel.uniform(0, 1), 0.5) == 0.0
 
+    def test_grid_noise_uses_the_scan(self):
+        z = NoiseModel.from_grid(NoiseModel.gaussian().to_grid(step=0.01))
+        assert not z.unimodal
+        assert all(w.unimodal for w in (NoiseModel.gaussian(), NoiseModel.uniform(),
+                                         NoiseModel.laplace()))
+        for A in (0.2, 0.7, 1.5):
+            assert eta_tv_complement(z, A) == 1.0 - eta_tv_amplitude(z, A)
+
 
 class TestDobrushin:
     def test_bsc(self):

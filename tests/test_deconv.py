@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -178,6 +179,30 @@ class TestKsDeconvSolve:
         c0 = max(24.0 * m2 + 2.0 * (mom[0] + mom[1]),
                  math.sqrt(8.0 * noise.m1 * math.pi)) / math.pi
         assert ks_deconv_solve(noise, d_tv, m2, mom) == 2.0 * c0 / T
+
+    @pytest.mark.parametrize("noise", [NoiseModel.laplace(1.0), NoiseModel.uniform(0.0, 2.0)])
+    def test_root_matches_dense_scan(self, noise):
+        # reference: the whole running-minimum envelope in one array; the
+        # roots sit several scan blocks from 0
+        d_tv, step = 1e-6, 5e-5
+        w = np.arange(0.0, 8.0, step)
+        env = np.minimum.accumulate(noise.abs_cf(w))
+        k = int(np.argmax(env ** 2 - d_tv * w ** 5 < 0))
+        g0 = env[k - 1]
+        T = min(max((g0 * g0 / d_tv) ** 0.2, w[k - 1]), w[k])
+        assert deconv_root_residual(noise, d_tv) == (T, abs(g0 * g0 - d_tv * T ** 5))
+
+    def test_root_scan_memory_is_bounded(self):
+        # the root sits near w = 600, 1.2e7 envelope samples from 0
+        tracemalloc.start()
+        try:
+            T, _ = deconv_root_residual(NoiseModel.laplace(1.0), 1e-25)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 550.0 < T < 650.0
+        assert (1.0 / (1.0 + T * T)) ** 2 == pytest.approx(1e-25 * T ** 5, rel=1e-3)
+        assert peak < 32 * 2 ** 20
 
     @pytest.mark.parametrize("d_tv", [0.0, -1.0, 1.0, math.nan])
     def test_root_domain(self, d_tv):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sdpi import contraction
 from sdpi.channels import NoiseModel
 from sdpi.core_prob import DiscretePMF, GridDensity
 from sdpi.errors import DomainError
@@ -32,6 +33,25 @@ class TestDiagMaster:
 
 
 class TestGeneralDiagBound:
+    def test_alpha_star_solved_once_per_noise(self, monkeypatch):
+        noise = NoiseModel.from_grid(GridDensity.from_function(
+            lambda x: np.maximum(1.0 - np.abs(x) / 3.0, 0.0), -3.0, 3.0, 0.05))
+        real, calls = contraction.eta_tv_amplitude, []
+
+        def counted(z, A):
+            calls.append(A)
+            return real(z, A)
+
+        monkeypatch.setattr(contraction, "eta_tv_amplitude", counted)
+        per_t = []
+        for t in (0.05, 0.2, 1.0):
+            n0 = len(calls)
+            assert general_diag_bound(t, noise, 2.0, 1.0) > 0.0
+            per_t.append(len(calls) - n0)
+        # alpha* bisects on the first t; later t only evaluate eta_tv(A2*)
+        assert per_t[0] > 10
+        assert per_t[1:] == [1, 1]
+
     def test_gaussian_positive(self):
         # tiny but strictly positive: the complement path avoids underflow
         val = general_diag_bound(0.5, NoiseModel.gaussian(), 2.0, 1.0)
