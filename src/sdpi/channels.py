@@ -2,10 +2,11 @@
 
 Two channel families: row-stochastic discrete kernels and additive-noise
 channels Y = sqrt(gamma) X + Z, where each noise family is a `NoiseModel`
-subclass that owns the family's closed forms.  Gaussian-noise integrals run
-on a 127-node Gauss-Hermite rule with log-sum-exp mixtures; uniform noise is
-handled exactly through its piecewise-constant output density; other noise
-laws fall back to trapezoid quadrature on a fine grid.
+subclass that owns the family's closed forms.  Gaussian- and uniform-noise
+mutual information is h(Y) - h(Z), with h(Y) from the mixture entropies of
+`core_prob` (Gauss-Hermite quadrature, or exact for the piecewise-constant
+uniform output density); other noise laws fall back to trapezoid quadrature
+on a fine grid.
 """
 
 from __future__ import annotations
@@ -14,14 +15,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, logsumexp
+from scipy.special import erf
 
-from .core_prob import (DiscretePMF, GridDensity, char_fn, mi_joint, q_function,
+from .core_prob import (_GH_WEIGHTS, DiscretePMF, GridDensity, _gh_exponent_blocks,
+                        char_fn, gaussian_mixture_entropy, mi_joint, q_function,
                         uniform_mixture_entropy)
 from .errors import DomainError, ProfileFailureError, ShapeError
-
-_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(127)
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -364,26 +363,6 @@ def dmc_capacity(K: DMCKernel, tol: float = 1e-10, max_iter: int = 5000) -> floa
 # additive-noise mutual information
 # ---------------------------------------------------------------------------
 
-def _log_mixture_gaussian(y: np.ndarray, mu: np.ndarray, logw: np.ndarray) -> np.ndarray:
-    """log p_Y(y) for a Gaussian mixture with unit variance components."""
-    z = logw[None, :] - 0.5 * (y[:, None] - mu[None, :]) ** 2
-    return logsumexp(z, axis=1) - _LOG_SQRT_2PI
-
-
-def _mi_gaussian_noise(atoms: np.ndarray, weights: np.ndarray, gamma: float,
-                       sigma: float) -> float:
-    mu = math.sqrt(gamma) * atoms / sigma
-    logw = np.log(weights)
-    s = math.sqrt(2.0) * _GH_NODES
-    total = 0.0
-    for k in range(len(mu)):
-        y = mu[k] + s
-        log_pz = -0.5 * s * s - _LOG_SQRT_2PI
-        integrand = log_pz - _log_mixture_gaussian(y, mu, logw)
-        total += weights[k] * float((_GH_WEIGHTS / math.sqrt(math.pi)) @ integrand)
-    return max(total, 0.0)
-
-
 def _mi_generic_noise(atoms: np.ndarray, weights: np.ndarray, gamma: float,
                       noise: NoiseModel, step: float = 0.002) -> float:
     mu = math.sqrt(gamma) * atoms
@@ -414,12 +393,15 @@ def mi_additive(input: DiscretePMF, ch: AdditiveChannel) -> float:
     atoms, weights = atoms[keep], weights[keep]
     noise = ch.noise
     if isinstance(noise, GaussianNoise):
-        return _mi_gaussian_noise(atoms, weights, ch.gamma, noise.sigma)
-    if isinstance(noise, UniformNoise):
-        # exact: the output density is piecewise constant
+        # in units of sigma: unit-variance components, h(Z) = log(2 pi e) / 2
+        h_y = gaussian_mixture_entropy(math.sqrt(ch.gamma) * atoms / noise.sigma, weights)
+        h_z = 0.5 * math.log(2.0 * math.pi * math.e)
+    elif isinstance(noise, UniformNoise):
         h_y = uniform_mixture_entropy(math.sqrt(ch.gamma) * atoms, weights, noise.a, noise.b)
-        return max(h_y - math.log(noise.b - noise.a), 0.0)
-    return _mi_generic_noise(atoms, weights, ch.gamma, noise)
+        h_z = math.log(noise.b - noise.a)
+    else:
+        return _mi_generic_noise(atoms, weights, ch.gamma, noise)
+    return max(h_y - h_z, 0.0)
 
 
 def awgn_capacity(gamma: float) -> float:
@@ -457,17 +439,13 @@ def mmse_numeric(input: DiscretePMF, gamma: float) -> float:
     atoms, weights = input.atoms, input.weights
     keep = weights > 0
     atoms, weights = atoms[keep], weights[keep]
-    mu = math.sqrt(gamma) * atoms
     logw = np.log(weights)
-    s = math.sqrt(2.0) * _GH_NODES
     second = 0.0  # E (E[X|Y])^2
-    for k in range(len(mu)):
-        y = mu[k] + s
-        z = logw[None, :] - 0.5 * (y[:, None] - mu[None, :]) ** 2
-        zmax = z.max(axis=1, keepdims=True)
-        ez = np.exp(z - zmax)
-        cond_mean = (ez @ atoms) / ez.sum(axis=1)
-        second += weights[k] * float((_GH_WEIGHTS / math.sqrt(math.pi)) @ cond_mean ** 2)
+    for blk, E in _gh_exponent_blocks(math.sqrt(gamma) * atoms):
+        z = logw + E  # (atom k, node j, component l)
+        ez = np.exp(z - z.max(axis=2, keepdims=True))
+        cond_mean = (ez @ atoms) / ez.sum(axis=2)  # E[X | Y = mu_k + s_j]
+        second += float(weights[blk] @ (cond_mean ** 2 @ _GH_WEIGHTS))
     ex2 = float(weights @ atoms ** 2)
     return max(ex2 - second, 0.0)
 

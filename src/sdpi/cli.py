@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -55,7 +56,7 @@ def _parse_channel(spec: str) -> tuple[str, DMCKernel, dict]:
         return kind, DMCKernel.identity(int(arg)), {"size": int(arg)}
     if kind == "csv":
         rows = [[float(c) for c in ln.split(",")]
-                for ln in open(arg).read().strip().splitlines()
+                for ln in Path(arg).read_text().strip().splitlines()
                 if ln and not ln.startswith("#")]
         return kind, DMCKernel(np.array(rows)), {"path": arg}
     raise DomainError(f"unknown channel {spec!r}")
@@ -71,12 +72,12 @@ def _parse_noise(spec: str) -> NoiseModel:
     if kind == "laplace":
         return NoiseModel.laplace(float(arg) if arg else 1.0)
     if kind == "grid":
-        return NoiseModel.from_grid(GridDensity.from_csv(open(arg).read()))
+        return NoiseModel.from_grid(GridDensity.from_csv(Path(arg).read_text()))
     raise DomainError(f"unknown noise {spec!r}")
 
 
 def _load_distribution(path: str):
-    text = open(path).read()
+    text = Path(path).read_text()
     header = text.strip().splitlines()[0].strip().lower()
     if header == "atom,weight":
         return DiscretePMF.from_csv(text)
@@ -189,7 +190,7 @@ def _cmd_deconv(args):
 
 
 def _cmd_check_strict(args):
-    density = GridDensity.from_csv(open(args.density).read())
+    density = GridDensity.from_csv(Path(args.density).read_text())
     if args.shift_grid:
         shifts = _parse_grid(args.shift_grid)
     else:
@@ -208,45 +209,31 @@ def _cmd_verify(args):
     return 0 if report["violations"] == 0 else 1
 
 
-def _apply_config(args, argv):
-    if not getattr(args, "config", None):
-        return args
-    given = {tok[2:].partition("=")[0].replace("-", "_")
-             for tok in argv if tok.startswith("--")}
-    overrides = {}
-    with open(args.config) as f:
-        for ln in f:
-            ln = ln.strip()
-            if not ln or ln.startswith("#"):
-                continue
+def _read_config(path: str) -> dict:
+    """The `key = value` lines of a --config file, keys spelled as option dests."""
+    config = {}
+    for ln in Path(path).read_text().splitlines():
+        ln = ln.strip()
+        if ln and not ln.startswith("#"):
             key, _, val = ln.partition("=")
-            overrides[key.strip().replace("-", "_")] = val.strip()
-    for key, val in overrides.items():
-        # flags given on the command line win over the config file
-        if key not in given and hasattr(args, key):
-            current = getattr(args, key)
-            if isinstance(current, int) and not isinstance(current, bool):
-                val = int(val)
-            elif isinstance(current, float):
-                val = float(val)
-            setattr(args, key, val)
-    return args
+            config[key.strip().replace("-", "_")] = val.strip()
+    return config
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="sdpi", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, func, seed=None):
         sp.add_argument("--out", default=None)
-        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--seed", type=int, default=seed)
         sp.add_argument("--config", default=None)
+        sp.set_defaults(func=func, command_parser=sp)
 
     sp = sub.add_parser("fi-curve", help="F_I curve of a discrete channel")
     sp.add_argument("--channel", required=True)
     sp.add_argument("--t-grid", dest="t_grid", required=True)
-    common(sp)
-    sp.set_defaults(func=_cmd_fi_curve)
+    common(sp, _cmd_fi_curve)
 
     sp = sub.add_parser("bounds", help="diagonal / horizontal gap bounds")
     sp.add_argument("bound", choices=["diag", "horiz", "general-diag"])
@@ -255,37 +242,30 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--noise", default="gaussian")
     sp.add_argument("--t-grid", dest="t_grid", default="0.1:1:0.1")
     sp.add_argument("--eps-grid", dest="eps_grid", default="1e-6:1e-5:1e-6")
-    common(sp)
-    sp.set_defaults(func=_cmd_bounds)
+    common(sp, _cmd_bounds)
 
     sp = sub.add_parser("contraction", help="theta and eta_tv curves")
     sp.add_argument("--noise", required=True)
     sp.add_argument("--what", choices=["theta", "eta"], default="theta")
     sp.add_argument("--t-grid", dest="t_grid", default="0:4:0.05")
-    common(sp)
-    sp.set_defaults(func=_cmd_contraction)
+    common(sp, _cmd_contraction)
 
     sp = sub.add_parser("deconv", help="deconvolution bounds for a (P, Q) pair")
     sp.add_argument("--noise", default="gaussian")
     sp.add_argument("--p", dest="p_dist", required=True, help="CSV of P")
     sp.add_argument("--q", dest="q_dist", required=True, help="CSV of Q")
     sp.add_argument("--step", type=float, default=0.01)
-    common(sp)
-    sp.set_defaults(func=_cmd_deconv)
+    common(sp, _cmd_deconv)
 
     sp = sub.add_parser("check", help="structural checks")
     sp.add_argument("what", choices=["strict"])
     sp.add_argument("--density", required=True)
     sp.add_argument("--shift-grid", dest="shift_grid", default=None)
-    common(sp)
-    sp.set_defaults(func=_cmd_check_strict)
+    common(sp, _cmd_check_strict)
 
     sp = sub.add_parser("verify", help="run a validation suite")
     sp.add_argument("--suite", choices=["diag", "horiz", "bsc", "deconv"], required=True)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--config", default=None)
-    sp.set_defaults(func=_cmd_verify)
+    common(sp, _cmd_verify, seed=0)
     return p
 
 
@@ -295,11 +275,15 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # config values become the command's defaults: argparse converts
+            # them with each option's declared type and command-line flags win
+            args.command_parser.set_defaults(**{
+                k: v for k, v in _read_config(args.config).items() if hasattr(args, k)})
+            args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    try:
-        args = _apply_config(args, argv)
-        return args.func(args)
     except Exception as e:
         sys.stderr.write(json.dumps({"error": type(e).__name__, "message": str(e)}) + "\n")
         return 1

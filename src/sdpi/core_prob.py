@@ -377,21 +377,61 @@ def mi_joint(q: np.ndarray) -> float:
     return max(val, 0.0)
 
 
-def uniform_mixture_entropy(mu: np.ndarray, v: np.ndarray, a: float, b: float) -> float:
-    """Differential entropy of sum_k v_k U[mu_k + a, mu_k + b].
+def uniform_mixture_entropy(mu: np.ndarray, v: np.ndarray, a: float, b: float):
+    """Differential entropy of sum_k v_k U[mu_k + a, mu_k + b], one value per
+    row of a 2-d v.
 
     The density is piecewise constant between the sorted interval endpoints,
     so the entropy is an exact finite sum.
     """
+    rows = np.atleast_2d(v)
     width = b - a
     edges = np.unique(np.concatenate([mu + a, mu + b]))
-    h = 0.0
+    h = np.zeros(len(rows))
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid = 0.5 * (lo + hi)
-        dens = v[(mid >= mu + a) & (mid <= mu + b)].sum() / width
-        if dens > 0:
-            h -= (hi - lo) * dens * math.log(dens)
-    return h
+        dens = rows[:, (mid >= mu + a) & (mid <= mu + b)].sum(axis=1) / width
+        pos = dens > 0
+        h[pos] -= (hi - lo) * dens[pos] * np.log(dens[pos])
+    return h if np.ndim(v) == 2 else float(h[0])
+
+
+# 127-node Gauss-Hermite rule for E f(N(0, 1)) = sum_j _GH_WEIGHTS[j] f(_GH_NODES[j])
+_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(127)
+_GH_NODES, _GH_WEIGHTS = math.sqrt(2.0) * _GH_NODES, _GH_WEIGHTS / math.sqrt(math.pi)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+# elements of one exponent block, which bounds memory for any number of atoms
+_GH_BLOCK = 1 << 18
+
+
+def _gh_exponent_blocks(mu: np.ndarray, rows: int = 1):
+    """Yield (atoms, E) with E[k, j, l] = -(mu_k + s_j - mu_l)^2 / 2 for the
+    atoms k of the slice, Gauss-Hermite nodes s_j and components l."""
+    size = max(1, _GH_BLOCK // (rows * len(_GH_NODES) * len(mu)))
+    for i in range(0, len(mu), size):
+        atoms = slice(i, i + size)
+        y = mu[atoms, None] + _GH_NODES
+        yield atoms, -0.5 * (y[:, :, None] - mu) ** 2
+
+
+def gaussian_mixture_entropy(mu: np.ndarray, v: np.ndarray):
+    """Differential entropy of sum_k v_k N(mu_k, 1), one value per row of a 2-d v.
+
+    Component k is integrated on the Gauss-Hermite rule centred at mu_k; the
+    log-density is a max-shifted log-sum-exp, so zero weights and far-apart
+    atoms stay finite.
+    """
+    mu = np.asarray(mu, dtype=float)
+    rows = np.atleast_2d(np.asarray(v, dtype=float))
+    with np.errstate(divide="ignore"):
+        logv = np.log(rows)[:, None, None, :]  # zero weights drop out as -inf
+    h = np.zeros(len(rows))
+    for atoms, E in _gh_exponent_blocks(mu, len(rows)):
+        z = logv + E  # (row, atom k, node j, component l)
+        zmax = z.max(axis=3)
+        log_p = zmax + np.log(np.exp(z - zmax[..., None]).sum(axis=3)) - _LOG_SQRT_2PI
+        h -= (rows[:, atoms] * (log_p @ _GH_WEIGHTS)).sum(axis=1)
+    return h if np.ndim(v) == 2 else float(h[0])
 
 
 # ---------------------------------------------------------------------------

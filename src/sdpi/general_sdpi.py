@@ -45,13 +45,7 @@ def general_diag_bound(t: float, noise: NoiseModel, p: float, gamma: float) -> f
     returned value is a certified (possibly weaker) gap.  Returns 0 when the
     noise admits no contracting amplitude at all.
     """
-    if not t > 0:
-        raise DomainError("t must be positive")
-    try:
-        rep = a2_star(noise, t, gamma, p)
-    except NoSolutionError:
-        return 0.0
-    return 0.5 * eta_tv_complement(noise, rep.value) * t
+    return general_diag_report(t, noise, p, gamma).points[0][1]
 
 
 def general_diag_report(t: float, noise: NoiseModel, p: float, gamma: float) -> BoundReport:

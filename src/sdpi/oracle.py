@@ -1,25 +1,25 @@
 """Independent brute-force ground truth.
 
 Nothing here shares a code path with the closed forms it validates beyond
-the primitives in core_prob (`xlogx`, `mi_joint`, `uniform_mixture_entropy`,
-`bisect`), the Gauss-Hermite table of `channels` and the noise laws' own
-`density` and `sample`: the methods are the oracle's own (lattice search,
-Monte Carlo, random couplings), so that agreement is evidence, not
-circularity.
+the primitives in core_prob (`xlogx`, `mi_joint`, `bisect`, the mixture
+entropies `uniform_mixture_entropy` and `gaussian_mixture_entropy` with its
+127-node Gauss-Hermite table) and the noise laws' own `density` and
+`sample`: the methods are the oracle's own (lattice search, Monte Carlo,
+random couplings), so that agreement is evidence, not circularity.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .channels import (_GH_NODES, _GH_WEIGHTS, DMCKernel, GaussianNoise, NoiseModel,
-                       UniformNoise)
-from .core_prob import DiscretePMF, bisect, mi_joint, uniform_mixture_entropy, xlogx
+from .channels import DMCKernel, GaussianNoise, NoiseModel, UniformNoise
+from .core_prob import (DiscretePMF, bisect, gaussian_mixture_entropy, mi_joint,
+                        uniform_mixture_entropy, xlogx)
 from .errors import BudgetError, DomainError
 
 # lattice envelopes kept for repeated calls; the oldest is evicted beyond this
@@ -229,32 +229,6 @@ class SweepResult:
     violations: tuple = field(default_factory=tuple)
 
 
-def _mi_wy_gaussian(mu: np.ndarray, pw: np.ndarray, rows: np.ndarray) -> float:
-    """I(W;Y), Y = mixture of unit Gaussians at mu, mixed per row of rows."""
-    y = mu[:, None] + math.sqrt(2.0) * _GH_NODES[None, :]          # (k, j)
-    E = -0.5 * (y[:, :, None] - mu[None, None, :]) ** 2            # (k, j, l)
-    px = pw @ rows
-    log_py = logsumexp(E + np.log(np.maximum(px, 1e-300)), axis=2)
-    ghw = _GH_WEIGHTS / math.sqrt(math.pi)
-    total = 0.0
-    for w in range(len(pw)):
-        if pw[w] <= 0:
-            continue
-        log_pw = logsumexp(E + np.log(np.maximum(rows[w], 1e-300)), axis=2)
-        inner = ((log_pw - log_py) * ghw[None, :]).sum(axis=1)     # per atom k
-        total += pw[w] * float(rows[w] @ inner)
-    return max(total, 0.0)
-
-
-def _mi_wy_uniform(mu: np.ndarray, pw: np.ndarray, rows: np.ndarray,
-                   a: float, b: float) -> float:
-    px = pw @ rows
-    h_y = uniform_mixture_entropy(mu, px, a, b)
-    h_cond = sum(pw[w] * uniform_mixture_entropy(mu, rows[w], a, b)
-                 for w in range(len(pw)) if pw[w] > 0)
-    return max(h_y - h_cond, 0.0)
-
-
 def sdpi_pair_sampler(noise: NoiseModel, gamma: float, p: float,
                       n_couplings: int, seed: int = 0,
                       diag_bound=None, horiz_bound=None,
@@ -269,6 +243,15 @@ def sdpi_pair_sampler(noise: NoiseModel, gamma: float, p: float,
     the horizontal curve (eps -> minimal I(W;X); may return None when the
     bound is not applicable at that eps).
     """
+    if isinstance(noise, GaussianNoise):
+        # AWGN convention: E|X|^p = 1 budget, channel applies sqrt(gamma)
+        budget, gain, entropy = 1.0, math.sqrt(gamma) / noise.sigma, gaussian_mixture_entropy
+    elif isinstance(noise, UniformNoise):
+        # general-noise convention: Y = X + Z with E|X|^p = gamma
+        budget, gain = gamma, 1.0
+        entropy = functools.partial(uniform_mixture_entropy, a=noise.a, b=noise.b)
+    else:
+        raise DomainError("sampler supports gaussian and uniform noise")
     rng = np.random.default_rng(seed)
     samples = np.empty((n_couplings, 2))
     violations = []
@@ -283,17 +266,9 @@ def sdpi_pair_sampler(noise: NoiseModel, gamma: float, p: float,
         px = pw @ rows
         moment = float(px @ np.abs(atoms) ** p)
         i_wx = mi_joint(pw[:, None] * rows)
-        if isinstance(noise, GaussianNoise):
-            # AWGN convention: E|X|^p = 1 budget, channel applies sqrt(gamma)
-            atoms = atoms * (1.0 / moment) ** (1.0 / p)
-            mu = math.sqrt(gamma) * atoms / noise.sigma
-            i_wy = _mi_wy_gaussian(mu, pw, rows)
-        elif isinstance(noise, UniformNoise):
-            # general-noise convention: Y = X + Z with E|X|^p = gamma
-            atoms = atoms * (gamma / moment) ** (1.0 / p)
-            i_wy = _mi_wy_uniform(atoms, pw, rows, noise.a, noise.b)
-        else:
-            raise DomainError("sampler supports gaussian and uniform noise")
+        # I(W;Y) = h(Y) - sum_w p_w h(Y | W = w)
+        h = entropy(gain * atoms * (budget / moment) ** (1.0 / p), np.vstack([px, rows]))
+        i_wy = max(float(h[0] - pw @ h[1:]), 0.0)
         samples[i] = (i_wx, i_wy)
         if diag_bound is not None and i_wx > 0:
             gd = diag_bound(i_wx)

@@ -190,6 +190,15 @@ class TestAwgnCapacity:
 
 
 class TestMmse:
+    def test_blocks_match_per_atom_loop(self, monkeypatch):
+        from sdpi import core_prob
+        x = normalize_input(DiscretePMF(np.linspace(-3.0, 3.0, 40),
+                                        np.random.default_rng(2).dirichlet(np.ones(40))))
+        whole = mmse_numeric(x, 2.0), mi_additive(x, AdditiveChannel(NoiseModel.gaussian(), 2.0))
+        monkeypatch.setattr(core_prob, "_GH_BLOCK", 1)  # one atom per block
+        per_atom = mmse_numeric(x, 2.0), mi_additive(x, AdditiveChannel(NoiseModel.gaussian(), 2.0))
+        assert per_atom == pytest.approx(whole, rel=1e-14, abs=0.0)
+
     def test_lmmse(self):
         assert lmmse(1.0) == pytest.approx(0.5, abs=1e-15)
         assert lmmse(3.0) == pytest.approx(0.25, abs=1e-15)

@@ -1,9 +1,13 @@
 import json
 import math
+import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from sdpi import cli
 from sdpi.cli import main
 from sdpi.core_prob import GridDensity
 from sdpi.fi_curves import fi_bsc
@@ -153,6 +157,44 @@ class TestConfigAndErrors:
         code, out, _ = run(["bounds", "diag", "--gamma", "2.0",
                             "--t-grid", "0.2:0.4:0.2", "--config", str(cfg)], capsys)
         assert "gamma=2.0" in out.splitlines()[0]
+
+    def test_config_value_takes_option_type(self, tmp_path, capsys, monkeypatch):
+        # the envelope solver seeds numpy with the value; a stand-in keeps this fast
+        def envelope(K, ts, params):
+            rng = np.random.default_rng(params["seed"])
+            return SimpleNamespace(values=rng.uniform(size=len(ts)))
+
+        monkeypatch.setattr(cli, "fi_dmc_envelope", envelope)
+        kernel = tmp_path / "K.csv"
+        kernel.write_text("0.9,0.1\n0.2,0.8\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("seed = 3\n")
+        argv = ["fi-curve", "--channel", f"csv:{kernel}", "--t-grid", "0:0.2:0.1"]
+        code, via_config, err = run(argv + ["--config", str(cfg)], capsys)
+        assert code == 0, err
+        assert via_config == run(argv + ["--seed", "3"], capsys)[1]
+        assert via_config != run(argv + ["--seed", "4"], capsys)[1]
+        # a flag on the command line still wins over the config
+        assert run(argv + ["--seed", "4", "--config", str(cfg)], capsys)[1] \
+            == run(argv + ["--seed", "4"], capsys)[1]
+
+    def test_config_value_of_wrong_type_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gamma = abc\n")
+        code, out, err = run(["bounds", "diag", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--gamma" in err
+
+    def test_input_files_closed(self, capsys):
+        golden = Path(__file__).parent / "golden"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["check", "strict", "--density", str(golden / "noise.csv")]) == 0
+            assert main(["deconv", "--p", str(golden / "P.csv"),
+                         "--q", str(golden / "Q.csv")]) == 0
+        capsys.readouterr()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_domain_error_exit_one(self, capsys):
         code, out, err = run(["fi-curve", "--channel", "bsc:2",

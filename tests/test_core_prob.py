@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from sdpi.channels import DMCKernel, mi_dmc
 from sdpi.core_prob import (
     LOG2, DiscretePMF, GridDensity, binary_entropy, binary_entropy_inv, bisect,
-    char_fn, convolve, gaussian_grid, golden_max, kl_divergence, ks_distance,
+    char_fn, convolve, gaussian_grid, gaussian_mixture_entropy, golden_max,
+    kl_divergence, ks_distance,
     levy_concentration, max_entropy_integer, mi_joint, q_function, q_inverse,
     tv_after_noise, tv_distance, uniform_mixture_entropy, v_window, wasserstein,
     xlogx,
@@ -359,6 +360,67 @@ class TestMutualInformation:
             == pytest.approx(math.log(3.0), abs=1e-15)
         h = uniform_mixture_entropy(np.array([0.0, 5.0]), np.array([0.5, 0.5]), 0.0, 1.0)
         assert h == pytest.approx(LOG2, abs=1e-15)
+
+    def test_uniform_mixture_entropy_rows(self):
+        mu = np.array([0.0, 0.4, 3.0])
+        v = np.array([[0.2, 0.5, 0.3], [1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])
+        np.testing.assert_array_equal(uniform_mixture_entropy(mu, v, -0.5, 1.0),
+                                      [uniform_mixture_entropy(mu, r, -0.5, 1.0) for r in v])
+
+
+H_GAUSS = 0.5 * math.log(2.0 * math.pi * math.e)
+
+
+class TestGaussianMixtureEntropy:
+    @staticmethod
+    def quad_entropy(mu, v):
+        """-int p log p by adaptive quadrature, independent of the Hermite rule."""
+        from scipy.integrate import quad
+
+        def integrand(y):
+            p = float(np.sum(v * np.exp(-0.5 * (y - mu) ** 2))) / math.sqrt(2.0 * math.pi)
+            return -p * math.log(p) if p > 0 else 0.0
+
+        cuts = np.sort(mu)
+        pieces = np.concatenate([[cuts[0] - 12.0], cuts, [cuts[-1] + 12.0]])
+        return sum(quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                   for lo, hi in zip(pieces[:-1], pieces[1:]))
+
+    @pytest.mark.parametrize("mu, v", [
+        ([-1.0, 1.0], [0.5, 0.5]),
+        ([-2.0, 0.3, 0.5, 2.5], [0.1, 0.4, 0.2, 0.3]),
+        ([0.0, 1.5, 3.0], [0.7, 0.05, 0.25]),
+    ])
+    def test_matches_quadrature(self, mu, v):
+        mu, v = np.array(mu), np.array(v)
+        assert gaussian_mixture_entropy(mu, v) == pytest.approx(
+            self.quad_entropy(mu, v), rel=1e-10)
+
+    def test_separated_atoms_known_error(self):
+        # atoms 4-10 noise deviations apart: log p turns between two Hermite
+        # nodes and the 127-node rule is off by up to ~1e-8 relative
+        mu, v = np.array([0.0, 6.0, 7.5]), np.array([0.7, 0.05, 0.25])
+        assert gaussian_mixture_entropy(mu, v) == pytest.approx(
+            self.quad_entropy(mu, v), rel=2e-8)
+
+    def test_single_component(self):
+        assert gaussian_mixture_entropy(np.array([2.5]), np.array([1.0])) \
+            == pytest.approx(H_GAUSS, rel=1e-14)
+
+    def test_zero_weight_far_atom_finite(self):
+        h = gaussian_mixture_entropy(np.array([0.0, 60.0]), np.array([1.0, 0.0]))
+        assert math.isfinite(h)
+        assert h == pytest.approx(H_GAUSS, rel=1e-14)
+
+    def test_rows_match_single_calls(self):
+        rng = np.random.default_rng(3)
+        mu = rng.normal(0.0, 2.0, 5)
+        v = rng.dirichlet(np.ones(5), size=4)
+        v[1, 2] = 0.0
+        v[1] /= v[1].sum()
+        np.testing.assert_allclose(gaussian_mixture_entropy(mu, v),
+                                   [gaussian_mixture_entropy(mu, r) for r in v],
+                                   rtol=1e-15, atol=0.0)
 
 
 class TestTvAfterNoise:
