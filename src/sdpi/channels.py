@@ -341,21 +341,18 @@ def mi_dmc(input: DiscretePMF | np.ndarray, K: DMCKernel) -> float:
 def dmc_capacity(K: DMCKernel, tol: float = 1e-10, max_iter: int = 5000) -> float:
     """Channel capacity by the Blahut-Arimoto iteration."""
     m = K.matrix
-    nx = m.shape[0]
-    p = np.full(nx, 1.0 / nx)
-    logm = np.where(m > 0, np.log(np.where(m > 0, m, 1.0)), -np.inf)
+    p = np.full(m.shape[0], 1.0 / m.shape[0])
+    # log 1 = 0 stands in for log 0: the zero entries of m then add nothing
+    logm = np.log(np.where(m > 0, m, 1.0))
     for _ in range(max_iter):
         q = p @ m
-        logq = np.where(q > 0, np.log(np.where(q > 0, q, 1.0)), -np.inf)
         # D(row_x || q) for each x
-        d = np.array([np.sum(m[i][m[i] > 0] * (logm[i][m[i] > 0] - logq[m[i] > 0]))
-                      for i in range(nx)])
+        d = (m * (logm - np.log(np.where(q > 0, q, 1.0)))).sum(axis=1)
         new = p * np.exp(d - d.max())
         new /= new.sum()
-        if np.abs(new - p).max() < tol:
-            p = new
+        p, step = new, np.abs(new - p).max()
+        if step < tol:
             break
-        p = new
     return mi_dmc(p, K)
 
 

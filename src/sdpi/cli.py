@@ -111,8 +111,7 @@ def _cmd_fi_curve(args):
     elif kind == "identity":
         vals = [min(t, math.log(info["size"])) for t in ts]
     else:
-        curve = fi_dmc_envelope(K, ts, {"seed": args.seed or 0})
-        vals = curve.values
+        vals = fi_dmc_envelope(K, ts).values
     out = _meta_line(args, channel=args.channel)
     out += "t,fi\n"
     out += "".join(f"{float(t)!r},{float(v)!r}\n" for t, v in zip(ts, vals))

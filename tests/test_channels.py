@@ -69,6 +69,29 @@ class TestDmcCapacity:
         assert dmc_capacity(DMCKernel.identity(3)) == pytest.approx(
             math.log(3.0), abs=1e-9)
 
+    def test_matches_row_by_row_iteration(self):
+        # Blahut-Arimoto with D(row_x || q) taken one row at a time over the
+        # positive entries, same tolerance and iteration cap
+        def reference(m, tol=1e-10, max_iter=5000):
+            p = np.full(len(m), 1.0 / len(m))
+            for _ in range(max_iter):
+                q = p @ m
+                d = np.array([np.sum(r[r > 0] * np.log(r[r > 0] / q[r > 0])) for r in m])
+                new = p * np.exp(d - d.max())
+                new /= new.sum()
+                done = np.abs(new - p).max() < tol
+                p = new
+                if done:
+                    break
+            return mi_dmc(p, DMCKernel(m))
+
+        rng = np.random.default_rng(5)
+        kernels = [DMCKernel.erasure(0.4, 3).matrix,
+                   np.array([[0.5, 0.5, 0.0], [0.0, 0.2, 0.8], [1.0, 0.0, 0.0]])]
+        kernels += [rng.dirichlet(np.ones(ny), size=nx) for nx, ny in ((2, 3), (3, 3), (4, 2))]
+        for m in kernels:
+            assert dmc_capacity(DMCKernel(m)) == pytest.approx(reference(m), rel=1e-13, abs=1e-15)
+
 
 class TestNoiseModel:
     def test_gaussian_m1(self):

@@ -2,12 +2,11 @@ import json
 import math
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from sdpi import cli
+from sdpi import verify
 from sdpi.cli import main
 from sdpi.core_prob import GridDensity
 from sdpi.fi_curves import fi_bsc
@@ -159,17 +158,15 @@ class TestConfigAndErrors:
         assert "gamma=2.0" in out.splitlines()[0]
 
     def test_config_value_takes_option_type(self, tmp_path, capsys, monkeypatch):
-        # the envelope solver seeds numpy with the value; a stand-in keeps this fast
-        def envelope(K, ts, params):
-            rng = np.random.default_rng(params["seed"])
-            return SimpleNamespace(values=rng.uniform(size=len(ts)))
+        # the suite seeds numpy with the value; a stand-in keeps this fast
+        def run_suite(name, seed):
+            rng = np.random.default_rng(seed)
+            return {"suite": name, "violations": 0, "value": float(rng.uniform())}
 
-        monkeypatch.setattr(cli, "fi_dmc_envelope", envelope)
-        kernel = tmp_path / "K.csv"
-        kernel.write_text("0.9,0.1\n0.2,0.8\n")
+        monkeypatch.setattr(verify, "run_suite", run_suite)
         cfg = tmp_path / "c.cfg"
         cfg.write_text("seed = 3\n")
-        argv = ["fi-curve", "--channel", f"csv:{kernel}", "--t-grid", "0:0.2:0.1"]
+        argv = ["verify", "--suite", "bsc"]
         code, via_config, err = run(argv + ["--config", str(cfg)], capsys)
         assert code == 0, err
         assert via_config == run(argv + ["--seed", "3"], capsys)[1]

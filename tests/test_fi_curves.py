@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdpi.channels import DMCKernel
-from sdpi.core_prob import LOG2, binary_entropy
+from sdpi.core_prob import LOG2, binary_entropy, mi_joint, xlogx
 from sdpi.errors import DomainError
 from sdpi.fi_curves import (
+    _LATTICE_POINTS, _best_split, _interior_lattice,
     fi_bsc, fi_dmc_envelope, fi_erasure, fi_fixed_marginal_bsc,
     fi_properties_check, mrs_gerber,
 )
@@ -133,13 +134,83 @@ class TestEnvelope:
     def test_meta_fields(self):
         curve = fi_dmc_envelope(DMCKernel.bsc(0.2), np.linspace(0, 0.6, 4),
                                 {"restarts": 4, "n_lambdas": 8})
-        assert "capacity" in curve.meta
-        assert "no_improve_restarts" in curve.meta
-        assert curve.meta["seed"] == 0
+        assert curve.meta["capacity"] == pytest.approx(LOG2 - binary_entropy(0.2), abs=1e-9)
+        assert curve.meta["lattice_resolution"] == 1000
+        assert curve.meta["n_lambdas"] >= 8
+        assert curve.meta["no_improve_restarts"] == 0
 
     def test_bad_grid(self):
         with pytest.raises(DomainError):
             fi_dmc_envelope(DMCKernel.bsc(0.1), np.array([0.2, 0.1]))
+
+    def test_erasure_three_inputs_matches_closed_form(self):
+        ts = np.linspace(0.0, 1.0, 11)
+        for alpha in (0.3, 0.6):
+            curve = fi_dmc_envelope(DMCKernel.erasure(alpha, 3), ts)
+            closed = np.array([fi_erasure(t, alpha, 3) for t in ts])
+            assert np.all(curve.values <= closed + 1e-9)
+            assert np.max(np.abs(curve.values - closed)) <= 1e-9
+
+    def test_deterministic(self):
+        K = DMCKernel(np.array([[0.7, 0.2, 0.1], [0.1, 0.6, 0.3], [0.3, 0.3, 0.4]]))
+        ts = np.linspace(0.0, 1.0, 21)
+        params = {"n_lambdas": 8, "refinements": 4}
+        assert fi_dmc_envelope(K, ts, params).points == fi_dmc_envelope(K, ts, params).points
+
+    @pytest.mark.parametrize("delta, gap", [(0.1, 1.7e-5), (0.3, 9.4e-6)])
+    def test_bsc_default_settings_gap(self, delta, gap):
+        # the gaps of the random-restart ascent this solver replaced, on
+        # acceptance criterion 10's grid
+        ts = np.linspace(0.0, 0.65, 14)
+        curve = fi_dmc_envelope(DMCKernel.bsc(delta), ts)
+        closed = np.array([fi_bsc(t, delta) for t in ts])
+        assert np.all(curve.values <= closed + 1e-9)
+        assert np.max(closed - curve.values) <= gap
+
+    def test_lattice_within_budget(self):
+        for nx in (2, 3, 4, 5, 10, 44, 45, 2000):
+            n, points = _interior_lattice(nx)
+            assert n >= 1 and points.shape[1] == nx
+            assert len(points) + nx <= max(_LATTICE_POINTS, nx)
+            assert np.allclose(points.sum(axis=1), 1.0) and np.all(points < 1.0)
+        assert [_interior_lattice(nx)[0] for nx in (2, 3, 4)] == [1000, 43, 16]
+        assert len(_interior_lattice(3)[1]) + 3 == 45 * 44 // 2
+        # with no interior lattice point the curve is the trivial lower bound
+        curve = fi_dmc_envelope(DMCKernel.identity(50), np.linspace(0.0, 1.0, 5))
+        assert curve.meta["lattice_resolution"] == 1
+        assert np.all(curve.values == 0.0)
+
+
+def _qhull_lagrangian(K: DMCKernel, lam: float) -> float:
+    """max of phi - (lower convex envelope of phi) on the solver's lattice,
+    with the envelope taken from scipy's Qhull."""
+    from scipy.spatial import ConvexHull
+    Km = K.matrix
+    nx = Km.shape[0]
+    pts = np.vstack([np.eye(nx), _interior_lattice(nx)[1]])
+    phi = -xlogx(pts @ Km).sum(axis=1) + lam * xlogx(pts).sum(axis=1)
+    eq = ConvexHull(np.column_stack([pts[:, :-1], phi])).equations
+    lower = eq[eq[:, -2] < -1e-12]
+    env = (-(pts[:, :-1] @ lower[:, :-2].T + lower[:, -1]) / lower[:, -2]).max(axis=1)
+    return float(np.max(phi - env))
+
+
+_RNG = np.random.default_rng(11)
+_SPLIT_KERNELS = [DMCKernel.bsc(0.1)] + [
+    DMCKernel(_RNG.dirichlet(np.ones(ny), size=3)) for ny in (3, 4)]
+
+
+class TestBestSplit:
+    @pytest.mark.parametrize("K", _SPLIT_KERNELS, ids=["bsc", "random3x3", "random3x4"])
+    @pytest.mark.parametrize("lam", [0.05, 0.3, 0.6, 0.9])
+    def test_matches_qhull_lower_hull(self, K, lam):
+        Km = K.matrix
+        pts = _interior_lattice(Km.shape[0])[1]
+        phi = -xlogx(pts @ Km).sum(axis=1) + lam * xlogx(pts).sum(axis=1)
+        q = _best_split(pts, phi, -xlogx(Km).sum(axis=1))
+        assert q.min() >= 0.0 and q.sum() == pytest.approx(1.0, abs=1e-15)
+        value = mi_joint(q @ Km) - lam * mi_joint(q)
+        assert value == pytest.approx(_qhull_lagrangian(K, lam), abs=1e-12)
 
 
 class TestPropertiesCheck:
