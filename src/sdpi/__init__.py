@@ -4,7 +4,7 @@ bounds for additive-noise and discrete channels."""
 __version__ = "0.1.0"
 
 from .core_prob import (  # noqa: F401
-    LOG2, BoundReport, Ccurve, DiscretePMF, GridDensity,
+    LOG2, Ccurve, DiscretePMF, GridDensity,
     binary_entropy, binary_entropy_inv, char_fn, convolve, gaussian_grid,
     kl_divergence, ks_distance, levy_concentration, max_entropy_integer,
     q_function, q_inverse, tv_distance, v_hat, v_window, wasserstein,

@@ -33,6 +33,8 @@ class DMCKernel:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2:
             raise ShapeError("kernel must be a 2-d matrix")
+        if m.size == 0:
+            raise DomainError("kernel matrix is empty")
         if not np.all(m >= 0):
             raise DomainError("kernel entries must be nonnegative")
         if not np.all(np.abs(m.sum(axis=1) - 1.0) <= 1e-12):
@@ -338,20 +340,21 @@ def mi_dmc(input: DiscretePMF | np.ndarray, K: DMCKernel) -> float:
     return mi_joint(w[:, None] * K.matrix)
 
 
-def dmc_capacity(K: DMCKernel, tol: float = 1e-10, max_iter: int = 5000) -> float:
-    """Channel capacity by the Blahut-Arimoto iteration."""
+def dmc_capacity(K: DMCKernel) -> float:
+    """Channel capacity by the Blahut-Arimoto iteration, stopped once no input
+    weight moves by 1e-10 or after 5000 steps."""
     m = K.matrix
     p = np.full(m.shape[0], 1.0 / m.shape[0])
     # log 1 = 0 stands in for log 0: the zero entries of m then add nothing
     logm = np.log(np.where(m > 0, m, 1.0))
-    for _ in range(max_iter):
+    for _ in range(5000):
         q = p @ m
         # D(row_x || q) for each x
         d = (m * (logm - np.log(np.where(q > 0, q, 1.0)))).sum(axis=1)
         new = p * np.exp(d - d.max())
         new /= new.sum()
         p, step = new, np.abs(new - p).max()
-        if step < tol:
+        if step < 1e-10:
             break
     return mi_dmc(p, K)
 
@@ -361,8 +364,8 @@ def dmc_capacity(K: DMCKernel, tol: float = 1e-10, max_iter: int = 5000) -> floa
 # ---------------------------------------------------------------------------
 
 def _mi_generic_noise(atoms: np.ndarray, weights: np.ndarray, gamma: float,
-                      noise: NoiseModel, step: float = 0.002) -> float:
-    mu = math.sqrt(gamma) * atoms
+                      noise: NoiseModel) -> float:
+    mu, step = math.sqrt(gamma) * atoms, 0.002
     lo, hi = noise.support()
     z = np.arange(math.floor(lo / step), math.ceil(hi / step) + 1) * step
     pz = np.asarray(noise.density(z))

@@ -42,23 +42,33 @@ def _parse_grid(spec: str) -> np.ndarray:
     return lo + step * np.arange(n + 1)
 
 
-def _parse_channel(spec: str) -> tuple[str, DMCKernel, dict]:
+def _parse_channel(spec: str):
+    """The F_I curve of a channel spec, as a function of the t array.
+
+    The kernel is built for every kind, so its constructor rejects bad
+    parameters before any curve is computed.
+    """
     kind, _, arg = spec.partition(":")
     if kind == "bsc":
         delta = float(arg)
-        return kind, DMCKernel.bsc(delta), {"delta": delta}
+        DMCKernel.bsc(delta)
+        return lambda ts: [fi_bsc(t, delta) for t in ts]
     if kind == "erasure":
         parts = arg.split(":")
         alpha = float(parts[0])
         size = int(parts[1]) if len(parts) > 1 else 2
-        return kind, DMCKernel.erasure(alpha, size), {"alpha": alpha, "size": size}
+        DMCKernel.erasure(alpha, size)
+        return lambda ts: [fi_erasure(t, alpha, size) for t in ts]
     if kind == "identity":
-        return kind, DMCKernel.identity(int(arg)), {"size": int(arg)}
+        size = int(arg)
+        DMCKernel.identity(size)
+        return lambda ts: [min(t, math.log(size)) for t in ts]
     if kind == "csv":
         rows = [[float(c) for c in ln.split(",")]
                 for ln in Path(arg).read_text().strip().splitlines()
                 if ln and not ln.startswith("#")]
-        return kind, DMCKernel(np.array(rows)), {"path": arg}
+        K = DMCKernel(np.array(rows))
+        return lambda ts: fi_dmc_envelope(K, ts).values
     raise DomainError(f"unknown channel {spec!r}")
 
 
@@ -84,15 +94,6 @@ def _load_distribution(path: str):
     return GridDensity.from_csv(text)
 
 
-def _meta_line(args, **constants) -> str:
-    parts = [f"version={__version__}"]
-    if getattr(args, "seed", None) is not None:
-        parts.append(f"seed={args.seed}")
-    for k, v in constants.items():
-        parts.append(f"{k}={v!r}" if isinstance(v, float) else f"{k}={v}")
-    return "# meta: " + " ".join(parts) + "\n"
-
-
 def _emit(args, text: str):
     if args.out:
         with open(args.out, "w") as f:
@@ -101,52 +102,48 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
+def _emit_csv(args, header: str, xs, values, **constants):
+    """Emit the `# meta:` line (version, seed, constants), the header and one
+    `x,value` row per point, each number as its exact repr."""
+    parts = [f"version={__version__}"]
+    if getattr(args, "seed", None) is not None:
+        parts.append(f"seed={args.seed}")
+    for k, v in constants.items():
+        parts.append(f"{k}={v!r}" if isinstance(v, float) else f"{k}={v}")
+    rows = "".join(f"{float(x)!r},{float(v)!r}\n" for x, v in zip(xs, values))
+    _emit(args, "# meta: " + " ".join(parts) + f"\n{header}\n" + rows)
+
+
 def _cmd_fi_curve(args):
-    kind, K, info = _parse_channel(args.channel)
+    curve = _parse_channel(args.channel)
     ts = _parse_grid(args.t_grid)
-    if kind == "bsc":
-        vals = [fi_bsc(t, info["delta"]) for t in ts]
-    elif kind == "erasure":
-        vals = [fi_erasure(t, info["alpha"], info["size"]) for t in ts]
-    elif kind == "identity":
-        vals = [min(t, math.log(info["size"])) for t in ts]
-    else:
-        vals = fi_dmc_envelope(K, ts).values
-    out = _meta_line(args, channel=args.channel)
-    out += "t,fi\n"
-    out += "".join(f"{float(t)!r},{float(v)!r}\n" for t, v in zip(ts, vals))
-    _emit(args, out)
+    _emit_csv(args, "t,fi", ts, curve(ts), channel=args.channel)
     return 0
+
+
+def _t_lower_or_nan(eps: float, gamma: float) -> float:
+    """t_lower_from_gap, or nan where eps lies outside its validity range."""
+    try:
+        return t_lower_from_gap(eps, gamma)
+    except DomainError:
+        return math.nan
 
 
 def _cmd_bounds(args):
     if args.bound == "diag":
         ts = _parse_grid(args.t_grid)
-        out = _meta_line(args, gamma=args.gamma)
-        out += "t,gd\n"
-        out += "".join(f"{float(t)!r},{gd_lower(t, args.gamma)!r}\n" for t in ts)
+        _emit_csv(args, "t,gd", ts, [gd_lower(t, args.gamma) for t in ts], gamma=args.gamma)
     elif args.bound == "horiz":
         eps = _parse_grid(args.eps_grid)
         hc = horizontal_constants(args.gamma)
-        out = _meta_line(args, gamma=args.gamma, c1=hc.c1, kappa=hc.kappa,
-                         a5=hc.a5, log_eps0=hc.log_eps0)
-        out += "eps,t_lower\n"
-        rows = []
-        for e in eps:
-            try:
-                rows.append(f"{float(e)!r},{t_lower_from_gap(e, args.gamma)!r}\n")
-            except DomainError:
-                rows.append(f"{float(e)!r},nan\n")
-        out += "".join(rows)
+        _emit_csv(args, "eps,t_lower", eps, [_t_lower_or_nan(e, args.gamma) for e in eps],
+                  gamma=args.gamma, c1=hc.c1, kappa=hc.kappa, a5=hc.a5, log_eps0=hc.log_eps0)
     else:  # general-diag
         noise = _parse_noise(args.noise)
         ts = _parse_grid(args.t_grid)
-        out = _meta_line(args, gamma=args.gamma, p=args.p, noise=args.noise,
-                         note="eta replaced by eta_tv upper bound")
-        out += "t,gd\n"
-        out += "".join(
-            f"{float(t)!r},{float(general_diag_bound(t, noise, args.p, args.gamma))!r}\n" for t in ts)
-    _emit(args, out)
+        _emit_csv(args, "t,gd", ts, [general_diag_bound(t, noise, args.p, args.gamma) for t in ts],
+                  gamma=args.gamma, p=args.p, noise=args.noise,
+                  note="eta replaced by eta_tv upper bound")
     return 0
 
 
@@ -154,14 +151,10 @@ def _cmd_contraction(args):
     noise = _parse_noise(args.noise)
     grid = _parse_grid(args.t_grid)
     if args.what == "theta":
-        out = _meta_line(args, noise=args.noise)
-        out += "delta,theta\n"
-        out += "".join(f"{float(d)!r},{float(noise.theta(d))!r}\n" for d in grid)
+        _emit_csv(args, "delta,theta", grid, [noise.theta(d) for d in grid], noise=args.noise)
     else:
-        out = _meta_line(args, noise=args.noise)
-        out += "A,eta_tv\n"
-        out += "".join(f"{float(a)!r},{float(eta_tv_amplitude(noise, a))!r}\n" for a in grid)
-    _emit(args, out)
+        _emit_csv(args, "A,eta_tv", grid, [eta_tv_amplitude(noise, a) for a in grid],
+                  noise=args.noise)
     return 0
 
 

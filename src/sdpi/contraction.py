@@ -75,10 +75,10 @@ def dobrushin_dmc(K: DMCKernel) -> float:
 
 
 @functools.lru_cache(maxsize=8)
-def alpha_star(noise: NoiseModel, search_max: float = 1e6) -> ThresholdReport:
-    """Smallest alpha > 0 with eta_tv(1/(2 alpha)) <= 1/3; cached, as a2_star
-    asks for it at every t."""
-    target = 1.0 / 3.0
+def alpha_star(noise: NoiseModel) -> ThresholdReport:
+    """Smallest alpha in (0, 1e6] with eta_tv(1/(2 alpha)) <= 1/3; cached, as
+    a2_star asks for it at every t."""
+    target, search_max = 1.0 / 3.0, 1e6
 
     def ok(alpha):
         return eta_tv_amplitude(noise, 1.0 / (2.0 * alpha)) <= target

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import io
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, ShapeError, TruncationWarning
+from .errors import DomainError, ShapeError
 
 LOG2 = math.log(2.0)
 
@@ -133,17 +132,15 @@ class GridDensity:
         object.__setattr__(self, "values", values)
 
     @staticmethod
-    def from_function(f, x_min: float, x_max: float, step: float,
-                      renormalize: bool = True) -> "GridDensity":
+    def from_function(f, x_min: float, x_max: float, step: float) -> "GridDensity":
+        """f sampled on the grid, clipped at 0 and renormalized to integrate to 1."""
         n = int(round((x_max - x_min) / step))
         x = x_min + step * np.arange(n + 1)
         v = np.maximum(np.asarray(f(x), dtype=float), 0.0)
-        if renormalize:
-            z = np.trapezoid(v, dx=step)
-            if not z > 0:
-                raise DomainError("function integrates to zero on the grid")
-            v = v / z
-        return GridDensity(x_min, x_min + n * step, step, v)
+        z = np.trapezoid(v, dx=step)
+        if not z > 0:
+            raise DomainError("function integrates to zero on the grid")
+        return GridDensity(x_min, x_min + n * step, step, v / z)
 
     @property
     def grid(self) -> np.ndarray:
@@ -209,10 +206,13 @@ Distribution = DiscretePMF | GridDensity
 
 @dataclass(frozen=True)
 class Ccurve:
-    """A sampled curve: strictly increasing arguments with finite values."""
+    """The result record: a sampled curve with strictly increasing arguments
+    and finite values, the constants and solver statistics behind it (`meta`)
+    and provenance notes.  A report of constants alone has no points."""
 
     points: tuple
     meta: dict = field(default_factory=dict)
+    notes: tuple = ()
 
     def __post_init__(self):
         ts = np.array([p[0] for p in self.points], dtype=float)
@@ -230,16 +230,6 @@ class Ccurve:
     @property
     def values(self) -> np.ndarray:
         return np.array([p[1] for p in self.points])
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Universal output record: curve points, constants used, provenance notes."""
-
-    name: str
-    points: tuple
-    constants: dict = field(default_factory=dict)
-    notes: tuple = ()
 
 
 # ---------------------------------------------------------------------------
@@ -595,15 +585,13 @@ def wasserstein(P: Distribution, Q: Distribution, order: int = 1) -> float:
 # convolution
 # ---------------------------------------------------------------------------
 
-def convolve(P: Distribution, Z: GridDensity, max_span: float | None = None) -> GridDensity:
+def convolve(P: Distribution, Z: GridDensity) -> GridDensity:
     """Density of X + Z on the enlarged grid, renormalized to integrate to 1.
 
     Atomic P: direct sum of shifted noise densities; off-grid atoms are split
     linearly between the two neighboring offsets (mass- and mean-preserving).
-    Grid P: full discrete convolution (equal steps required).
-
-    With max_span the output is clipped to [-max_span, max_span]; mass beyond
-    1e-6 lost to clipping raises a TruncationWarning carrying the amount.
+    Grid P: full discrete convolution (equal steps required).  The grid covers
+    the whole support of the sum, so no mass is lost.
     """
     step = Z.step
     if isinstance(P, DiscretePMF):
@@ -626,18 +614,8 @@ def convolve(P: Distribution, Z: GridDensity, max_span: float | None = None) -> 
         out_min = P.x_min + Z.x_min
         n = len(vals) - 1
 
-    grid = out_min + step * np.arange(n + 1)
-    if max_span is not None:
-        keep = np.abs(grid) <= max_span + 1e-12
-        total = np.trapezoid(vals, dx=step)
-        lost = total - np.trapezoid(vals[keep], dx=step)
-        if lost > 1e-6:
-            warnings.warn(TruncationWarning(float(lost)))
-        grid, vals = grid[keep], vals[keep]
-        out_min = float(grid[0])
-
     z = np.trapezoid(vals, dx=step)
-    return GridDensity(out_min, float(grid[-1]), step, vals / z)
+    return GridDensity(out_min, float(out_min + step * n), step, vals / z)
 
 
 def tv_after_noise(P: Distribution, Q: Distribution, Z: GridDensity) -> float:

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class DomainError(ValueError):
@@ -24,10 +24,3 @@ class ProfileFailureError(RuntimeError):
 class AccuracyError(RuntimeError):
     """A quadrature routine cannot meet its accuracy target."""
 
-
-class TruncationWarning(UserWarning):
-    """Probability mass was lost to grid truncation; carries the lost amount."""
-
-    def __init__(self, lost_mass: float, message: str | None = None):
-        self.lost_mass = lost_mass
-        super().__init__(message or f"grid truncation lost mass {lost_mass:.3e}")

@@ -165,6 +165,9 @@ def fi_dmc_envelope(K: DMCKernel, t_grid, solver_params: dict | None = None) -> 
     h_x, h_y, h_rows = (-xlogx(a).sum(axis=1) for a in (points, points @ Km, Km))
 
     def solve(lam: float) -> tuple[float, float]:
+        # I(W;Y) <= I(W;X), so from lam = 1 on the trivial coupling is optimal
+        if lam >= 1.0:
+            return 0.0, 0.0
         q = _best_split(points, h_y - lam * h_x, h_rows)
         return mi_joint(q), mi_joint(q @ Km)
 
@@ -197,13 +200,14 @@ def fi_dmc_envelope(K: DMCKernel, t_grid, solver_params: dict | None = None) -> 
     return Ccurve(tuple(zip(t_grid.tolist(), vals.tolist())), meta)
 
 
-def fi_properties_check(curve: Ccurve, tol: float = 1e-6) -> dict:
-    """Structural checks a data-processing curve must satisfy.
+def fi_properties_check(curve: Ccurve) -> dict:
+    """Structural checks a data-processing curve must satisfy, to within 1e-6.
 
     Verifies F(0)=0, monotonicity, F(t) <= t, nonincreasing ratio F(t)/t and
     subadditivity on grid pairs.  Returns {"passed": bool, "failures": [...]},
     each failure naming the check and the offending pair.
     """
+    tol = 1e-6
     ts = curve.arguments
     vs = curve.values
     if len(ts) < 3:

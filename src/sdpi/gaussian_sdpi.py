@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import AdditiveChannel, NoiseModel, awgn_capacity, mi_additive
-from .core_prob import BoundReport, DiscretePMF, binary_entropy, bisect, golden_max, q_function
+from .core_prob import Ccurve, DiscretePMF, binary_entropy, bisect, golden_max, q_function
 from .errors import AccuracyError, DomainError
 
 A0 = 24.0 / math.pi ** 1.5
@@ -246,14 +246,13 @@ def gh_lower(t: float, gamma: float) -> float:
     return math.exp(exponent) if exponent > -745 else 0.0
 
 
-def horizontal_report(gamma: float) -> BoundReport:
+def horizontal_report(gamma: float) -> Ccurve:
     hc = horizontal_constants(gamma)
-    return BoundReport(
-        name="horizontal-constants",
+    return Ccurve(
         points=(),
-        constants={"gamma": gamma, "kappa": hc.kappa, "a5": hc.a5, "c1": hc.c1,
-                   "log_c1": hc.log_c1, "log_eps0": hc.log_eps0,
-                   "a0": A0, "a1": A1, "a2": A2, "a3": A3, "a4": A4},
+        meta={"gamma": gamma, "kappa": hc.kappa, "a5": hc.a5, "c1": hc.c1,
+              "log_c1": hc.log_c1, "log_eps0": hc.log_eps0,
+              "a0": A0, "a1": A1, "a2": A2, "a3": A3, "a4": A4},
         notes=(
             "kappa assembled from the three-term chain with sup over L >= 8",
             "a5 = 1 + 2/e + log 2 from the binary-divergence lower bound",

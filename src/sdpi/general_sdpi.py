@@ -15,7 +15,7 @@ import numpy as np
 
 from .channels import NoiseModel
 from .contraction import a1_star, a2_star, alpha_star, eta_tv_complement
-from .core_prob import BoundReport, Distribution, GridDensity, bisect, levy_concentration
+from .core_prob import Ccurve, Distribution, GridDensity, bisect, levy_concentration
 from .deconv import C_WINDOW, g1_profile
 from .errors import DomainError, NoSolutionError
 
@@ -48,7 +48,7 @@ def general_diag_bound(t: float, noise: NoiseModel, p: float, gamma: float) -> f
     return general_diag_report(t, noise, p, gamma).points[0][1]
 
 
-def general_diag_report(t: float, noise: NoiseModel, p: float, gamma: float) -> BoundReport:
+def general_diag_report(t: float, noise: NoiseModel, p: float, gamma: float) -> Ccurve:
     notes = ["KL contraction replaced by its TV upper bound"]
     try:
         rep = a2_star(noise, t, gamma, p)
@@ -62,7 +62,7 @@ def general_diag_report(t: float, noise: NoiseModel, p: float, gamma: float) -> 
     except NoSolutionError:
         value, constants = 0.0, {}
         notes.append("non-contracting: no amplitude with eta_tv <= 1/3")
-    return BoundReport("general-diagonal", ((t, value),), constants, tuple(notes))
+    return Ccurve(((t, value),), constants, tuple(notes))
 
 
 @dataclass(frozen=True)

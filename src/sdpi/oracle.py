@@ -234,9 +234,9 @@ def sdpi_pair_sampler(noise: NoiseModel, gamma: float, p: float,
                       diag_bound=None, horiz_bound=None,
                       tolerance: float = 3e-4, eps_max: float = 1e-3,
                       horiz_tolerance: float = 1e-6,
-                      capacity: float | None = None,
-                      w_max: int = 4, atoms_max: int = 6) -> SweepResult:
-    """Random couplings with E|X|^p = gamma budget met with equality.
+                      capacity: float | None = None) -> SweepResult:
+    """Random couplings (2 to 4 values of W, 2 to 6 atoms of X) with the
+    E|X|^p = gamma budget met with equality.
 
     Computes (I(W;X), I(W;Y)) per coupling and counts violations against the
     supplied diagonal bound curve (t -> g_d(t)) and, when `capacity` is set,
@@ -256,8 +256,8 @@ def sdpi_pair_sampler(noise: NoiseModel, gamma: float, p: float,
     samples = np.empty((n_couplings, 2))
     violations = []
     for i in range(n_couplings):
-        nw = int(rng.integers(2, w_max + 1))
-        k = int(rng.integers(2, atoms_max + 1))
+        nw = int(rng.integers(2, 5))
+        k = int(rng.integers(2, 7))
         atoms = np.sort(rng.standard_normal(k))
         while np.any(np.diff(atoms) < 1e-6):
             atoms = np.sort(rng.standard_normal(k))

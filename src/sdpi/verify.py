@@ -60,7 +60,7 @@ def _suite_horiz(seed: int) -> dict:
             "details": [v[:2] for v in res.violations]}
 
 
-def _random_pair(rng, step=0.01):
+def _random_pair(rng):
     k = int(rng.integers(2, 5))
     atoms = np.sort(rng.uniform(-1.5, 1.5, k))
     while np.any(np.diff(atoms) < 0.05):
@@ -69,7 +69,7 @@ def _random_pair(rng, step=0.01):
     P = DiscretePMF(atoms, w)
     sig = float(rng.uniform(0.7, 1.3))
     Q = GridDensity.from_function(
-        lambda x: np.exp(-0.5 * (x / sig) ** 2), -8 * sig, 8 * sig, step)
+        lambda x: np.exp(-0.5 * (x / sig) ** 2), -8 * sig, 8 * sig, 0.01)
     return P, Q
 
 

@@ -39,6 +39,11 @@ class TestDMCKernel:
         K = DMCKernel.identity(3)
         assert np.allclose(K.matrix, np.eye(3))
 
+    @pytest.mark.parametrize("shape", [(0, 3), (0, 0), (3, 0)])
+    def test_empty_matrix_rejected(self, shape):
+        with pytest.raises(DomainError):
+            DMCKernel(np.zeros(shape))
+
 
 class TestMiDmc:
     def test_independent(self):

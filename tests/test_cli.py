@@ -200,6 +200,13 @@ class TestConfigAndErrors:
         rep = json.loads(err)
         assert rep["error"] == "DomainError"
 
+    def test_empty_channel_rejected(self, capsys):
+        code, out, err = run(["fi-curve", "--channel", "identity:0",
+                              "--t-grid", "0:1:0.5"], capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
     def test_usage_error_exit_two(self, capsys):
         code, _, _ = run(["bogus"], capsys)
         assert code == 2

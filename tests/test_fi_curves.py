@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sdpi.channels import DMCKernel
 from sdpi.core_prob import LOG2, binary_entropy, mi_joint, xlogx
+from sdpi import fi_curves
 from sdpi.errors import DomainError
 from sdpi.fi_curves import (
     _LATTICE_POINTS, _best_split, _interior_lattice,
@@ -156,6 +157,22 @@ class TestEnvelope:
         ts = np.linspace(0.0, 1.0, 21)
         params = {"n_lambdas": 8, "refinements": 4}
         assert fi_dmc_envelope(K, ts, params).points == fi_dmc_envelope(K, ts, params).points
+
+    def test_no_search_from_lambda_one(self, monkeypatch):
+        # from lambda = 1 on I(W;Y) <= I(W;X) makes the trivial coupling
+        # optimal; recover each searched lambda from phi = H(PK) - lambda H(P)
+        K = DMCKernel.bsc(0.1)
+        points = _interior_lattice(2)[1]
+        h_x, h_y = -xlogx(points).sum(axis=1), -xlogx(points @ K.matrix).sum(axis=1)
+        searched = []
+
+        def spy(pts, f, f_vertices):
+            searched.append(float(np.median((h_y - f) / h_x)))
+            return _best_split(pts, f, f_vertices)
+
+        monkeypatch.setattr(fi_curves, "_best_split", spy)
+        fi_dmc_envelope(K, np.linspace(0.0, LOG2, 5), {"n_lambdas": 8, "refinements": 4})
+        assert searched and max(searched) < 0.99
 
     @pytest.mark.parametrize("delta, gap", [(0.1, 1.7e-5), (0.3, 9.4e-6)])
     def test_bsc_default_settings_gap(self, delta, gap):

@@ -172,7 +172,7 @@ class TestHorizontalConstants:
 
     def test_report_notes(self):
         rep = horizontal_report(1.0)
-        assert rep.constants["kappa"] > 0
+        assert rep.meta["kappa"] > 0
         assert any("TV upper bound" in n for n in rep.notes)
 
 

@@ -81,8 +81,8 @@ class TestGeneralDiagBound:
 class TestGeneralDiagReport:
     def test_gaussian_constants(self):
         rep = general_diag_report(0.5, NoiseModel.gaussian(), 2.0, 1.0)
-        assert rep.constants["A2_star"] == pytest.approx(13.734369331018176, rel=1e-6)
-        assert rep.constants["one_minus_eta_tv"] > 0.0
+        assert rep.meta["A2_star"] == pytest.approx(13.734369331018176, rel=1e-6)
+        assert rep.meta["one_minus_eta_tv"] > 0.0
         assert any("TV upper bound" in n for n in rep.notes)
 
     def test_uniform_flags_vacuous(self):

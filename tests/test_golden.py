@@ -1,7 +1,9 @@
 """Golden outputs of the README commands.
 
 The `.out` files under tests/golden/ hold the stdout of each README command
-on the small inputs stored beside them.  Closed-form commands must reproduce
+on the small inputs stored beside them, and of the CLI paths the README
+commands do not reach (theta curves, closed-form erasure and identity curves,
+the non-contracting general-diagonal bound).  Closed-form commands must reproduce
 their file byte for byte; commands that run numerical solvers must match
 number by number within GOLDEN_RTOL, with all non-numeric text identical.
 """
@@ -25,11 +27,17 @@ EXACT = {
     "check-strict": ["check", "strict", "--density", str(GOLDEN / "noise.csv"),
                      "--shift-grid=-5:5:0.25"],
     "verify-bsc": ["verify", "--suite", "bsc", "--seed", "0"],
+    **{f"contraction-theta-{noise}": ["contraction", "--noise", noise, "--what", "theta"]
+       for noise in ("gaussian", "uniform", "laplace")},
+    "fi-curve-erasure3": ["fi-curve", "--channel", "erasure:0.3:3", "--t-grid", "0:1.1:0.05"],
+    "fi-curve-identity3": ["fi-curve", "--channel", "identity:3", "--t-grid", "0:1.2:0.05"],
 }
 NUMERIC = {
     "bounds-diag": ["bounds", "diag", "--gamma", "1.0", "--t-grid", "0.1:1:0.05"],
     "bounds-general-diag": ["bounds", "general-diag", "--noise", "laplace:1.0",
                             "--t-grid", "0.1:1:0.1"],
+    "bounds-general-diag-uniform": ["bounds", "general-diag", "--noise", "uniform:0,2",
+                                    "--t-grid", "0.1:1:0.1"],
     "deconv": ["deconv", "--noise", "gaussian", "--p", str(GOLDEN / "P.csv"),
                "--q", str(GOLDEN / "Q.csv")],
 }
