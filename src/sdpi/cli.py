@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .channels import DMCKernel, NoiseModel
 from .contraction import eta_tv_amplitude
-from .core_prob import DiscretePMF, GridDensity, ks_distance, tv_after_noise
+from .core_prob import DiscretePMF, GridDensity, csv_rows, csv_text, ks_distance, tv_after_noise
 from .deconv import esseen_bound, g1_profile, ks_deconv_solve, ks_from_tv_bound
 from .errors import DomainError
 from .fi_curves import fi_bsc, fi_dmc_envelope, fi_erasure
@@ -42,6 +42,15 @@ def _parse_grid(spec: str) -> np.ndarray:
     return lo + step * np.arange(n + 1)
 
 
+def _spec_number(spec: str, text: str, cast=float):
+    """cast(text), or a DomainError naming the spec when text is malformed."""
+    try:
+        return cast(text)
+    except ValueError:
+        raise DomainError(
+            f"malformed spec {spec!r}: cannot read {text!r} as {cast.__name__}") from None
+
+
 def _parse_channel(spec: str):
     """The F_I curve of a channel spec, as a function of the t array.
 
@@ -50,24 +59,21 @@ def _parse_channel(spec: str):
     """
     kind, _, arg = spec.partition(":")
     if kind == "bsc":
-        delta = float(arg)
+        delta = _spec_number(spec, arg)
         DMCKernel.bsc(delta)
         return lambda ts: [fi_bsc(t, delta) for t in ts]
     if kind == "erasure":
-        parts = arg.split(":")
-        alpha = float(parts[0])
-        size = int(parts[1]) if len(parts) > 1 else 2
+        alpha, _, size = arg.partition(":")
+        alpha = _spec_number(spec, alpha)
+        size = _spec_number(spec, size, int) if size else 2
         DMCKernel.erasure(alpha, size)
         return lambda ts: [fi_erasure(t, alpha, size) for t in ts]
     if kind == "identity":
-        size = int(arg)
+        size = _spec_number(spec, arg, int)
         DMCKernel.identity(size)
         return lambda ts: [min(t, math.log(size)) for t in ts]
     if kind == "csv":
-        rows = [[float(c) for c in ln.split(",")]
-                for ln in Path(arg).read_text().strip().splitlines()
-                if ln and not ln.startswith("#")]
-        K = DMCKernel(np.array(rows))
+        K = DMCKernel(csv_rows(Path(arg).read_text(), None, None))
         return lambda ts: fi_dmc_envelope(K, ts).values
     raise DomainError(f"unknown channel {spec!r}")
 
@@ -75,12 +81,12 @@ def _parse_channel(spec: str):
 def _parse_noise(spec: str) -> NoiseModel:
     kind, _, arg = spec.partition(":")
     if kind == "gaussian":
-        return NoiseModel.gaussian(float(arg) if arg else 1.0)
+        return NoiseModel.gaussian(_spec_number(spec, arg) if arg else 1.0)
     if kind == "uniform":
-        a, b = (float(x) for x in arg.split(",")) if arg else (0.0, 1.0)
-        return NoiseModel.uniform(a, b)
+        a, _, b = arg.partition(",") if arg else ("0", ",", "1")
+        return NoiseModel.uniform(_spec_number(spec, a), _spec_number(spec, b))
     if kind == "laplace":
-        return NoiseModel.laplace(float(arg) if arg else 1.0)
+        return NoiseModel.laplace(_spec_number(spec, arg) if arg else 1.0)
     if kind == "grid":
         return NoiseModel.from_grid(GridDensity.from_csv(Path(arg).read_text()))
     raise DomainError(f"unknown noise {spec!r}")
@@ -110,8 +116,7 @@ def _emit_csv(args, header: str, xs, values, **constants):
         parts.append(f"seed={args.seed}")
     for k, v in constants.items():
         parts.append(f"{k}={v!r}" if isinstance(v, float) else f"{k}={v}")
-    rows = "".join(f"{float(x)!r},{float(v)!r}\n" for x, v in zip(xs, values))
-    _emit(args, "# meta: " + " ".join(parts) + f"\n{header}\n" + rows)
+    _emit(args, "# meta: " + " ".join(parts) + "\n" + csv_text(header, xs, values))
 
 
 def _cmd_fi_curve(args):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import DMCKernel, NoiseModel
-from .core_prob import bisect, golden_max
+from .core_prob import bisect, bisect_up, scan_max
 from .errors import DomainError, NoSolutionError
 
 _BISECT_TOL = 1e-9
@@ -43,12 +43,8 @@ def eta_tv_amplitude(noise: NoiseModel, A: float) -> float:
         return 0.0
     if noise.unimodal:
         return noise.theta(2.0 * A)
-    deltas = np.linspace(0.0, 2.0 * A, 512)
-    vals = np.array([noise.theta(d) for d in deltas])
-    i = int(np.argmax(vals))
-    _, best = golden_max(noise.theta, deltas[max(i - 1, 0)],
-                         deltas[min(i + 1, len(deltas) - 1)], 1e-8 * max(1.0, A))
-    return max(float(vals[i]), best)
+    return scan_max(lambda ds: np.array([noise.theta(d) for d in ds]),
+                    0.0, 2.0 * A, 512, 1e-8 * max(1.0, A))
 
 
 def eta_tv_complement(noise: NoiseModel, A: float) -> float:
@@ -105,14 +101,10 @@ def _threshold(scale: float, target: float, p: float, floor_ap: float,
         ap = A ** p
         return scale * math.log(ap) / ap <= target
 
-    if cond(floor_a):
-        return ThresholdReport(floor_a, 0, (floor_a, floor_a), True)
-    hi = floor_a
-    while not cond(hi):
-        hi *= 2.0
-        if hi > 1e12:
-            raise NoSolutionError(f"{name} search exceeded range")
-    value, it, bracket = bisect(cond, floor_a, hi, _BISECT_TOL)
+    found = bisect_up(cond, floor_a, _BISECT_TOL, 1e12)
+    if found is None:
+        raise NoSolutionError(f"{name} search exceeded range")
+    value, it, bracket = found
     return ThresholdReport(value, it, bracket, cond(value))
 
 

@@ -7,7 +7,6 @@ in two flavors: finitely supported (`DiscretePMF`) and density-on-a-grid
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -56,16 +55,13 @@ class DiscretePMF:
 
     @staticmethod
     def from_pairs(pairs) -> "DiscretePMF":
-        """Build from unsorted (atom, weight) pairs, merging duplicates."""
+        """Build from unsorted (atom, weight) pairs, merging atoms as `_merge_atoms`."""
         pairs = sorted(pairs)
-        atoms, weights = [], []
-        for a, w in pairs:
-            if atoms and abs(a - atoms[-1]) <= _ATOM_MATCH_TOL:
-                weights[-1] += w
-            else:
-                atoms.append(a)
-                weights.append(w)
-        return DiscretePMF(np.array(atoms), np.array(weights))
+        a, w = np.array(pairs, dtype=float).reshape(len(pairs), 2).T
+        atoms, idx = _merge_atoms(a)
+        weights = np.zeros(len(atoms))
+        np.add.at(weights, idx, w)
+        return DiscretePMF(atoms, weights)
 
     @staticmethod
     def point_mass(a: float) -> "DiscretePMF":
@@ -89,20 +85,26 @@ class DiscretePMF:
         out = np.where(idx > 0, cum[np.minimum(idx, len(cum)) - 1], 0.0)
         return out if out.ndim else float(out)
 
+    def masses(self) -> tuple[np.ndarray, np.ndarray]:
+        """(points, masses): the atoms and their weights."""
+        return self.atoms, self.weights
+
+    def cdf_points(self) -> np.ndarray:
+        """The atoms and their left limits, where the CDF takes all its values."""
+        return np.concatenate([self.atoms,
+                               self.atoms - 1e-12 * np.maximum(1.0, np.abs(self.atoms))])
+
+    def quantile(self, u) -> np.ndarray:
+        """Left-continuous inverse of the CDF."""
+        cum = np.cumsum(self.weights)
+        return self.atoms[np.minimum(np.searchsorted(cum, u, side="left"), len(self.atoms) - 1)]
+
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("atom,weight\n")
-        for a, w in zip(self.atoms, self.weights):
-            buf.write(f"{float(a)!r},{float(w)!r}\n")
-        return buf.getvalue()
+        return csv_text("atom,weight", self.atoms, self.weights)
 
     @staticmethod
     def from_csv(text: str) -> "DiscretePMF":
-        rows = [ln for ln in text.strip().splitlines() if ln and not ln.startswith("#")]
-        if rows and rows[0].strip().lower() == "atom,weight":
-            rows = rows[1:]
-        pairs = [tuple(map(float, ln.split(","))) for ln in rows]
-        return DiscretePMF.from_pairs(pairs)
+        return DiscretePMF.from_pairs(csv_rows(text, "atom,weight", 2).tolist())
 
 
 @dataclass(frozen=True)
@@ -147,6 +149,21 @@ class GridDensity:
         n = int(round((self.x_max - self.x_min) / self.step))
         return self.x_min + self.step * np.arange(n + 1)
 
+    @property
+    def node_weights(self) -> np.ndarray:
+        """Trapezoid weights of the grid nodes."""
+        w = np.full_like(self.values, self.step)
+        w[0] = w[-1] = 0.5 * self.step
+        return w
+
+    def masses(self) -> tuple[np.ndarray, np.ndarray]:
+        """(points, masses): the grid nodes and their trapezoid masses."""
+        return self.grid, self.values * self.node_weights
+
+    def cdf_points(self) -> np.ndarray:
+        """The grid nodes, between which the CDF is linear."""
+        return self.grid
+
     def cdf_values(self) -> np.ndarray:
         """Trapezoid cumulative integral at the grid nodes (starts at 0)."""
         v = self.values
@@ -181,19 +198,11 @@ class GridDensity:
         return np.interp(u, c, self.grid)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("x,value\n")
-        for x, v in zip(self.grid, self.values):
-            buf.write(f"{float(x)!r},{float(v)!r}\n")
-        return buf.getvalue()
+        return csv_text("x,value", self.grid, self.values)
 
     @staticmethod
     def from_csv(text: str) -> "GridDensity":
-        rows = [ln for ln in text.strip().splitlines() if ln and not ln.startswith("#")]
-        if rows and rows[0].strip().lower() == "x,value":
-            rows = rows[1:]
-        data = np.array([[float(c) for c in ln.split(",")] for ln in rows])
-        x, v = data[:, 0], data[:, 1]
+        x, v = csv_rows(text, "x,value", 2).T
         steps = np.diff(x)
         step = float(np.median(steps))
         if np.any(np.abs(steps - step) > 1e-9 * max(1.0, abs(step))):
@@ -202,6 +211,36 @@ class GridDensity:
 
 
 Distribution = DiscretePMF | GridDensity
+
+
+def _merge_atoms(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The points of sorted atoms a and each atom's point index: an atom within
+    _ATOM_MATCH_TOL of its predecessor shares its point.  A nan gap starts a
+    point, so non-finite atoms stay for the constructor to reject."""
+    new = np.concatenate([[True], ~(np.diff(a) <= _ATOM_MATCH_TOL)])[:len(a)]
+    return a[new], np.cumsum(new) - 1
+
+
+def csv_rows(text: str, header: str | None, width: int | None) -> np.ndarray:
+    """The numeric rows of a CSV text as a 2-d float array, skipping blank
+    lines, `#` comments and a first line equal to `header`.  No rows, ragged or
+    non-numeric rows, or rows not `width` wide (if given) raise ShapeError."""
+    lines = [ln for ln in text.strip().splitlines() if ln and not ln.startswith("#")]
+    if lines and header and lines[0].strip().lower() == header:
+        lines = lines[1:]
+    try:
+        rows = [[float(c) for c in ln.split(",")] for ln in lines]
+    except ValueError as e:
+        raise ShapeError(f"non-numeric CSV row: {e}") from None
+    widths = {len(r) for r in rows}
+    if len(widths) != 1 or (width and widths != {width}):
+        raise ShapeError("CSV rows are missing, ragged or of the wrong width")
+    return np.array(rows)
+
+
+def csv_text(header: str, xs, ys) -> str:
+    """`header` and one `x,y` row per point, each number as its exact repr."""
+    return f"{header}\n" + "".join(f"{float(x)!r},{float(y)!r}\n" for x, y in zip(xs, ys))
 
 
 @dataclass(frozen=True)
@@ -261,6 +300,17 @@ def golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return x, f(x)
 
 
+def scan_max(f, lo: float, hi: float, n: int, tol: float) -> float:
+    """Maximum of f over [lo, hi]: f (vectorised) on n evenly spaced points,
+    then `golden_max` between the best point's two neighbours."""
+    xs = np.linspace(lo, hi, n)
+    vals = f(xs)
+    i = int(np.argmax(vals))
+    _, best = golden_max(lambda x: f(np.array([x]))[0],
+                         xs[max(i - 1, 0)], xs[min(i + 1, n - 1)], tol)
+    return float(max(best, vals[i]))
+
+
 def bisect(cond, lo: float, hi: float, tol: float = 0.0):
     """Smallest x in [lo, hi] with cond(x) True, for cond monotone in x.
 
@@ -279,6 +329,23 @@ def bisect(cond, lo: float, hi: float, tol: float = 0.0):
             lo = mid
         it += 1
     return hi, it, (lo, hi)
+
+
+def bisect_up(cond, lo: float, tol: float, hi_max: float):
+    """Smallest x >= lo > 0 with cond(x) True, for cond monotone in x: hi
+    doubles from lo until cond(hi) holds, then `bisect` runs on [lo, hi] to tol
+    and its triple is returned.  Returns None once hi passes hi_max."""
+    hi = lo
+    while not cond(hi):
+        hi *= 2.0
+        if not hi <= hi_max:
+            return None
+    return bisect(cond, lo, hi, tol)
+
+
+def simpson(y: np.ndarray, h: float) -> float:
+    """Composite Simpson rule for samples y (odd length) spaced h apart."""
+    return h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -429,30 +496,13 @@ def gaussian_mixture_entropy(mu: np.ndarray, v: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def _align_atoms(P: DiscretePMF, Q: DiscretePMF):
-    """Union support with weights; atoms matched within tolerance."""
-    merged = {}
-    for a in np.concatenate([P.atoms, Q.atoms]):
-        key = round(a / _ATOM_MATCH_TOL)
-        # collapse near-duplicates onto one representative
-        for k in (key - 1, key, key + 1):
-            if k in merged:
-                key = k
-                break
-        merged.setdefault(key, a)
-    keys = sorted(merged, key=lambda k: merged[k])
-    atoms = np.array([merged[k] for k in keys])
+    """Union support, merged as `_merge_atoms`, with each input's weights on it."""
+    atoms, _ = _merge_atoms(np.sort(np.concatenate([P.atoms, Q.atoms])))
 
     def project(D):
+        # an atom's point is the last one at or below it
         w = np.zeros(len(atoms))
-        idx = np.searchsorted(atoms, D.atoms)
-        idx = np.clip(idx, 0, len(atoms) - 1)
-        for j, (a, wt) in enumerate(zip(D.atoms, D.weights)):
-            i = idx[j]
-            if i > 0 and abs(atoms[i - 1] - a) < abs(atoms[i] - a):
-                i -= 1
-            if abs(atoms[i] - a) > 10 * _ATOM_MATCH_TOL:
-                raise ShapeError("atom alignment failed")
-            w[i] += wt
+        np.add.at(w, np.searchsorted(atoms, D.atoms, side="right") - 1, D.weights)
         return w
 
     return atoms, project(P), project(Q)
@@ -474,10 +524,7 @@ def kl_divergence(P: Distribution, Q: Distribution) -> float:
         d = float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
     elif isinstance(P, GridDensity) and isinstance(Q, GridDensity):
         _require_same_grid(P, Q)
-        p, q = P.values, Q.values
-        # trapezoid weights
-        w = np.full_like(p, P.step)
-        w[0] = w[-1] = 0.5 * P.step
+        p, q, w = P.values, Q.values, P.node_weights
         if np.any((p > 1e-15) & (q <= 1e-300)):
             return math.inf
         mask = p > 0
@@ -499,24 +546,13 @@ def tv_distance(P: Distribution, Q: Distribution) -> float:
     raise ShapeError("tv_distance requires same-kind inputs")
 
 
-def _cdf_eval_points(P: Distribution, Q: Distribution) -> np.ndarray:
-    pts = []
-    for D in (P, Q):
-        if isinstance(D, DiscretePMF):
-            pts.append(D.atoms)
-            pts.append(D.atoms - 1e-12 * np.maximum(1.0, np.abs(D.atoms)))
-        else:
-            pts.append(D.grid)
-    return np.unique(np.concatenate(pts))
-
-
 def ks_distance(P: Distribution, Q: Distribution) -> float:
     """Kolmogorov-Smirnov distance: sup-norm of the CDF difference.
 
     Evaluated at all grid nodes, atoms and their left limits, so jumps of
     atomic CDFs are captured on both sides.
     """
-    x = _cdf_eval_points(P, Q)
+    x = np.unique(np.concatenate([P.cdf_points(), Q.cdf_points()]))
     return float(np.max(np.abs(np.asarray(P.cdf(x)) - np.asarray(Q.cdf(x)))))
 
 
@@ -530,11 +566,7 @@ def levy_concentration(P: Distribution, delta: float) -> float:
         cum = np.concatenate([[0.0], np.cumsum(P.weights)])
         lo = np.arange(len(P.atoms))
         return float(np.max(cum[hi] - cum[lo]))
-    c = P.cdf_values()
-    x = P.grid
-    mass = np.interp(x + delta, x, c, left=0.0, right=c[-1]) \
-        - np.interp(x - delta, x, c, left=0.0, right=c[-1])
-    return float(np.max(mass))
+    return float(np.max(P.cdf(P.grid + delta) - P.cdf(P.grid - delta)))
 
 
 _CF_CHUNK = 512
@@ -548,13 +580,7 @@ def char_fn(P: Distribution, omega) -> complex | np.ndarray:
     """
     omega = np.asarray(omega, dtype=float)
     w = omega.reshape(-1, 1)
-    if isinstance(P, DiscretePMF):
-        x, mass = P.atoms, P.weights
-    else:
-        x = P.grid
-        tw = np.full_like(P.values, P.step)
-        tw[0] = tw[-1] = 0.5 * P.step
-        mass = P.values * tw
+    x, mass = P.masses()
     out = np.empty(len(w), dtype=complex)
     for i in range(0, len(w), _CF_CHUNK):
         out[i:i + _CF_CHUNK] = (mass * np.exp(1j * w[i:i + _CF_CHUNK] * x)).sum(axis=1)
@@ -567,15 +593,7 @@ def wasserstein(P: Distribution, Q: Distribution, order: int = 1) -> float:
         raise DomainError("order must be 1 or 2")
     n = 200_001
     u = (np.arange(n) + 0.5) / n
-
-    def quantiles(D):
-        if isinstance(D, DiscretePMF):
-            cum = np.cumsum(D.weights)
-            idx = np.minimum(np.searchsorted(cum, u, side="left"), len(D.atoms) - 1)
-            return D.atoms[idx]
-        return D.quantile(u)
-
-    d = np.abs(quantiles(P) - quantiles(Q))
+    d = np.abs(P.quantile(u) - Q.quantile(u))
     if order == 1:
         return float(d.mean())
     return float(math.sqrt((d * d).mean()))

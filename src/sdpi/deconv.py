@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .channels import GaussianNoise, NoiseModel
-from .core_prob import Distribution, char_fn
+from .core_prob import Distribution, char_fn, simpson
 from .errors import DomainError, ProfileFailureError
 
 # constant of the spectral-window lemma, from the two-term proof chain:
@@ -61,10 +61,7 @@ def esseen_bound(P: Distribution, Q: Distribution, m2: float, T: float) -> float
     # limit at 0 from the first-moment Lipschitz bound
     integrand[0] = min(abs(P.mean() - Q.mean()),
                        P.abs_moment(1.0) + Q.abs_moment(1.0))
-    h = T / n
-    simpson = h / 3.0 * (integrand[0] + integrand[-1]
-                         + 4.0 * integrand[1:-1:2].sum() + 2.0 * integrand[2:-1:2].sum())
-    return 2.0 * simpson / math.pi + 24.0 * m2 / (math.pi * T)
+    return 2.0 * simpson(integrand, T / n) / math.pi + 24.0 * m2 / (math.pi * T)
 
 
 # ---------------------------------------------------------------------------

@@ -72,12 +72,14 @@ def fi_fixed_marginal_bsc(x: float, p: float, delta: float) -> float:
 # ---------------------------------------------------------------------------
 
 # input marginals of the envelope solver: the finest simplex lattice with at most
-# this many points (resolution 1000 for |X| = 2, 43 for 3, 16 for 4, 1 from 45)
+# this many points (resolution 1000 for |X| = 2, 43 for 3, 16 for 4, 1 from 45),
+# plus the uniform marginal where the lattice misses it
 _LATTICE_POINTS = 1001
 
 
 def _interior_lattice(nx: int) -> tuple[int, np.ndarray]:
-    """Resolution n and the non-vertex lattice points k/n, k in N^nx, sum k = n."""
+    """Resolution n and the non-vertex lattice points k/n, k in N^nx, sum k = n,
+    with the uniform marginal appended when n is not a multiple of nx."""
     n = 1
     while nx > 1 and math.comb(n + nx, nx - 1) <= _LATTICE_POINTS:
         n += 1
@@ -85,7 +87,10 @@ def _interior_lattice(nx: int) -> tuple[int, np.ndarray]:
         return n, np.zeros((0, nx))
     bars = np.array(list(itertools.combinations(range(n + nx - 1), nx - 1)))
     k = np.diff(bars, prepend=-1, append=n + nx - 1, axis=1) - 1
-    return n, k[k.max(axis=1) < n] / n
+    points = k[k.max(axis=1) < n] / n
+    if n % nx:
+        points = np.vstack([points, np.full(nx, 1.0 / nx)])
+    return n, points
 
 
 def _best_split(points: np.ndarray, f: np.ndarray, f_vertices: np.ndarray) -> np.ndarray:

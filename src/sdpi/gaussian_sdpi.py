@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import AdditiveChannel, NoiseModel, awgn_capacity, mi_additive
-from .core_prob import Ccurve, DiscretePMF, binary_entropy, bisect, golden_max, q_function
+from .core_prob import Ccurve, DiscretePMF, binary_entropy, bisect_up, q_function, scan_max
 from .errors import AccuracyError, DomainError
 
 A0 = 24.0 / math.pi ** 1.5
@@ -52,12 +52,7 @@ def gd_lower(t: float, gamma: float) -> float:
         raise DomainError("gamma must be positive and finite")
     if t == 0.0:
         return 0.0
-    xs = np.linspace(0.0, 0.5, 2001)
-    vals = _gd_bracket(xs, t, gamma)
-    i = int(np.argmax(vals))
-    _, best = golden_max(lambda x: _gd_bracket(np.array([x]), t, gamma)[0],
-                         xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)], 1e-10)
-    return float(max(best, vals[i]))
+    return scan_max(lambda x: _gd_bracket(x, t, gamma), 0.0, 0.5, 2001, 1e-10)
 
 
 def gd_rate_small_t(u: float, gamma: float) -> float:
@@ -202,17 +197,10 @@ def horizontal_constants(gamma: float) -> HorizontalConstants:
         4.0 * kappa * kappa,                   # kappa L^{-1/2} <= 1/2
     )
     # a2 e^{-L/8} (log L / 2 + |log kappa|) <= 1, monotone for L >= 8
-    lo, hi = lmin, max(lmin, 8.0) * 2.0
-
     def cond(L):
         return A2 * math.exp(-L / 8.0) * (0.5 * math.log(L) + abs(math.log(kappa))) <= 1.0
 
-    while not cond(hi):
-        hi *= 2.0
-    if cond(lo):
-        hi = lo
-    else:
-        hi, _, _ = bisect(cond, lo, hi)
+    hi, _, _ = bisect_up(cond, lmin, 0.0, 1e300)  # the cap only bounds the loop
     return HorizontalConstants(gamma, kappa, A5, math.sqrt(c1_sq), log_c1, -hi)
 
 

@@ -22,9 +22,6 @@ from .core_prob import (DiscretePMF, bisect, gaussian_mixture_entropy, mi_joint,
                         uniform_mixture_entropy, xlogx)
 from .errors import BudgetError, DomainError
 
-# lattice envelopes kept for repeated calls; the oldest is evicted beyond this
-_ENVELOPE_CACHE_SIZE = 8
-
 
 # ---------------------------------------------------------------------------
 # exhaustive coupling search on the simplex lattice
@@ -65,17 +62,14 @@ def _iter_compositions(n: int, cells: int, comp4):
     yield from rec(0, n)
 
 
-_ENVELOPE_CACHE: dict = {}
-
-
-def _bruteforce_envelope(K: DMCKernel, w_size: int, resolution: int,
-                         max_points: float):
+@functools.lru_cache(maxsize=8)
+def _bruteforce_envelope(matrix: bytes, shape: tuple[int, int], w_size: int,
+                         resolution: int, max_points: float):
     """Staircase: bin_width, running max of I_WY over bins of I_WX, and the
-    per-bin argmax couplings (used as warm starts for the polish step)."""
-    key = (K.matrix.tobytes(), K.matrix.shape, w_size, resolution)
-    if key in _ENVELOPE_CACHE:
-        return _ENVELOPE_CACHE[key]
-    nx, ny = K.matrix.shape
+    per-bin argmax couplings (used as warm starts for the polish step).  The
+    kernel comes as matrix bytes and shape, so repeated calls hit the cache."""
+    Km = np.frombuffer(matrix).reshape(shape)
+    nx, ny = shape
     cells = w_size * nx
     n = resolution
     total = comb(n + cells - 1, cells - 1)
@@ -87,7 +81,6 @@ def _bruteforce_envelope(K: DMCKernel, w_size: int, resolution: int,
     n_bins = int(math.log(min(nx, w_size) + 1) / bin_w) + 2
     bin_vals = np.full(n_bins, -np.inf)
     bin_rows = np.zeros((n_bins, cells))
-    Km = K.matrix
     for batch in _iter_compositions(n, cells, comp4):
         c = batch.reshape(len(batch), w_size, nx)
         h_wx = xlx[c].sum(axis=(1, 2))
@@ -105,11 +98,7 @@ def _bruteforce_envelope(K: DMCKernel, w_size: int, resolution: int,
         np.maximum.at(bin_vals, bins, i_wy)
         hit = i_wy >= bin_vals[bins]
         bin_rows[bins[hit]] = q.reshape(len(q), cells)[hit]
-    stair = np.maximum.accumulate(bin_vals)
-    if len(_ENVELOPE_CACHE) >= _ENVELOPE_CACHE_SIZE:
-        del _ENVELOPE_CACHE[next(iter(_ENVELOPE_CACHE))]
-    _ENVELOPE_CACHE[key] = (bin_w, stair, bin_vals, bin_rows)
-    return _ENVELOPE_CACHE[key]
+    return bin_w, np.maximum.accumulate(bin_vals), bin_vals, bin_rows
 
 
 def _joint_mi_pair(q: np.ndarray, Km: np.ndarray, w_size: int) -> tuple[float, float]:
@@ -176,7 +165,7 @@ def fi_bruteforce_dmc(K: DMCKernel, t: float, w_size: int = 3,
     if resolution < 10:
         raise DomainError("resolution must be >= 10")
     bin_w, stair, bin_vals, bin_rows = _bruteforce_envelope(
-        K, w_size, resolution, max_points)
+        K.matrix.tobytes(), K.matrix.shape, w_size, resolution, max_points)
     b = int(math.floor(t / bin_w + 1e-12))
     b = min(b, len(stair) - 1)
     val = float(max(stair[b], 0.0))

@@ -207,6 +207,28 @@ class TestConfigAndErrors:
         assert out == ""
         assert json.loads(err)["error"] == "DomainError"
 
+    @pytest.mark.parametrize("argv", [
+        ["fi-curve", "--channel", "erasure:0.3:x", "--t-grid", "0:1:0.5"],
+        ["fi-curve", "--channel", "bsc:", "--t-grid", "0:1:0.5"],
+        ["contraction", "--noise", "uniform:1"],
+        ["contraction", "--noise", "laplace:abc"],
+    ])
+    def test_malformed_spec_is_domain_error(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        rep = json.loads(err)
+        assert rep["error"] == "DomainError" and argv[2] in rep["message"]
+
+    def test_ragged_kernel_csv_is_shape_error(self, tmp_path, capsys):
+        f = tmp_path / "K.csv"
+        f.write_text("0.9,0.1\n0.2\n")
+        code, out, err = run(["fi-curve", "--channel", f"csv:{f}", "--t-grid", "0:0.6:0.1"],
+                             capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "ShapeError"
+
     def test_usage_error_exit_two(self, capsys):
         code, _, _ = run(["bogus"], capsys)
         assert code == 2

@@ -145,7 +145,8 @@ class TestEnvelope:
             fi_dmc_envelope(DMCKernel.bsc(0.1), np.array([0.2, 0.1]))
 
     def test_erasure_three_inputs_matches_closed_form(self):
-        ts = np.linspace(0.0, 1.0, 11)
+        # log 3 needs the uniform input, which the 43-resolution lattice lacks
+        ts = np.append(np.linspace(0.0, 1.0, 11), math.log(3.0))
         for alpha in (0.3, 0.6):
             curve = fi_dmc_envelope(DMCKernel.erasure(alpha, 3), ts)
             closed = np.array([fi_erasure(t, alpha, 3) for t in ts])
@@ -191,7 +192,7 @@ class TestEnvelope:
             assert len(points) + nx <= max(_LATTICE_POINTS, nx)
             assert np.allclose(points.sum(axis=1), 1.0) and np.all(points < 1.0)
         assert [_interior_lattice(nx)[0] for nx in (2, 3, 4)] == [1000, 43, 16]
-        assert len(_interior_lattice(3)[1]) + 3 == 45 * 44 // 2
+        assert len(_interior_lattice(3)[1]) + 3 == 45 * 44 // 2 + 1
         # with no interior lattice point the curve is the trivial lower bound
         curve = fi_dmc_envelope(DMCKernel.identity(50), np.linspace(0.0, 1.0, 5))
         assert curve.meta["lattice_resolution"] == 1

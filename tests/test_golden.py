@@ -3,9 +3,12 @@
 The `.out` files under tests/golden/ hold the stdout of each README command
 on the small inputs stored beside them, and of the CLI paths the README
 commands do not reach (theta curves, closed-form erasure and identity curves,
-the non-contracting general-diagonal bound).  Closed-form commands must reproduce
-their file byte for byte; commands that run numerical solvers must match
-number by number within GOLDEN_RTOL, with all non-numeric text identical.
+grid-noise contraction curves, the general-diagonal bound where it is zero and
+where it is not, the envelope solver on a CSV kernel).  Commands run in
+tests/golden/, so file arguments and `# meta:` lines hold relative paths.
+Closed-form commands must reproduce their file byte for byte; commands that
+run numerical solvers must match number by number within GOLDEN_RTOL, with all
+non-numeric text identical.
 """
 
 import re
@@ -31,6 +34,7 @@ EXACT = {
        for noise in ("gaussian", "uniform", "laplace")},
     "fi-curve-erasure3": ["fi-curve", "--channel", "erasure:0.3:3", "--t-grid", "0:1.1:0.05"],
     "fi-curve-identity3": ["fi-curve", "--channel", "identity:3", "--t-grid", "0:1.2:0.05"],
+    "contraction-theta-grid": ["contraction", "--noise", "grid:noise.csv", "--what", "theta"],
 }
 NUMERIC = {
     "bounds-diag": ["bounds", "diag", "--gamma", "1.0", "--t-grid", "0.1:1:0.05"],
@@ -38,12 +42,18 @@ NUMERIC = {
                             "--t-grid", "0.1:1:0.1"],
     "bounds-general-diag-uniform": ["bounds", "general-diag", "--noise", "uniform:0,2",
                                     "--t-grid", "0.1:1:0.1"],
+    "contraction-eta-grid": ["contraction", "--noise", "grid:noise.csv", "--what", "eta",
+                             "--t-grid", "0:2:0.1"],
+    "bounds-general-diag-uniform40": ["bounds", "general-diag", "--noise", "uniform:0,40",
+                                      "--t-grid", "0.5:1:0.1"],
+    "fi-curve-csv2": ["fi-curve", "--channel", "csv:K2.csv", "--t-grid", "0:0.6:0.1"],
     "deconv": ["deconv", "--noise", "gaussian", "--p", str(GOLDEN / "P.csv"),
                "--q", str(GOLDEN / "Q.csv")],
 }
 
 
-def _stdout(argv, capsys) -> str:
+def _stdout(argv, capsys, monkeypatch) -> str:
+    monkeypatch.chdir(GOLDEN)
     capsys.readouterr()
     code = main(argv)
     out, err = capsys.readouterr()
@@ -52,13 +62,13 @@ def _stdout(argv, capsys) -> str:
 
 
 @pytest.mark.parametrize("name", sorted(EXACT))
-def test_closed_form_commands_byte_identical(name, capsys):
-    assert _stdout(EXACT[name], capsys) == (GOLDEN / f"{name}.out").read_text()
+def test_closed_form_commands_byte_identical(name, capsys, monkeypatch):
+    assert _stdout(EXACT[name], capsys, monkeypatch) == (GOLDEN / f"{name}.out").read_text()
 
 
 @pytest.mark.parametrize("name", sorted(NUMERIC))
-def test_solver_commands_within_tolerance(name, capsys):
-    out = _stdout(NUMERIC[name], capsys)
+def test_solver_commands_within_tolerance(name, capsys, monkeypatch):
+    out = _stdout(NUMERIC[name], capsys, monkeypatch)
     ref = (GOLDEN / f"{name}.out").read_text()
     assert _NUMBER.sub("#", out) == _NUMBER.sub("#", ref)
     got = [float(x) for x in _NUMBER.findall(out)]

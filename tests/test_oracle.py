@@ -64,23 +64,23 @@ class TestBruteForce:
             fi_bruteforce_dmc(DMCKernel.bsc(0.1), -0.1)
 
     def test_envelope_cache_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_ENVELOPE_CACHE", {})
+        oracle._bruteforce_envelope.cache_clear()
         enumerations = []
         real_tables = oracle._comp4_tables
         monkeypatch.setattr(oracle, "_comp4_tables",
                             lambda n: enumerations.append(n) or real_tables(n))
-        cap = oracle._ENVELOPE_CACHE_SIZE
+        cap = 8
         kernels = [DMCKernel.bsc(0.05 + 0.02 * i) for i in range(cap + 3)]
         for K in kernels:
             fi_bruteforce_dmc(K, 0.2, w_size=2, resolution=10)
         assert len(enumerations) == len(kernels)
-        assert len(oracle._ENVELOPE_CACHE) == cap
+        assert oracle._bruteforce_envelope.cache_info().currsize == cap
         # the most recent kernel is still cached; the oldest was evicted
         fi_bruteforce_dmc(kernels[-1], 0.3, w_size=2, resolution=10)
         assert len(enumerations) == len(kernels)
         fi_bruteforce_dmc(kernels[0], 0.3, w_size=2, resolution=10)
         assert len(enumerations) == len(kernels) + 1
-        assert len(oracle._ENVELOPE_CACHE) == cap
+        assert oracle._bruteforce_envelope.cache_info().currsize == cap
 
 
 class TestMcMutualInfo:
