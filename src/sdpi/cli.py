@@ -94,7 +94,7 @@ def _parse_noise(spec: str) -> NoiseModel:
 
 def _load_distribution(path: str):
     text = Path(path).read_text()
-    header = text.strip().splitlines()[0].strip().lower()
+    header = text.strip().partition("\n")[0].strip().lower()
     if header == "atom,weight":
         return DiscretePMF.from_csv(text)
     return GridDensity.from_csv(text)

@@ -35,7 +35,7 @@ def eta_tv_amplitude(noise: NoiseModel, A: float) -> float:
     """sup of theta(delta) over |delta| <= 2A.
 
     Unimodal families have monotone theta, so the sup sits at the endpoint;
-    grid noise gets a 512-point scan plus golden-section refinement.
+    grid noise gets a 512-point scan refined by `scan_max`'s 17-point zoom.
     """
     if not A >= 0:
         raise DomainError("A must be nonnegative")

@@ -203,6 +203,8 @@ class GridDensity:
     @staticmethod
     def from_csv(text: str) -> "GridDensity":
         x, v = csv_rows(text, "x,value", 2).T
+        if len(x) < 2:
+            raise ShapeError("a grid density needs at least two nodes")
         steps = np.diff(x)
         step = float(np.median(steps))
         if np.any(np.abs(steps - step) > 1e-9 * max(1.0, abs(step))):
@@ -275,40 +277,24 @@ class Ccurve:
 # one-dimensional searches
 # ---------------------------------------------------------------------------
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section search for the maximum of a unimodal f on [lo, hi].
-
-    One interior point is reused per step, so each step costs one new
-    evaluation.  Stops once the bracket is at most tol wide and returns
-    (x, f(x)) at its midpoint.
-    """
-    x1, x2 = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = f(x1)
-    x = 0.5 * (lo + hi)
-    return x, f(x)
-
-
 def scan_max(f, lo: float, hi: float, n: int, tol: float) -> float:
-    """Maximum of f over [lo, hi]: f (vectorised) on n evenly spaced points,
-    then `golden_max` between the best point's two neighbours."""
-    xs = np.linspace(lo, hi, n)
-    vals = f(xs)
-    i = int(np.argmax(vals))
-    _, best = golden_max(lambda x: f(np.array([x]))[0],
-                         xs[max(i - 1, 0)], xs[min(i + 1, n - 1)], tol)
-    return float(max(best, vals[i]))
+    """Maximum of f over [lo, hi], for f vectorised over an array of points.
+
+    f is evaluated on n evenly spaced points; then each round evaluates it on
+    17 evenly spaced points across the best point's two neighbours, which
+    narrows that bracket 8x.  Stops once the bracket is at most tol wide or no
+    longer shrinks (its ends are then adjacent floats), and returns the
+    largest value evaluated, so the result is always f at a point.
+    """
+    xs, best, width = np.linspace(lo, hi, n), -math.inf, math.inf
+    while True:
+        vals = f(xs)
+        best = max(best, float(np.max(vals)))
+        i = int(np.argmax(vals))
+        a, b = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
+        if not tol < b - a < width:
+            return best
+        xs, width = np.linspace(a, b, 17), b - a
 
 
 def bisect(cond, lo: float, hi: float, tol: float = 0.0):

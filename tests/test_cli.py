@@ -229,6 +229,27 @@ class TestConfigAndErrors:
         assert out == ""
         assert json.loads(err)["error"] == "ShapeError"
 
+    def test_empty_distribution_file_is_shape_error(self, tmp_path, capsys):
+        empty = tmp_path / "P.csv"
+        empty.write_text("")
+        q = Path(__file__).parent / "golden" / "Q.csv"
+        code, out, err = run(["deconv", "--p", str(empty), "--q", str(q)], capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "ShapeError"
+
+    def test_one_node_density_is_shape_error(self, tmp_path, capsys):
+        f = tmp_path / "one.csv"
+        f.write_text("x,value\n0.0,1.0\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(["check", "strict", "--density", str(f)], capsys)
+        assert code == 1
+        assert out == ""
+        rep = json.loads(err)
+        assert rep["error"] == "ShapeError" and "two nodes" in rep["message"]
+        assert not caught
+
     def test_usage_error_exit_two(self, capsys):
         code, _, _ = run(["bogus"], capsys)
         assert code == 2

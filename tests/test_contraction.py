@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from sdpi.contraction import (
     a1_star, a2_star, alpha_star, dobrushin_dmc, eta_tv_amplitude,
     eta_tv_complement,
 )
-from sdpi.core_prob import q_function
+from sdpi.core_prob import GridDensity, q_function
 from sdpi.errors import DomainError, NoSolutionError
 
 
@@ -65,6 +66,18 @@ class TestEtaTv:
         for A in (0.5, 1.0, 2.0):
             assert eta_tv_amplitude(g, A) == pytest.approx(
                 1.0 - 2.0 * q_function(A), abs=2e-3)
+
+    def test_grid_noise_matches_dense_scan(self):
+        # theta of the golden noise peaks at the kink delta = 1.05, a node of
+        # the 5e-5 lattice below, so the lattice attains the sup for A >= 0.6
+        text = (Path(__file__).parent / "golden" / "noise.csv").read_text()
+        z = NoiseModel.from_grid(GridDensity.from_csv(text))
+        deltas = np.linspace(0.0, 4.0, 80001)
+        theta = np.array([z.theta(d) for d in deltas])
+        for k in range(6, 21):
+            A = 0.1 * k
+            dense = theta[deltas <= 2.0 * A + 1e-12].max()
+            assert eta_tv_amplitude(z, A) == pytest.approx(dense, rel=0, abs=1e-9)
 
     def test_domain(self):
         with pytest.raises(DomainError):

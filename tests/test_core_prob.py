@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from sdpi.channels import DMCKernel, mi_dmc
 from sdpi.core_prob import (
     LOG2, DiscretePMF, GridDensity, binary_entropy, binary_entropy_inv, bisect,
-    char_fn, convolve, gaussian_grid, gaussian_mixture_entropy, golden_max,
-    kl_divergence, ks_distance,
-    levy_concentration, max_entropy_integer, mi_joint, q_function, q_inverse,
+    char_fn, convolve, gaussian_grid, gaussian_mixture_entropy, kl_divergence,
+    ks_distance, levy_concentration, max_entropy_integer, mi_joint, q_function,
+    q_inverse, scan_max,
     tv_after_noise, tv_distance, uniform_mixture_entropy, v_window, wasserstein,
     xlogx,
 )
@@ -290,26 +290,37 @@ class TestCharFn:
 
 
 class TestSearches:
-    def test_golden_max_within_tol(self):
+    @staticmethod
+    def counted(f, calls, limit=100):
+        def g(x):
+            calls.append(np.array(x))
+            assert len(calls) <= limit, "scan_max did not stop"
+            return f(x)
+        return g
+
+    def test_scan_max_within_tol(self):
         calls = []
-
-        def f(x):
-            calls.append(x)
-            return -(x - 0.3137) ** 2
-
         tol = 1e-9
-        x, fx = golden_max(f, 0.0, 1.0, tol)
-        evaluations = len(calls)
+        best = scan_max(self.counted(lambda x: -(x - 0.3137) ** 2, calls), 0.0, 1.0, 101, tol)
+        xs = np.concatenate(calls)
+        x = xs[np.argmax(-(xs - 0.3137) ** 2)]
         assert abs(x - 0.3137) <= tol
-        assert fx == f(x)
-        # two initial points, one new point per step, one at the midpoint
-        steps = math.ceil(math.log(tol) / math.log((math.sqrt(5.0) - 1.0) / 2.0))
-        assert evaluations <= steps + 4
+        assert best == -(x - 0.3137) ** 2
+        # the scan, then one 17-point call per 8x narrowing of a two-cell bracket
+        rounds = math.ceil(math.log(2 * 0.01 / tol, 8))
+        assert len(calls) <= 1 + rounds
+        assert all(len(c) == 17 for c in calls[1:])
 
-    def test_golden_max_at_bracket_edge(self):
-        x, fx = golden_max(lambda x: x, 2.0, 3.0, 1e-8)
-        assert x == pytest.approx(3.0, abs=1e-8)
-        assert fx == x
+    def test_scan_max_at_bracket_edge(self):
+        calls = []
+        assert scan_max(self.counted(lambda x: x, calls), 2.0, 3.0, 11, 1e-8) == 3.0
+
+    def test_scan_max_zero_tol_returns(self):
+        # the bracket stops shrinking at adjacent floats
+        calls = []
+        best = scan_max(self.counted(lambda x: np.cos(x - 0.3), calls), 0.0, 1.0, 11, 0.0)
+        assert best == pytest.approx(1.0, abs=1e-15)
+        assert len(calls) < 30
 
     def test_bisect_smallest_true(self):
         x, it, (lo, hi) = bisect(lambda v: v >= 0.3, 0.0, 1.0, 1e-12)
