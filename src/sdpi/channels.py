@@ -272,9 +272,15 @@ class GridNoise(NoiseModel):
         return self.grid_density
 
     def _theta(self, d: float) -> float:
+        # |f - f_d| on the grid, plus the mass of f_d pushed past x_max
         g = self.grid_density
-        shifted = np.interp(g.grid, g.grid + d, g.values, left=0.0, right=0.0)
-        return float(0.5 * np.trapezoid(np.abs(g.values - shifted), dx=g.step))
+        if d >= g.x_max - g.x_min:
+            return 1.0
+        x, c = g.grid, g.cdf_values()
+        shifted = np.interp(x, x + d, g.values, left=0.0, right=0.0)
+        inside = np.trapezoid(np.abs(g.values - shifted), dx=g.step)
+        beyond = c[-1] - np.interp(g.x_max - d, x, c)
+        return min(float(0.5 * (inside + beyond)), 1.0)
 
     def sample(self, n: int, rng) -> np.ndarray:
         return self.grid_density.quantile(rng.uniform(0.0, 1.0, n))

@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Emits CSV curve data (with a `# meta:` header recording version, seed and
-the constants used) or JSON reports.  Identical config and seed produce
-byte-identical output.
+Emits CSV curve data (with a `# meta:` header recording the version and the
+constants used) or JSON reports.  Identical arguments produce byte-identical
+output; `verify`, the one randomized command, takes its seed as `--seed`.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ import numpy as np
 from . import __version__
 from .channels import DMCKernel, NoiseModel
 from .contraction import eta_tv_amplitude
-from .core_prob import DiscretePMF, GridDensity, csv_rows, csv_text, ks_distance, tv_after_noise
+from .core_prob import (DiscretePMF, GridDensity, csv_lines, csv_rows, csv_text, ks_distance,
+                        tv_after_noise)
 from .deconv import esseen_bound, g1_profile, ks_deconv_solve, ks_from_tv_bound
-from .errors import DomainError
+from .errors import DomainError, ProfileFailureError
 from .fi_curves import fi_bsc, fi_dmc_envelope, fi_erasure
 from .gaussian_sdpi import gd_lower, horizontal_constants, t_lower_from_gap
 from .general_sdpi import general_diag_bound, strict_contraction_check
@@ -94,7 +95,7 @@ def _parse_noise(spec: str) -> NoiseModel:
 
 def _load_distribution(path: str):
     text = Path(path).read_text()
-    header = text.strip().partition("\n")[0].strip().lower()
+    header = (csv_lines(text) or [""])[0].strip().lower()
     if header == "atom,weight":
         return DiscretePMF.from_csv(text)
     return GridDensity.from_csv(text)
@@ -109,11 +110,9 @@ def _emit(args, text: str):
 
 
 def _emit_csv(args, header: str, xs, values, **constants):
-    """Emit the `# meta:` line (version, seed, constants), the header and one
+    """Emit the `# meta:` line (version, constants), the header and one
     `x,value` row per point, each number as its exact repr."""
     parts = [f"version={__version__}"]
-    if getattr(args, "seed", None) is not None:
-        parts.append(f"seed={args.seed}")
     for k, v in constants.items():
         parts.append(f"{k}={v!r}" if isinstance(v, float) else f"{k}={v}")
     _emit(args, "# meta: " + " ".join(parts) + "\n" + csv_text(header, xs, values))
@@ -177,7 +176,7 @@ def _cmd_deconv(args):
         T = profile.g1_of_u(min(noise.m1 * d_tv, 1.0))
         try:
             report["ks_from_tv_bound"] = ks_from_tv_bound(noise, m2, mom, profile, T, d_tv)
-        except Exception as e:  # profile without a closed-form floor
+        except ProfileFailureError as e:  # profile without a closed-form floor
             report["ks_from_tv_bound_error"] = str(e)
         report["ks_deconv_solve"] = ks_deconv_solve(noise, d_tv, m2, mom)
         report["esseen_bound"] = esseen_bound(P, Q, m2, T)
@@ -221,9 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="sdpi", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, func, seed=None):
+    def common(sp, func):
         sp.add_argument("--out", default=None)
-        sp.add_argument("--seed", type=int, default=seed)
         sp.add_argument("--config", default=None)
         sp.set_defaults(func=func, command_parser=sp)
 
@@ -232,14 +230,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t-grid", dest="t_grid", required=True)
     common(sp, _cmd_fi_curve)
 
-    sp = sub.add_parser("bounds", help="diagonal / horizontal gap bounds")
-    sp.add_argument("bound", choices=["diag", "horiz", "general-diag"])
-    sp.add_argument("--gamma", type=float, default=1.0)
-    sp.add_argument("--p", type=float, default=2.0)
-    sp.add_argument("--noise", default="gaussian")
-    sp.add_argument("--t-grid", dest="t_grid", default="0.1:1:0.1")
-    sp.add_argument("--eps-grid", dest="eps_grid", default="1e-6:1e-5:1e-6")
-    common(sp, _cmd_bounds)
+    kinds = sub.add_parser("bounds", help="diagonal / horizontal gap bounds").add_subparsers(
+        dest="bound", required=True)
+    options = {"--gamma": dict(type=float, default=1.0), "--p": dict(type=float, default=2.0),
+               "--noise": dict(default="gaussian"), "--t-grid": dict(default="0.1:1:0.1"),
+               "--eps-grid": dict(default="1e-6:1e-5:1e-6")}
+    for kind, names in (("diag", "--gamma --t-grid"), ("horiz", "--gamma --eps-grid"),
+                        ("general-diag", "--gamma --p --noise --t-grid")):
+        sp = kinds.add_parser(kind)
+        for name in names.split():
+            sp.add_argument(name, **options[name])
+        common(sp, _cmd_bounds)
 
     sp = sub.add_parser("contraction", help="theta and eta_tv curves")
     sp.add_argument("--noise", required=True)
@@ -262,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a validation suite")
     sp.add_argument("--suite", choices=["diag", "horiz", "bsc", "deconv"], required=True)
-    common(sp, _cmd_verify, seed=0)
+    sp.add_argument("--seed", type=int, default=0)
+    common(sp, _cmd_verify)
     return p
 
 

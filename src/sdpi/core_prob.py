@@ -223,11 +223,16 @@ def _merge_atoms(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a[new], np.cumsum(new) - 1
 
 
+def csv_lines(text: str) -> list[str]:
+    """The lines of a CSV text that are neither blank nor `#` comments."""
+    return [ln for ln in text.strip().splitlines() if ln and not ln.startswith("#")]
+
+
 def csv_rows(text: str, header: str | None, width: int | None) -> np.ndarray:
     """The numeric rows of a CSV text as a 2-d float array, skipping blank
     lines, `#` comments and a first line equal to `header`.  No rows, ragged or
     non-numeric rows, or rows not `width` wide (if given) raise ShapeError."""
-    lines = [ln for ln in text.strip().splitlines() if ln and not ln.startswith("#")]
+    lines = csv_lines(text)
     if lines and header and lines[0].strip().lower() == header:
         lines = lines[1:]
     try:

@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.integrate import quad
 
 from sdpi.channels import (
     AdditiveChannel, DMCKernel, GaussianNoise, GridNoise, LaplaceNoise, NoiseModel,
@@ -11,6 +13,9 @@ from sdpi.channels import (
 )
 from sdpi.core_prob import LOG2, DiscretePMF, GridDensity, binary_entropy
 from sdpi.errors import DomainError, ShapeError
+
+
+GOLDEN_NOISE = GridDensity.from_csv((Path(__file__).parent / "golden" / "noise.csv").read_text())
 
 
 def rademacher():
@@ -206,6 +211,30 @@ class TestMiAdditive:
         x = DiscretePMF(np.array([0.0, 0.5]), np.array([0.5, 0.5]))
         ch = AdditiveChannel(NoiseModel.uniform(0.0, 1.0), 1.0)
         assert mi_additive(x, ch) == pytest.approx(0.5 * LOG2, abs=1e-9)
+
+    @pytest.mark.parametrize("gamma", [0.5, 2.0])
+    @pytest.mark.parametrize("noise, breaks, tol", [
+        (NoiseModel.laplace(0.5), [-19.0, 0.0, 19.0], 5e-6),
+        (NoiseModel.laplace(1.0), [-38.0, 0.0, 38.0], 5e-6),
+        (NoiseModel.from_grid(GOLDEN_NOISE), list(GOLDEN_NOISE.grid), 1e-4),
+    ])
+    def test_generic_noise_matches_adaptive_quadrature(self, noise, breaks, tol, gamma):
+        # sum_k w_k KL(p_Z || p_Y(mu_k + .)) by scipy quad between the kinks of
+        # p_Z and of every shifted copy p_Z(mu_k - mu_l + .)
+        x = DiscretePMF(np.array([-1.0, 0.3, 1.2]), np.array([0.3, 0.5, 0.2]))
+        mu = math.sqrt(gamma) * x.atoms
+
+        def integrand(z, k):
+            pz = noise.density(z)
+            py = sum(w * noise.density(mu[k] + z - m) for w, m in zip(x.weights, mu))
+            return pz * math.log(pz / py) if pz > 0 else 0.0
+
+        lo, hi = breaks[0], breaks[-1]
+        ref = 0.0
+        for k, w in enumerate(x.weights):
+            pts = sorted({min(max(b + m - mu[k], lo), hi) for m in mu for b in breaks})
+            ref += w * sum(quad(integrand, a, b, args=(k,))[0] for a, b in zip(pts, pts[1:]))
+        assert mi_additive(x, AdditiveChannel(noise, gamma)) == pytest.approx(ref, abs=tol)
 
 
 class TestAwgnCapacity:

@@ -117,6 +117,28 @@ class TestDeconvCommand:
         assert rep["ks_from_tv_bound"] >= rep["d_ks"]
         assert rep["esseen_bound"] >= rep["d_ks"]
 
+    def test_comment_before_pmf_header(self, tmp_path, capsys):
+        golden = Path(__file__).parent / "golden"
+        p = tmp_path / "p.csv"
+        p.write_text("# two atoms\n" + (golden / "P.csv").read_text())
+        code, out, err = run(["deconv", "--p", str(p), "--q", str(golden / "Q.csv")], capsys)
+        assert code == 0, err
+        assert out == run(["deconv", "--p", str(golden / "P.csv"),
+                           "--q", str(golden / "Q.csv")], capsys)[1]
+
+    def test_grid_noise_without_cf_floor_reported(self, tmp_path, capsys):
+        # a triangle's CF has no positive floor; the step matches Q's 0.01
+        golden = Path(__file__).parent / "golden"
+        noise = tmp_path / "tri.csv"
+        noise.write_text(GridDensity.from_function(
+            lambda x: np.maximum(1.0 - np.abs(x), 0.0), -1.0, 1.0, 0.01).to_csv())
+        code, out, err = run(["deconv", "--noise", f"grid:{noise}", "--p", str(golden / "P.csv"),
+                              "--q", str(golden / "Q.csv")], capsys)
+        assert code == 0, err
+        rep = json.loads(out)
+        assert "ks_from_tv_bound" not in rep
+        assert "no positive CF floor" in rep["ks_from_tv_bound_error"]
+
 
 class TestCheckCommand:
     def test_uniform_not_strict(self, tmp_path, capsys):
@@ -156,6 +178,26 @@ class TestConfigAndErrors:
         code, out, _ = run(["bounds", "diag", "--gamma", "2.0",
                             "--t-grid", "0.2:0.4:0.2", "--config", str(cfg)], capsys)
         assert "gamma=2.0" in out.splitlines()[0]
+
+    def test_config_keys_of_other_commands_ignored(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gamma = 4.0\nseed = 3\neps-grid = 1:2:1\nchannel = bsc:0.2\n")
+        argv = ["bounds", "diag", "--t-grid", "0.2:0.4:0.2"]
+        code, out, err = run(argv + ["--config", str(cfg)], capsys)
+        assert code == 0, err
+        assert out == run(argv + ["--gamma", "4.0"], capsys)[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "diag", "--noise", "laplace:1.0"],
+        ["bounds", "horiz", "--t-grid", "0:1:0.1"],
+        ["bounds", "general-diag", "--eps-grid", "1e-6:1e-5:1e-6"],
+        ["fi-curve", "--channel", "bsc:0.1", "--t-grid", "0:1:0.5", "--seed", "1"],
+    ])
+    def test_option_the_command_does_not_read_is_usage_error(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
 
     def test_config_value_takes_option_type(self, tmp_path, capsys, monkeypatch):
         # the suite seeds numpy with the value; a stand-in keeps this fast

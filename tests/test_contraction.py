@@ -13,6 +13,8 @@ from sdpi.contraction import (
 from sdpi.core_prob import GridDensity, q_function
 from sdpi.errors import DomainError, NoSolutionError
 
+GOLDEN_NOISE = GridDensity.from_csv((Path(__file__).parent / "golden" / "noise.csv").read_text())
+
 
 class TestThetaShift:
     def test_zero_shift(self):
@@ -44,6 +46,23 @@ class TestThetaShift:
             direct = 0.5 * np.trapezoid(np.abs(vals - shifted), dx=g.step)
             assert z.theta(d) == pytest.approx(float(direct), abs=2e-3)
 
+    def test_grid_noise_matches_padded_lattice(self):
+        # the shifted copy's mass past the grid's right edge counts: the same
+        # trapezoid TV on the grid zero-padded far enough to hold the whole copy
+        g, z = GOLDEN_NOISE, NoiseModel.from_grid(GOLDEN_NOISE)
+        for d in np.linspace(0.0, 4.0, 401):
+            x = g.x_min + g.step * np.arange(len(g.values) + math.ceil(d / g.step) + 2)
+            v = np.interp(x, g.grid, g.values, left=0.0, right=0.0)
+            shifted = np.interp(x, x + d, v, left=0.0, right=0.0)
+            padded = 0.5 * np.trapezoid(np.abs(v - shifted), dx=g.step)
+            assert z.theta(d) == pytest.approx(float(padded), rel=0, abs=1e-12)
+
+    def test_grid_noise_disjoint_past_span(self):
+        z = NoiseModel.from_grid(GOLDEN_NOISE)
+        span = GOLDEN_NOISE.x_max - GOLDEN_NOISE.x_min
+        for d in (span, 2.5, 10.0, -span):
+            assert z.theta(d) == 1.0
+
 
 class TestEtaTv:
     def test_zero_amplitude(self):
@@ -68,10 +87,9 @@ class TestEtaTv:
                 1.0 - 2.0 * q_function(A), abs=2e-3)
 
     def test_grid_noise_matches_dense_scan(self):
-        # theta of the golden noise peaks at the kink delta = 1.05, a node of
-        # the 5e-5 lattice below, so the lattice attains the sup for A >= 0.6
-        text = (Path(__file__).parent / "golden" / "noise.csv").read_text()
-        z = NoiseModel.from_grid(GridDensity.from_csv(text))
+        # theta of the golden noise rises to 1 at its support width delta = 1.05,
+        # a node of the 5e-5 lattice below, and stays there for larger delta
+        z = NoiseModel.from_grid(GOLDEN_NOISE)
         deltas = np.linspace(0.0, 4.0, 80001)
         theta = np.array([z.theta(d) for d in deltas])
         for k in range(6, 21):

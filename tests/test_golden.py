@@ -46,6 +46,8 @@ NUMERIC = {
                              "--t-grid", "0:2:0.1"],
     "bounds-general-diag-uniform40": ["bounds", "general-diag", "--noise", "uniform:0,40",
                                       "--t-grid", "0.5:1:0.1"],
+    "bounds-general-diag-grid": ["bounds", "general-diag", "--noise", "grid:noise.csv",
+                                 "--t-grid", "0.1:0.5:0.1"],
     "fi-curve-csv2": ["fi-curve", "--channel", "csv:K2.csv", "--t-grid", "0:0.6:0.1"],
     "deconv": ["deconv", "--noise", "gaussian", "--p", str(GOLDEN / "P.csv"),
                "--q", str(GOLDEN / "Q.csv")],
