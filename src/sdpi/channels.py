@@ -448,7 +448,7 @@ def mmse_numeric(input: DiscretePMF, gamma: float) -> float:
     logw = np.log(weights)
     second = 0.0  # E (E[X|Y])^2
     for blk, E in _gh_exponent_blocks(math.sqrt(gamma) * atoms):
-        z = logw + E  # (atom k, node j, component l)
+        z = logw + np.ascontiguousarray(E.transpose(1, 2, 0))  # (atom k, node j, component l)
         ez = np.exp(z - z.max(axis=2, keepdims=True))
         cond_mean = (ez @ atoms) / ez.sum(axis=2)  # E[X | Y = mu_k + s_j]
         second += float(weights[blk] @ (cond_mean ** 2 @ _GH_WEIGHTS))

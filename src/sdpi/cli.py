@@ -166,7 +166,15 @@ def _cmd_deconv(args):
     noise = _parse_noise(args.noise)
     P = _load_distribution(args.p_dist)
     Q = _load_distribution(args.q_dist)
-    d_tv = tv_after_noise(P, Q, noise.to_grid(step=args.step))
+    if isinstance(Q, GridDensity):
+        if args.step is not None:
+            args.command_parser.error("--step applies to a discrete --q; a grid --q sets the step")
+        # the mean node spacing: exact for nodes written as x_min + i * step,
+        # where the median of the rounded differences may be off by ulps
+        step = (Q.x_max - Q.x_min) / (len(Q.values) - 1)
+    else:
+        step = 0.01 if args.step is None else args.step
+    d_tv = tv_after_noise(P, Q, noise.to_grid(step=step))
     d_ks = ks_distance(P, Q)
     m2 = Q.max_density() if isinstance(Q, GridDensity) else None
     report = {"d_tv_conv": d_tv, "d_ks": d_ks}
@@ -252,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--noise", default="gaussian")
     sp.add_argument("--p", dest="p_dist", required=True, help="CSV of P")
     sp.add_argument("--q", dest="q_dist", required=True, help="CSV of Q")
-    sp.add_argument("--step", type=float, default=0.01)
+    sp.add_argument("--step", type=float, default=None,
+                    help="noise grid step for a discrete --q (default 0.01)")
     common(sp, _cmd_deconv)
 
     sp = sub.add_parser("check", help="structural checks")

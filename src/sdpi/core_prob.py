@@ -282,10 +282,14 @@ class Ccurve:
 # one-dimensional searches
 # ---------------------------------------------------------------------------
 
+# the 17-point zoom stencil 0..16, scaled as np.linspace scales its arange
+_ZOOM = np.arange(17.0)
+
+
 def scan_max(f, lo: float, hi: float, n: int, tol: float) -> float:
     """Maximum of f over [lo, hi], for f vectorised over an array of points.
 
-    f is evaluated on n evenly spaced points; then each round evaluates it on
+    f is evaluated on np.linspace(lo, hi, n); then each round evaluates it on
     17 evenly spaced points across the best point's two neighbours, which
     narrows that bracket 8x.  Stops once the bracket is at most tol wide or no
     longer shrinks (its ends are then adjacent floats), and returns the
@@ -294,12 +298,15 @@ def scan_max(f, lo: float, hi: float, n: int, tol: float) -> float:
     xs, best, width = np.linspace(lo, hi, n), -math.inf, math.inf
     while True:
         vals = f(xs)
-        best = max(best, float(np.max(vals)))
         i = int(np.argmax(vals))
+        best = max(best, float(vals[i]))
         a, b = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
         if not tol < b - a < width:
             return best
-        xs, width = np.linspace(a, b, 17), b - a
+        # np.linspace(a, b, 17) without its per-call overhead, bit for bit
+        step = (b - a) / 16
+        xs = (_ZOOM * step if step else _ZOOM / 16 * (b - a)) + a
+        xs[-1], width = b, b - a
 
 
 def bisect(cond, lo: float, hi: float, tol: float = 0.0):
@@ -453,13 +460,13 @@ _GH_BLOCK = 1 << 18
 
 
 def _gh_exponent_blocks(mu: np.ndarray, rows: int = 1):
-    """Yield (atoms, E) with E[k, j, l] = -(mu_k + s_j - mu_l)^2 / 2 for the
-    atoms k of the slice, Gauss-Hermite nodes s_j and components l."""
+    """Yield (atoms, E) with E[l, k, j] = -(mu_k + s_j - mu_l)^2 / 2 for the
+    components l, atoms k of the slice and Gauss-Hermite nodes s_j."""
     size = max(1, _GH_BLOCK // (rows * len(_GH_NODES) * len(mu)))
     for i in range(0, len(mu), size):
         atoms = slice(i, i + size)
         y = mu[atoms, None] + _GH_NODES
-        yield atoms, -0.5 * (y[:, :, None] - mu) ** 2
+        yield atoms, -0.5 * (y - mu[:, None, None]) ** 2
 
 
 def gaussian_mixture_entropy(mu: np.ndarray, v: np.ndarray):
@@ -472,12 +479,13 @@ def gaussian_mixture_entropy(mu: np.ndarray, v: np.ndarray):
     mu = np.asarray(mu, dtype=float)
     rows = np.atleast_2d(np.asarray(v, dtype=float))
     with np.errstate(divide="ignore"):
-        logv = np.log(rows)[:, None, None, :]  # zero weights drop out as -inf
+        logv = np.log(rows)[:, :, None, None]  # zero weights drop out as -inf
     h = np.zeros(len(rows))
     for atoms, E in _gh_exponent_blocks(mu, len(rows)):
-        z = logv + E  # (row, atom k, node j, component l)
-        zmax = z.max(axis=3)
-        log_p = zmax + np.log(np.exp(z - zmax[..., None]).sum(axis=3)) - _LOG_SQRT_2PI
+        # (row, component l, atom k, node j): the sums over l run on an outer axis
+        z = logv + E
+        zmax = z.max(axis=1)
+        log_p = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1)) - _LOG_SQRT_2PI
         h -= (rows[:, atoms] * (log_p @ _GH_WEIGHTS)).sum(axis=1)
     return h if np.ndim(v) == 2 else float(h[0])
 

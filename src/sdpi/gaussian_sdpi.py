@@ -9,6 +9,7 @@ stated validity range.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,11 +38,31 @@ def _gd_bracket(x: np.ndarray, t: float, gamma: float) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     pos = x > 0
-    xp = x[pos]
-    hb = -xp * np.log(xp) - (1 - xp) * np.log1p(-xp)
-    val = 2.0 * q_function(np.sqrt(gamma / xp)) * (t - hb - 0.5 * xp * np.log1p(gamma / xp))
-    out[pos] = np.maximum(val, 0.0)
+    amp, hb, c = _gd_terms(x[pos], gamma)
+    out[pos] = np.maximum(amp * (t - hb - c), 0.0)
     return out
+
+
+def _gd_terms(xp: np.ndarray, gamma: float):
+    """The t-free factors of `_gd_bracket` at x > 0: 2 Q(sqrt(gamma/x)), h_b(x)
+    and (x/2) log(1 + gamma/x)."""
+    return (2.0 * q_function(np.sqrt(gamma / xp)),
+            -xp * np.log(xp) - (1 - xp) * np.log1p(-xp),
+            0.5 * xp * np.log1p(gamma / xp))
+
+
+# gd_lower's first scan: scan_max evaluates the bracket on np.linspace(0, 1/2, _GD_SCAN)
+_GD_SCAN = 2001
+
+
+@functools.lru_cache(maxsize=8)
+def _gd_scan_terms(gamma: float):
+    """`_gd_terms` on gd_lower's scan grid, zero at x = 0, where the bracket is 0."""
+    x = np.linspace(0.0, 0.5, _GD_SCAN)
+    terms = np.zeros((3, _GD_SCAN))
+    terms[:, 1:] = _gd_terms(x[x > 0], gamma)
+    terms.setflags(write=False)
+    return terms
 
 
 def gd_lower(t: float, gamma: float) -> float:
@@ -52,7 +73,13 @@ def gd_lower(t: float, gamma: float) -> float:
         raise DomainError("gamma must be positive and finite")
     if t == 0.0:
         return 0.0
-    return scan_max(lambda x: _gd_bracket(x, t, gamma), 0.0, 0.5, 2001, 1e-10)
+    amp, hb, c = _gd_scan_terms(gamma)
+
+    def bracket(x):
+        if len(x) == _GD_SCAN:  # the first scan: only t - h_b - c depends on t
+            return np.maximum(amp * (t - hb - c), 0.0)
+        return _gd_bracket(x, t, gamma)
+    return scan_max(bracket, 0.0, 0.5, _GD_SCAN, 1e-10)
 
 
 def gd_rate_small_t(u: float, gamma: float) -> float:

@@ -295,3 +295,45 @@ class TestImmseGapCheck:
     def test_values_frozen(self):
         gap_direct, gap_integral = immse_gap_check(rademacher(), 1.0)
         assert gap_direct == pytest.approx(0.009742769933141215, abs=1e-6)
+
+
+class TestMmseLayout:
+    """mmse_numeric reads the component-outer exponent block transposed and keeps the
+    values of the (atom, node, component) layout bit for bit."""
+
+    @staticmethod
+    def last_axis_mmse(input, gamma):
+        from sdpi import core_prob
+        nodes = core_prob._GH_NODES
+        keep = input.weights > 0
+        atoms, weights = input.atoms[keep], input.weights[keep]
+        mu = math.sqrt(gamma) * atoms
+        logw = np.log(weights)
+        second = 0.0
+        size = max(1, core_prob._GH_BLOCK // (len(nodes) * len(mu)))
+        for i in range(0, len(mu), size):
+            blk = slice(i, i + size)
+            y = mu[blk, None] + nodes
+            z = logw + -0.5 * (y[:, :, None] - mu) ** 2
+            ez = np.exp(z - z.max(axis=2, keepdims=True))
+            cond_mean = (ez @ atoms) / ez.sum(axis=2)
+            second += float(weights[blk] @ (cond_mean ** 2 @ core_prob._GH_WEIGHTS))
+        return max(float(weights @ atoms ** 2) - second, 0.0)
+
+    @pytest.mark.parametrize("block", [None, 1, 700])
+    def test_matches_last_axis_layout(self, block, monkeypatch):
+        from sdpi import core_prob
+        if block is not None:
+            monkeypatch.setattr(core_prob, "_GH_BLOCK", block)
+        rng = np.random.default_rng(9)
+        for i in range(150):
+            k = int(rng.integers(1, 7))
+            atoms = np.sort(rng.uniform(-3.0, 3.0, k)) + 0.01 * np.arange(k)
+            if i % 5 == 0 and k > 1:
+                atoms[-1] += 60.0
+            w = rng.dirichlet(np.ones(k))
+            if i % 3 == 0 and k > 1:
+                w[0] = 0.0
+                w /= w.sum()
+            x, gamma = DiscretePMF(atoms, w), float(rng.uniform(0.1, 20.0))
+            assert mmse_numeric(x, gamma) == self.last_axis_mmse(x, gamma)

@@ -117,6 +117,37 @@ class TestDeconvCommand:
         assert rep["ks_from_tv_bound"] >= rep["d_ks"]
         assert rep["esseen_bound"] >= rep["d_ks"]
 
+    def test_step_with_grid_q_is_usage_error(self, capsys):
+        # a grid Q sets the noise grid step, so --step would change nothing
+        golden = Path(__file__).parent / "golden"
+        code, out, err = run(["deconv", "--noise", "gaussian", "--p", str(golden / "P.csv"),
+                              "--q", str(golden / "Q.csv"), "--step", "0.005"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--step" in err
+
+    def test_grid_q_sets_noise_step(self, tmp_path, capsys):
+        # a Q on a 0.005 grid is read with the noise on the same grid
+        golden = Path(__file__).parent / "golden"
+        q = tmp_path / "q.csv"
+        q.write_text(GridDensity.from_function(
+            lambda x: np.exp(-0.5 * x * x), -6.0, 6.0, 0.005).to_csv())
+        code, out, err = run(["deconv", "--p", str(golden / "P.csv"), "--q", str(q)], capsys)
+        assert code == 0, err
+        assert 0.0 < json.loads(out)["d_tv_conv"] < 1.0
+
+    def test_step_with_discrete_q(self, tmp_path, capsys):
+        p = tmp_path / "p.csv"
+        p.write_text("atom,weight\n-1.0,0.5\n1.0,0.5\n")
+        q = tmp_path / "q.csv"
+        q.write_text("atom,weight\n-0.5,0.5\n1.5,0.5\n")
+        outs = {}
+        for step in (None, "0.01", "0.02"):
+            argv = ["deconv", "--p", str(p), "--q", str(q)] + (["--step", step] if step else [])
+            code, outs[step], err = run(argv, capsys)
+            assert code == 0, err
+        assert outs[None] == outs["0.01"] != outs["0.02"]
+
     def test_comment_before_pmf_header(self, tmp_path, capsys):
         golden = Path(__file__).parent / "golden"
         p = tmp_path / "p.csv"

@@ -482,3 +482,83 @@ class TestGaussianGrid:
         g = gaussian_grid()
         assert g.step == pytest.approx(0.01)
         assert g.max_density() == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-4)
+
+
+class TestZoomStencil:
+    """scan_max's 17-point rounds are np.linspace over the best point's neighbours."""
+
+    @staticmethod
+    def assert_linspace_rounds(f, lo, hi, n, tol):
+        calls = []
+        scan_max(lambda x: calls.append(np.array(x)) or f(x), lo, hi, n, tol)
+        assert calls[0].tobytes() == np.linspace(lo, hi, n).tobytes()
+        for prev, xs in zip(calls, calls[1:]):
+            i = int(np.argmax(f(prev)))
+            a, b = prev[max(i - 1, 0)], prev[min(i + 1, len(prev) - 1)]
+            assert xs.tobytes() == np.linspace(a, b, 17).tobytes(), (a, b)
+        return calls
+
+    def test_random_brackets(self):
+        # tol = 0 runs the zoom down to brackets a few ulps wide
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            lo, hi = np.sort(rng.uniform(-1e3, 1e3, 2) * 10.0 ** rng.integers(-6, 4))
+            peak = rng.uniform(lo, hi)
+            calls = self.assert_linspace_rounds(lambda x: -np.abs(x - peak), lo, hi,
+                                                int(rng.integers(3, 50)), 0.0)
+            assert len(calls) > 2
+
+    def test_bracket_at_zero(self):
+        # a = 0 every round, down to subnormal widths where (b - a) / 16 is 0
+        calls = self.assert_linspace_rounds(lambda x: -x, 0.0, 0.5, 2001, 0.0)
+        assert calls[-1][-1] < 32 * 5e-324
+
+
+class TestMixtureEntropyLayout:
+    """The component-outer exponent layout gives the parent layout's values bit for bit."""
+
+    @staticmethod
+    def last_axis_entropy(mu, v):
+        # the exponent block laid out (atom k, node j, component l), reduced over l
+        from sdpi import core_prob
+        nodes, weights = core_prob._GH_NODES, core_prob._GH_WEIGHTS
+        rows = np.atleast_2d(v)
+        with np.errstate(divide="ignore"):
+            logv = np.log(rows)[:, None, None, :]
+        h = np.zeros(len(rows))
+        size = max(1, core_prob._GH_BLOCK // (len(rows) * len(nodes) * len(mu)))
+        for i in range(0, len(mu), size):
+            atoms = slice(i, i + size)
+            y = mu[atoms, None] + nodes
+            z = logv + -0.5 * (y[:, :, None] - mu) ** 2
+            zmax = z.max(axis=3)
+            log_p = (zmax + np.log(np.exp(z - zmax[..., None]).sum(axis=3))
+                     - core_prob._LOG_SQRT_2PI)
+            h -= (rows[:, atoms] * (log_p @ weights)).sum(axis=1)
+        return h
+
+    @staticmethod
+    def draws(seed, n):
+        rng = np.random.default_rng(seed)
+        for i in range(n):
+            k, r = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+            mu = np.sort(rng.normal(0.0, float(rng.choice([0.5, 2.0, 10.0])), k))
+            if i % 5 == 0 and k > 1:
+                mu[-1] += 60.0  # atoms 60 noise deviations apart
+            v = rng.dirichlet(np.ones(k), size=r)
+            if i % 3 == 0 and k > 1:
+                v[0, rng.integers(k)] = 0.0  # a zero weight
+            yield mu, v
+
+    def test_matches_last_axis_layout(self):
+        for mu, v in self.draws(5, 600):
+            got = gaussian_mixture_entropy(mu, v)
+            assert got.tobytes() == self.last_axis_entropy(mu, v).tobytes()
+            assert gaussian_mixture_entropy(mu, v[0]) == self.last_axis_entropy(mu, v[0])[0]
+
+    def test_matches_last_axis_layout_in_blocks(self, monkeypatch):
+        from sdpi import core_prob
+        monkeypatch.setattr(core_prob, "_GH_BLOCK", 700)  # one or two atoms per block
+        for mu, v in self.draws(6, 200):
+            assert gaussian_mixture_entropy(mu, v).tobytes() \
+                == self.last_axis_entropy(mu, v).tobytes()

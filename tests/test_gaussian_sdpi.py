@@ -247,3 +247,45 @@ class TestGhUpperAchievability:
     def test_domain(self):
         with pytest.raises(DomainError):
             gh_upper_achievability(0.5, 1.0)
+
+
+class TestGdLowerScanCache:
+    """The per-gamma cached first scan gives the plain scan's value bit for bit."""
+
+    @staticmethod
+    def plain_gd_lower(t, gamma):
+        # the whole bracket on every round and np.linspace zoom rounds
+        def bracket(x):
+            out = np.zeros_like(x)
+            pos = x > 0
+            xp = x[pos]
+            hb = -xp * np.log(xp) - (1 - xp) * np.log1p(-xp)
+            val = 2.0 * q_function(np.sqrt(gamma / xp)) * (t - hb - 0.5 * xp * np.log1p(gamma / xp))
+            out[pos] = np.maximum(val, 0.0)
+            return out
+        xs, best, width = np.linspace(0.0, 0.5, 2001), -math.inf, math.inf
+        while True:
+            vals = bracket(xs)
+            best = max(best, float(np.max(vals)))
+            i = int(np.argmax(vals))
+            a, b = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
+            if not 1e-10 < b - a < width:
+                return best
+            xs, width = np.linspace(a, b, 17), b - a
+
+    def test_matches_plain_scan(self):
+        rng = np.random.default_rng(8)
+        ts = np.concatenate([rng.uniform(0.0, 1e-3, 400), rng.uniform(1e-3, 2.0, 1600)])
+        gammas = rng.choice([0.1, 0.5, 1.0, 4.0, 30.0], len(ts))
+        for t, gamma in zip(ts.tolist(), gammas.tolist()):
+            got, want = gd_lower(t, gamma), self.plain_gd_lower(t, gamma)
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (t, gamma)
+
+    def test_second_call_hits_cache(self):
+        from sdpi import gaussian_sdpi
+        gaussian_sdpi._gd_scan_terms.cache_clear()
+        gd_lower(0.3, 2.5)
+        assert gaussian_sdpi._gd_scan_terms.cache_info().misses == 1
+        gd_lower(0.7, 2.5)
+        assert gaussian_sdpi._gd_scan_terms.cache_info().hits == 1
+        assert gaussian_sdpi._gd_scan_terms.cache_info().misses == 1
