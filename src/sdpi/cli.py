@@ -166,12 +166,14 @@ def _cmd_deconv(args):
     noise = _parse_noise(args.noise)
     P = _load_distribution(args.p_dist)
     Q = _load_distribution(args.q_dist)
-    if isinstance(Q, GridDensity):
+    grids = [d for d in (Q, P) if isinstance(d, GridDensity)]
+    if grids:
         if args.step is not None:
-            args.command_parser.error("--step applies to a discrete --q; a grid --q sets the step")
+            args.command_parser.error("--step applies when --p and --q are both discrete; "
+                                      "a grid input sets the step")
         # the mean node spacing: exact for nodes written as x_min + i * step,
         # where the median of the rounded differences may be off by ulps
-        step = (Q.x_max - Q.x_min) / (len(Q.values) - 1)
+        step = (grids[0].x_max - grids[0].x_min) / (len(grids[0].values) - 1)
     else:
         step = 0.01 if args.step is None else args.step
     d_tv = tv_after_noise(P, Q, noise.to_grid(step=step))
@@ -261,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", dest="p_dist", required=True, help="CSV of P")
     sp.add_argument("--q", dest="q_dist", required=True, help="CSV of Q")
     sp.add_argument("--step", type=float, default=None,
-                    help="noise grid step for a discrete --q (default 0.01)")
+                    help="noise grid step when --p and --q are both discrete (default 0.01)")
     common(sp, _cmd_deconv)
 
     sp = sub.add_parser("check", help="structural checks")

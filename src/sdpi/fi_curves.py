@@ -7,6 +7,7 @@ kernel (Witsenhausen-Wyner lower convex envelopes), and a structural checker.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -77,6 +78,7 @@ def fi_fixed_marginal_bsc(x: float, p: float, delta: float) -> float:
 _LATTICE_POINTS = 1001
 
 
+@functools.lru_cache(maxsize=8)
 def _interior_lattice(nx: int) -> tuple[int, np.ndarray]:
     """Resolution n and the non-vertex lattice points k/n, k in N^nx, sum k = n,
     with the uniform marginal appended when n is not a multiple of nx."""
@@ -84,12 +86,14 @@ def _interior_lattice(nx: int) -> tuple[int, np.ndarray]:
     while nx > 1 and math.comb(n + nx, nx - 1) <= _LATTICE_POINTS:
         n += 1
     if n < 2:
-        return n, np.zeros((0, nx))
-    bars = np.array(list(itertools.combinations(range(n + nx - 1), nx - 1)))
-    k = np.diff(bars, prepend=-1, append=n + nx - 1, axis=1) - 1
-    points = k[k.max(axis=1) < n] / n
-    if n % nx:
-        points = np.vstack([points, np.full(nx, 1.0 / nx)])
+        points = np.zeros((0, nx))
+    else:
+        bars = np.array(list(itertools.combinations(range(n + nx - 1), nx - 1)))
+        k = np.diff(bars, prepend=-1, append=n + nx - 1, axis=1) - 1
+        points = k[k.max(axis=1) < n] / n
+        if n % nx:
+            points = np.vstack([points, np.full(nx, 1.0 / nx)])
+    points.setflags(write=False)
     return n, points
 
 
@@ -103,33 +107,53 @@ def _best_split(points: np.ndarray, f: np.ndarray, f_vertices: np.ndarray) -> np
     over the vertices, weighted by its coordinates) whose Lagrangian is its gap.
     The point furthest below the chord splits the simplex into one child per
     vertex it replaces; no later chord falls below by more than that depth.
+
+    Each round splits every live simplex at once.  The points are kept sorted
+    by simplex, so a simplex is a segment of `coords` and `gap` starting at
+    `starts`, with its vertices in `verts`.  A split simplex loses its lowest
+    point, so the loop ends within len(points) rounds.
     """
     nx = len(f_vertices)
     best, coupling = 0.0, np.full((1, nx), 1.0 / nx)
-    stack = [(np.eye(nx), points, f - points @ f_vertices)] if len(points) else []
-    while stack:
-        verts, coords, gap = stack.pop()
-        top, low = int(np.argmax(gap)), int(np.argmin(gap))
-        if gap[top] > best:
-            best, coupling = gap[top], coords[top][:, None] * verts
-        depth = -gap[low]
+    coords, gap = points, f - points @ f_vertices
+    starts, verts = np.zeros(min(len(points), 1), dtype=np.intp), np.eye(nx)[None]
+    while len(starts):
+        seg = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(gap)))
+        tops, lows = np.maximum.reduceat(gap, starts), np.minimum.reduceat(gap, starts)
+        # the first point of each segment reaching its max and its min, as argmax/argmin
+        pos = np.arange(len(gap))
+        top = np.minimum.reduceat(np.where(gap == tops[seg], pos, len(gap)), starts)
+        low = np.minimum.reduceat(np.where(gap == lows[seg], pos, len(gap)), starts)
+        k = int(np.argmax(tops))
+        if tops[k] > best:
+            best, coupling = tops[k], coords[top[k]][:, None] * verts[k]
+        depth = -lows
         # a facet of the envelope (nothing below the chord beyond rounding), or pruned
-        if depth <= 1e-13 or gap[top] + depth <= best:
-            continue
-        c, rest = coords[low], np.arange(len(gap)) != low
-        coords, gap = coords[rest], gap[rest]
+        split = (depth > 1e-13) & (tops + depth > best)
+        c, verts, depth = coords[low[split]], verts[split], depth[split]
+        parent = np.cumsum(split) - 1
+        rest = split[seg]
+        rest[low] = False
+        coords, gap, seg = coords[rest], gap[rest], parent[seg[rest]]
         # a point joins the child replacing the vertex j that minimises b_j / c_j;
         # there b'_j = b_j / c_j, b'_k = b_k - c_k b'_j, and the chord drops by b'_j depth
-        ratio = np.where(c > 0, coords / np.where(c > 0, c, 1.0), np.inf)
+        cp = c[seg]
+        ratio = np.where(cp > 0, coords / np.where(cp > 0, cp, 1.0), np.inf)
         child = np.argmin(ratio, axis=1)
         share = ratio[np.arange(len(child)), child]
-        coords = coords - share[:, None] * c
+        coords = coords - share[:, None] * cp
         coords[np.arange(len(child)), child] = share
-        gap = gap + share * depth
-        for j in np.unique(child):
-            sel = child == j
-            child_verts = np.where(np.arange(nx)[:, None] == j, c @ verts, verts)
-            stack.append((child_verts, coords[sel], gap[sel]))
+        gap = gap + share * depth[seg]
+        # the children, keyed parent * nx + j, are the next round's segments; child j
+        # has the parent's vertices with vertex j moved to the split point c @ verts
+        key = seg * nx + child
+        order = np.argsort(key, kind="stable")
+        coords, gap = coords[order], gap[order]
+        keys, starts = np.unique(key[order], return_index=True)
+        p, j = np.divmod(keys, nx)
+        apex = np.matmul(c[:, None], verts)[:, 0]
+        verts = verts[p]
+        verts[np.arange(len(keys)), j] = apex[p]
     coupling = np.maximum(coupling, 0.0)
     return coupling / coupling.sum()
 

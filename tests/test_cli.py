@@ -136,6 +136,22 @@ class TestDeconvCommand:
         assert code == 0, err
         assert 0.0 < json.loads(out)["d_tv_conv"] < 1.0
 
+    def test_grid_p_sets_noise_step(self, tmp_path, capsys):
+        # a P on a 0.005 grid with a discrete Q is read with the noise on P's grid
+        p = tmp_path / "p.csv"
+        p.write_text(GridDensity.from_function(
+            lambda x: np.exp(-0.5 * x * x), -6.0, 6.0, 0.005).to_csv())
+        q = tmp_path / "q.csv"
+        q.write_text("atom,weight\n-1.0,0.5\n1.0,0.5\n")
+        code, out, err = run(["deconv", "--p", str(p), "--q", str(q)], capsys)
+        assert code == 0, err
+        assert 0.0 < json.loads(out)["d_tv_conv"] < 1.0
+        code, out, err = run(["deconv", "--p", str(p), "--q", str(q), "--step", "0.005"],
+                             capsys)
+        assert code == 2
+        assert out == ""
+        assert "--step" in err
+
     def test_step_with_discrete_q(self, tmp_path, capsys):
         p = tmp_path / "p.csv"
         p.write_text("atom,weight\n-1.0,0.5\n1.0,0.5\n")

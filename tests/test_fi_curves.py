@@ -231,6 +231,108 @@ class TestBestSplit:
         assert value == pytest.approx(_qhull_lagrangian(K, lam), abs=1e-12)
 
 
+def _depth_first_split(points, f, f_vertices):
+    """The envelope split as it was before rounds: one simplex at a time, from a stack."""
+    nx = len(f_vertices)
+    best, coupling = 0.0, np.full((1, nx), 1.0 / nx)
+    stack = [(np.eye(nx), points, f - points @ f_vertices)] if len(points) else []
+    while stack:
+        verts, coords, gap = stack.pop()
+        top, low = int(np.argmax(gap)), int(np.argmin(gap))
+        if gap[top] > best:
+            best, coupling = gap[top], coords[top][:, None] * verts
+        depth = -gap[low]
+        if depth <= 1e-13 or gap[top] + depth <= best:
+            continue
+        c, rest = coords[low], np.arange(len(gap)) != low
+        coords, gap = coords[rest], gap[rest]
+        ratio = np.where(c > 0, coords / np.where(c > 0, c, 1.0), np.inf)
+        child = np.argmin(ratio, axis=1)
+        share = ratio[np.arange(len(child)), child]
+        coords = coords - share[:, None] * c
+        coords[np.arange(len(child)), child] = share
+        gap = gap + share * depth
+        for j in np.unique(child):
+            sel = child == j
+            child_verts = np.where(np.arange(nx)[:, None] == j, c @ verts, verts)
+            stack.append((child_verts, coords[sel], gap[sel]))
+    coupling = np.maximum(coupling, 0.0)
+    return coupling / coupling.sum()
+
+
+class _CountingNumpy:
+    """numpy for `fi_curves`, counting `_best_split`'s rounds (one argsort
+    each) and the child simplices they make (the keys of one unique each)."""
+
+    def __init__(self):
+        self.rounds = self.children = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def argsort(self, *args, **kwargs):
+        self.rounds += 1
+        return np.argsort(*args, **kwargs)
+
+    def unique(self, *args, **kwargs):
+        out = np.unique(*args, **kwargs)
+        self.children += len(out[0])
+        return out
+
+
+def _phi(K: DMCKernel, lam: float):
+    Km = K.matrix
+    pts = _interior_lattice(Km.shape[0])[1]
+    return pts, -xlogx(pts @ Km).sum(axis=1) + lam * xlogx(pts).sum(axis=1), -xlogx(Km).sum(axis=1)
+
+
+_ROUND_KERNELS = [DMCKernel.bsc(0.1), DMCKernel.erasure(0.3, 2), DMCKernel.erasure(0.3, 3)] + [
+    DMCKernel(np.random.default_rng(5).dirichlet(np.ones(n), size=n)) for n in (2, 3, 4)]
+
+
+class TestSplitRounds:
+    @pytest.mark.parametrize("K", _ROUND_KERNELS, ids=["bsc", "erasure2", "erasure3",
+                                                       "random2x2", "random3x3", "random4x4"])
+    def test_matches_depth_first_split(self, K, monkeypatch):
+        Km = K.matrix
+        for lam in np.linspace(0.0, 0.999, 12):
+            pts, f, fv = _phi(K, lam)
+            counter = _CountingNumpy()
+            monkeypatch.setattr(fi_curves, "np", counter)
+            q = _best_split(pts, f, fv)
+            monkeypatch.undo()
+            ref = _depth_first_split(pts, f, fv)
+            assert q.min() >= 0.0 and q.sum() == pytest.approx(1.0, abs=1e-15)
+            value = mi_joint(q @ Km) - lam * mi_joint(q)
+            assert value == pytest.approx(mi_joint(ref @ Km) - lam * mi_joint(ref), abs=1e-15)
+            assert counter.rounds <= len(pts)
+
+    def test_empty_lattice_gives_uniform_coupling(self):
+        q = _best_split(np.zeros((0, 3)), np.zeros(0), np.zeros(3))
+        assert np.array_equal(q, np.full((1, 3), 1.0 / 3.0))
+
+    def test_flat_phi_is_not_split(self, monkeypatch):
+        # every point within 1e-13 below the chord: a facet, gap 0, no child simplex
+        pts, _, fv = _phi(DMCKernel.bsc(0.1), 0.5)
+        f = pts @ fv - 5e-14 * np.random.default_rng(0).uniform(size=len(pts))
+        counter = _CountingNumpy()
+        monkeypatch.setattr(fi_curves, "np", counter)
+        q = _best_split(pts, f, fv)
+        assert counter.children == 0
+        assert np.array_equal(q, np.full((1, 2), 0.5))
+
+    @pytest.mark.parametrize("K, lam", [(DMCKernel.bsc(0.1), 0.6), (_ROUND_KERNELS[-2], 0.1),
+                                        (_ROUND_KERNELS[-1], 0.1)])
+    def test_pruning_bounds_the_splits(self, K, lam, monkeypatch):
+        # a simplex whose top + depth cannot beat the best gap is not split:
+        # these make 18, 12 and 24 child simplices, and 378, 317 and 228 without that rule
+        pts, f, fv = _phi(K, lam)
+        counter = _CountingNumpy()
+        monkeypatch.setattr(fi_curves, "np", counter)
+        _best_split(pts, f, fv)
+        assert 0 < counter.children <= 50
+
+
 class TestPropertiesCheck:
     def test_valid_curve_passes(self):
         ts = np.linspace(0.0, LOG2, 15)
