@@ -23,12 +23,11 @@ _BISECT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    """Solved threshold plus the evidence: bracket and residual check."""
+    """Solved threshold plus the evidence: iterations and final bracket."""
 
     value: float
     iterations: int
     bracket: tuple[float, float]
-    satisfied_at_value: bool = True
 
 
 def eta_tv_amplitude(noise: NoiseModel, A: float) -> float:
@@ -89,7 +88,7 @@ def alpha_star(noise: NoiseModel) -> ThresholdReport:
         while lo > 1e-12 and ok(lo / 2.0):
             lo /= 2.0
     value, it, bracket = bisect(ok, lo, search_max, _BISECT_TOL)
-    return ThresholdReport(value, it, bracket, ok(value))
+    return ThresholdReport(value, it, bracket)
 
 
 def _threshold(scale: float, target: float, p: float, floor_ap: float,
@@ -104,8 +103,7 @@ def _threshold(scale: float, target: float, p: float, floor_ap: float,
     found = bisect_up(cond, floor_a, _BISECT_TOL, 1e12)
     if found is None:
         raise NoSolutionError(f"{name} search exceeded range")
-    value, it, bracket = found
-    return ThresholdReport(value, it, bracket, cond(value))
+    return ThresholdReport(*found)
 
 
 def a2_star(noise: NoiseModel, t: float, gamma: float, p: float) -> ThresholdReport:

@@ -2,11 +2,13 @@
 
 Everything here is a pure function of immutable inputs.  Distributions come
 in two flavors: finitely supported (`DiscretePMF`) and density-on-a-grid
-(`GridDensity`).  All information quantities use natural logarithms.
+(`GridDensity`).  All information quantities use natural logarithms.  The
+simplex lattice has one enumerator, `simplex_lattice`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -409,6 +411,30 @@ def v_hat(omega) -> float | np.ndarray:
     omega = np.asarray(omega, dtype=float)
     out = 2.0 * math.pi * np.maximum(1.0 - np.abs(omega), 0.0)
     return out if out.ndim else float(out)
+
+
+# ---------------------------------------------------------------------------
+# the simplex lattice
+# ---------------------------------------------------------------------------
+
+def simplex_lattice(n: int, parts: int):
+    """Yield the compositions of n into `parts` nonnegative parts (the 1/n simplex
+    lattice scaled by n) as int32 batches in lexicographic order, one batch per
+    value of the first parts - 4 parts, so no batch has more than C(n + 3, 3) rows."""
+    # the heads, each with its remainder: the compositions of n into parts - 3 parts
+    comps = (np.vstack(list(simplex_lattice(n, parts - 3))) if parts > 4
+             else np.full((1, 1), n, dtype=np.int32))
+    width = parts + 1 - comps.shape[1]
+    # stars and bars: the leading parts of the compositions of n into `width` parts;
+    # those of r <= n are the rows summing to at most r, with the slack r - sum last
+    bars = np.array(list(itertools.combinations(range(n + width - 1), width - 1)),
+                    dtype=np.int32)
+    lead = np.diff(bars, prepend=np.int32(-1), axis=1) - 1
+    used = lead.sum(axis=1, dtype=np.int32)
+    tails = {r: np.column_stack([lead[used <= r], r - used[used <= r]])
+             for r in set(comps[:, -1].tolist())}
+    for head, r in zip(comps[:, :-1], comps[:, -1].tolist()):
+        yield np.hstack([np.broadcast_to(head, (len(tails[r]), len(head))), tails[r]])
 
 
 # ---------------------------------------------------------------------------

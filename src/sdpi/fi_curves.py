@@ -8,14 +8,13 @@ kernel (Witsenhausen-Wyner lower convex envelopes), and a structural checker.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
 
 from .channels import DMCKernel, dmc_capacity
 from .core_prob import (LOG2, Ccurve, binary_entropy, binary_entropy_inv, mi_joint,
-                        xlogx)
+                        simplex_lattice, xlogx)
 from .errors import DomainError
 
 
@@ -88,8 +87,7 @@ def _interior_lattice(nx: int) -> tuple[int, np.ndarray]:
     if n < 2:
         points = np.zeros((0, nx))
     else:
-        bars = np.array(list(itertools.combinations(range(n + nx - 1), nx - 1)))
-        k = np.diff(bars, prepend=-1, append=n + nx - 1, axis=1) - 1
+        k = np.vstack(list(simplex_lattice(n, nx)))
         points = k[k.max(axis=1) < n] / n
         if n % nx:
             points = np.vstack([points, np.full(nx, 1.0 / nx)])

@@ -1,11 +1,12 @@
 """Independent brute-force ground truth.
 
 Nothing here shares a code path with the closed forms it validates beyond
-the primitives in core_prob (`xlogx`, `mi_joint`, `bisect`, the mixture
-entropies `uniform_mixture_entropy` and `gaussian_mixture_entropy` with its
-127-node Gauss-Hermite table) and the noise laws' own `density` and
-`sample`: the methods are the oracle's own (lattice search, Monte Carlo,
-random couplings), so that agreement is evidence, not circularity.
+the primitives in core_prob (`xlogx`, `mi_joint`, `bisect`, the lattice
+enumerator `simplex_lattice`, the mixture entropies `uniform_mixture_entropy`
+and `gaussian_mixture_entropy` with its 127-node Gauss-Hermite table) and the
+noise laws' own `density` and `sample`: the methods are the oracle's own
+(lattice search, Monte Carlo, random couplings), so that agreement is
+evidence, not circularity.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .channels import DMCKernel, GaussianNoise, NoiseModel, UniformNoise
 from .core_prob import (DiscretePMF, bisect, gaussian_mixture_entropy, mi_joint,
-                        uniform_mixture_entropy, xlogx)
+                        simplex_lattice, uniform_mixture_entropy, xlogx)
 from .errors import BudgetError, DomainError
 
 
@@ -27,44 +28,13 @@ from .errors import BudgetError, DomainError
 # exhaustive coupling search on the simplex lattice
 # ---------------------------------------------------------------------------
 
-def _comp4_tables(n: int) -> list[np.ndarray]:
-    """comp4[r]: all compositions of r into 4 nonnegative parts."""
-    tables = []
-    for r in range(n + 1):
-        rows = []
-        for c1 in range(r + 1):
-            for c2 in range(r - c1 + 1):
-                for c3 in range(r - c1 - c2 + 1):
-                    rows.append((c1, c2, c3, r - c1 - c2 - c3))
-        tables.append(np.array(rows, dtype=np.int32))
-    return tables
-
-
-def _iter_compositions(n: int, cells: int, comp4):
-    """Yield batches (2-d int arrays) of compositions of n into `cells` parts."""
-    if cells == 4:
-        yield comp4[n]
-        return
-    head = np.zeros(cells - 4, dtype=np.int32)
-
-    def rec(pos: int, remaining: int):
-        if pos == cells - 4:
-            tail = comp4[remaining]
-            batch = np.empty((len(tail), cells), dtype=np.int32)
-            batch[:, :cells - 4] = head
-            batch[:, cells - 4:] = tail
-            yield batch
-            return
-        for c in range(remaining + 1):
-            head[pos] = c
-            yield from rec(pos + 1, remaining - c)
-
-    yield from rec(0, n)
+# the largest coupling lattice fi_bruteforce_dmc enumerates
+_MAX_POINTS = 3e7
 
 
 @functools.lru_cache(maxsize=8)
 def _bruteforce_envelope(matrix: bytes, shape: tuple[int, int], w_size: int,
-                         resolution: int, max_points: float):
+                         resolution: int):
     """Staircase: bin_width, running max of I_WY over bins of I_WX, and the
     per-bin argmax couplings (used as warm starts for the polish step).  The
     kernel comes as matrix bytes and shape, so repeated calls hit the cache."""
@@ -73,15 +43,14 @@ def _bruteforce_envelope(matrix: bytes, shape: tuple[int, int], w_size: int,
     cells = w_size * nx
     n = resolution
     total = comb(n + cells - 1, cells - 1)
-    if total > max_points:
-        raise BudgetError(f"{total} lattice points exceed the budget {max_points:g}")
-    comp4 = _comp4_tables(n)
+    if total > _MAX_POINTS:
+        raise BudgetError(f"{total} lattice points exceed the budget {_MAX_POINTS:g}")
     xlx = xlogx(np.arange(n + 1) / n)
     bin_w = 1e-4
     n_bins = int(math.log(min(nx, w_size) + 1) / bin_w) + 2
     bin_vals = np.full(n_bins, -np.inf)
     bin_rows = np.zeros((n_bins, cells))
-    for batch in _iter_compositions(n, cells, comp4):
+    for batch in simplex_lattice(n, cells):
         c = batch.reshape(len(batch), w_size, nx)
         h_wx = xlx[c].sum(axis=(1, 2))
         h_w = xlx[c.sum(axis=2)].sum(axis=1)
@@ -149,7 +118,7 @@ def _polish_coupling(q0: np.ndarray, Km: np.ndarray, w_size: int,
 
 
 def fi_bruteforce_dmc(K: DMCKernel, t: float, w_size: int = 3,
-                      resolution: int = 60, max_points: float = 3e7) -> float:
+                      resolution: int = 60) -> float:
     """Exhaustive lattice search: max I(W;Y) over couplings with I(W;X) <= t.
 
     The coupling simplex is discretized on the (k/n) lattice; the result is
@@ -160,12 +129,12 @@ def fi_bruteforce_dmc(K: DMCKernel, t: float, w_size: int = 3,
     nx = K.matrix.shape[0]
     if nx > 3:
         raise BudgetError("brute force restricted to |X| <= 3")
-    if w_size > nx + 1:
-        raise DomainError("w_size must be at most |X| + 1")
+    if not 1 <= w_size <= nx + 1:
+        raise DomainError("w_size must lie in [1, |X| + 1]")
     if resolution < 10:
         raise DomainError("resolution must be >= 10")
     bin_w, stair, bin_vals, bin_rows = _bruteforce_envelope(
-        K.matrix.tobytes(), K.matrix.shape, w_size, resolution, max_points)
+        K.matrix.tobytes(), K.matrix.shape, w_size, resolution)
     b = int(math.floor(t / bin_w + 1e-12))
     b = min(b, len(stair) - 1)
     val = float(max(stair[b], 0.0))

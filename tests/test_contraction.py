@@ -152,7 +152,7 @@ class TestAlphaStar:
         rep = alpha_star(NoiseModel.gaussian())
         assert rep.value == pytest.approx(1.0 / (2.0 * q_inverse(1.0 / 3.0)), abs=1e-6)
         assert rep.value == pytest.approx(1.16082728220821, abs=1e-6)
-        assert rep.satisfied_at_value
+        assert eta_tv_amplitude(NoiseModel.gaussian(), 1.0 / (2.0 * rep.value)) <= 1.0 / 3.0
 
     def test_uniform_unit_value(self):
         # eta_tv(1/(2 alpha)) = min(1/alpha, 1) <= 1/3 iff alpha >= 3
@@ -168,7 +168,6 @@ class TestAlphaStar:
 class TestA2Star:
     def test_reports_satisfied(self):
         rep = a2_star(NoiseModel.gaussian(), 0.5, 1.0, 2.0)
-        assert rep.satisfied_at_value
         ap = rep.value ** 2
         assert 18.0 * math.log(ap) / ap <= 0.5 + 1e-9
 

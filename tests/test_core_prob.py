@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from sdpi.core_prob import (
     LOG2, DiscretePMF, GridDensity, binary_entropy, binary_entropy_inv, bisect,
     char_fn, convolve, gaussian_grid, gaussian_mixture_entropy, kl_divergence,
     ks_distance, levy_concentration, max_entropy_integer, mi_joint, q_function,
-    q_inverse, scan_max,
+    q_inverse, scan_max, simplex_lattice,
     tv_after_noise, tv_distance, uniform_mixture_entropy, v_window, wasserstein,
     xlogx,
 )
@@ -337,6 +338,27 @@ class TestSearches:
     def test_bisect_threshold_of_decreasing_function(self):
         x, _, _ = bisect(lambda v: math.exp(-v) <= 0.25, 0.0, 10.0, 1e-12)
         assert x == pytest.approx(math.log(4.0), abs=1e-12)
+
+
+class TestSimplexLattice:
+    @pytest.mark.parametrize("parts", range(1, 8))
+    def test_matches_product_reference(self, parts):
+        # itertools.product is lexicographic, so the filtered product is the reference order
+        for n in range(9):
+            got = np.vstack(list(simplex_lattice(n, parts))).tolist()
+            ref = [list(c) for c in itertools.product(range(n + 1), repeat=parts)
+                   if sum(c) == n]
+            assert got == ref
+
+    @pytest.mark.parametrize("n, parts", [(0, 5), (3, 1), (8, 4), (7, 5), (6, 7), (5, 9), (40, 6)])
+    def test_one_bounded_int32_batch_per_head(self, n, parts):
+        batches, k = list(simplex_lattice(n, parts)), max(parts - 4, 0)
+        assert all(b.dtype == np.int32 for b in batches)
+        assert max(len(b) for b in batches) <= math.comb(n + 3, 3)
+        # the heads (the first k parts) are constant in a batch and distinct across batches
+        heads = [tuple(b[0, :k]) for b in batches]
+        assert all((b[:, :k] == h).all() for b, h in zip(batches, heads))
+        assert len(set(heads)) == len(batches) == math.comb(n + k, k)
 
 
 class TestMutualInformation:

@@ -43,8 +43,7 @@ class TestBruteForce:
 
     def test_budget_error(self):
         with pytest.raises(BudgetError):
-            fi_bruteforce_dmc(DMCKernel.bsc(0.1), 0.2, w_size=3,
-                              resolution=200, max_points=1e6)
+            fi_bruteforce_dmc(DMCKernel.bsc(0.1), 0.2, w_size=3, resolution=200)
 
     def test_alphabet_limit(self):
         K = DMCKernel(np.full((4, 4), 0.25))
@@ -54,6 +53,17 @@ class TestBruteForce:
     def test_w_size_limit(self):
         with pytest.raises(DomainError):
             fi_bruteforce_dmc(DMCKernel.bsc(0.1), 0.2, w_size=4)
+        with pytest.raises(DomainError):
+            fi_bruteforce_dmc(DMCKernel.bsc(0.1), 0.2, w_size=0)
+
+    def test_single_w_value_gives_zero(self):
+        # one value of W carries no information: 2 lattice cells
+        assert fi_bruteforce_dmc(DMCKernel.bsc(0.1), 0.1, w_size=1, resolution=10) == 0.0
+
+    def test_single_input_kernel_gives_zero(self):
+        # with |X| = 1, I(W;Y) <= I(W;X) = 0 up to the polish step's rounding
+        val = fi_bruteforce_dmc(DMCKernel(np.array([[0.5, 0.5]])), 0.1, w_size=2)
+        assert 0.0 <= val <= 1e-15
 
     def test_resolution_floor(self):
         with pytest.raises(DomainError):
@@ -66,9 +76,9 @@ class TestBruteForce:
     def test_envelope_cache_is_bounded(self, monkeypatch):
         oracle._bruteforce_envelope.cache_clear()
         enumerations = []
-        real_tables = oracle._comp4_tables
-        monkeypatch.setattr(oracle, "_comp4_tables",
-                            lambda n: enumerations.append(n) or real_tables(n))
+        real_lattice = oracle.simplex_lattice
+        monkeypatch.setattr(oracle, "simplex_lattice",
+                            lambda n, parts: enumerations.append(n) or real_lattice(n, parts))
         cap = 8
         kernels = [DMCKernel.bsc(0.05 + 0.02 * i) for i in range(cap + 3)]
         for K in kernels:
