@@ -10,7 +10,7 @@ from .core_prob import (  # noqa: F401
     q_function, q_inverse, tv_distance, v_hat, v_window, wasserstein,
 )
 from .channels import (  # noqa: F401
-    AdditiveChannel, DMCKernel, NoiseModel, awgn_capacity, dmc_capacity,
+    DMCKernel, NoiseModel, awgn_capacity, dmc_capacity,
     immse_gap_check, lmmse, mi_additive, mi_dmc, mmse_numeric, normalize_input,
 )
 from .contraction import (  # noqa: F401

@@ -2,11 +2,12 @@
 
 Two channel families: row-stochastic discrete kernels and additive-noise
 channels Y = sqrt(gamma) X + Z, where each noise family is a `NoiseModel`
-subclass that owns the family's closed forms.  Gaussian- and uniform-noise
-mutual information is h(Y) - h(Z), with h(Y) from the mixture entropies of
-`core_prob` (Gauss-Hermite quadrature, or exact for the piecewise-constant
-uniform output density); other noise laws fall back to trapezoid quadrature
-on a fine grid.
+subclass that owns the family's rules: its closed forms, its output entropy
+`excess_entropy` and its TV contraction `eta_tv`.  Mutual information is
+I(X;Y) = h(Y) - h(Z), the excess entropy of the input's atoms: Gaussian and
+uniform noise take it from the mixture entropies of `core_prob`
+(Gauss-Hermite quadrature, or exact for the piecewise-constant uniform output
+density); other noise laws use trapezoid quadrature on a fine grid.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from scipy.special import erf
 
 from .core_prob import (_GH_WEIGHTS, DiscretePMF, GridDensity, _gh_exponent_blocks,
                         char_fn, gaussian_mixture_entropy, mi_joint, q_function,
-                        simpson, uniform_mixture_entropy)
+                        scan_max, simpson, uniform_mixture_entropy)
 from .errors import DomainError, ProfileFailureError, ShapeError
 
 
@@ -69,11 +70,10 @@ class NoiseModel:
     Besides the methods below, a family has `m1` (sup of the density),
     `variance`, `support` (tails cut at density 1e-16), `sample(n, rng)` and
     `cf_decay()`, the CF decay profile (label, g, h, g1) with g1 on (0, 1].
-    A `unimodal` family (theta nondecreasing in |delta|) also has
-    `tv_complement(A)`, 1 - theta(2A) without cancellation.
+    The base `eta_tv` and `excess_entropy` hold for any law; a family
+    overrides them where it has a closed form or needs another method.
     """
 
-    unimodal = True
     # grid cells added beyond the support on each side by `to_grid`
     _grid_pad = 0
 
@@ -112,6 +112,42 @@ class NoiseModel:
         """TV distance between the noise and its delta-translate."""
         return self._theta(abs(float(delta)))
 
+    def eta_tv(self, A: float) -> float:
+        """sup of theta(delta) over |delta| <= 2A, for A > 0: theta(2A), as
+        theta is nondecreasing in |delta| for a unimodal law."""
+        return self.theta(2.0 * A)
+
+    def eta_tv_complement(self, A: float) -> float:
+        """1 - eta_tv(A); the closed-form families avoid its cancellation."""
+        return 1.0 - self.eta_tv(A)
+
+    def excess_entropy(self, mu: np.ndarray, v: np.ndarray):
+        """h(M + Z) - h(Z) for M ~ sum_k v_k delta_{mu_k}, one value per row of
+        a 2-d v.
+
+        Equal to sum_k v_k D(p_Z(. - mu_k) || p_Y), by the trapezoid rule on a
+        0.002 grid over the support: k^2 density evaluations and a rows x grid
+        output density at a time.
+        """
+        rows = np.atleast_2d(np.asarray(v, dtype=float))
+        step = 0.002
+        lo, hi = self.support()
+        z = np.arange(math.floor(lo / step), math.ceil(hi / step) + 1) * step
+        pz = np.asarray(self.density(z))
+        mask = pz > 0
+        total = np.zeros(len(rows))
+        for k in range(len(mu)):
+            # a zero-weight atom adds nothing, and p_Y may vanish on its shift
+            live = rows[:, k] > 0
+            py = np.zeros((np.count_nonzero(live), len(z)))
+            for l in range(len(mu)):
+                py += rows[live, l, None] * np.asarray(self.density(mu[k] + z - mu[l]))
+            # p_Y >= v_k p_Z on the mask, so the ratio is finite
+            ratio = np.zeros_like(py)
+            ratio[:, mask] = pz[mask] * np.log(pz[mask] / py[:, mask])
+            total[live] += rows[live, k] * np.trapezoid(ratio, dx=step, axis=1)
+        return total if np.ndim(v) == 2 else float(total[0])
+
 
 @dataclass(frozen=True)
 class GaussianNoise(NoiseModel):
@@ -141,8 +177,13 @@ class GaussianNoise(NoiseModel):
         # 1 - 2 Q(d / (2 sigma))
         return float(erf(d / (2.0 * self.sigma * math.sqrt(2.0))))
 
-    def tv_complement(self, A: float) -> float:
+    def eta_tv_complement(self, A: float) -> float:
         return 2.0 * q_function(A / self.sigma)
+
+    def excess_entropy(self, mu: np.ndarray, v: np.ndarray):
+        # in units of sigma: unit-variance components, h(Z) = log(2 pi e) / 2
+        return gaussian_mixture_entropy(mu / self.sigma, v) \
+            - 0.5 * math.log(2.0 * math.pi * math.e)
 
     def sample(self, n: int, rng) -> np.ndarray:
         return self.sigma * rng.standard_normal(n)
@@ -184,8 +225,11 @@ class UniformNoise(NoiseModel):
     def _theta(self, d: float) -> float:
         return min(d / (self.b - self.a), 1.0)
 
-    def tv_complement(self, A: float) -> float:
+    def eta_tv_complement(self, A: float) -> float:
         return max(1.0 - 2.0 * A / (self.b - self.a), 0.0)
+
+    def excess_entropy(self, mu: np.ndarray, v: np.ndarray):
+        return uniform_mixture_entropy(mu, v, self.a, self.b) - math.log(self.b - self.a)
 
     def sample(self, n: int, rng) -> np.ndarray:
         return rng.uniform(self.a, self.b, n)
@@ -228,7 +272,7 @@ class LaplaceNoise(NoiseModel):
     def _theta(self, d: float) -> float:
         return 1.0 - math.exp(-d / (2.0 * self.b))
 
-    def tv_complement(self, A: float) -> float:
+    def eta_tv_complement(self, A: float) -> float:
         return math.exp(-A / self.b)
 
     def sample(self, n: int, rng) -> np.ndarray:
@@ -245,7 +289,6 @@ class LaplaceNoise(NoiseModel):
 @dataclass(frozen=True, eq=False)
 class GridNoise(NoiseModel):
     grid_density: GridDensity
-    unimodal = False
 
     def __post_init__(self):
         if not isinstance(self.grid_density, GridDensity):
@@ -281,6 +324,12 @@ class GridNoise(NoiseModel):
         inside = np.trapezoid(np.abs(g.values - shifted), dx=g.step)
         beyond = c[-1] - np.interp(g.x_max - d, x, c)
         return min(float(0.5 * (inside + beyond)), 1.0)
+
+    def eta_tv(self, A: float) -> float:
+        """theta of a grid law need not be monotone: a 512-point scan of
+        [0, 2A], refined by `scan_max`'s 17-point zoom."""
+        return scan_max(lambda ds: np.array([self.theta(d) for d in ds]),
+                        0.0, 2.0 * A, 512, 1e-8 * max(1.0, A))
 
     def sample(self, n: int, rng) -> np.ndarray:
         return self.grid_density.quantile(rng.uniform(0.0, 1.0, n))
@@ -322,18 +371,6 @@ class GridNoise(NoiseModel):
         return ("grid", lambda T: None, math.sqrt, g1)
 
 
-@dataclass(frozen=True)
-class AdditiveChannel:
-    """Y = sqrt(gamma) X + Z."""
-
-    noise: NoiseModel
-    gamma: float
-
-    def __post_init__(self):
-        if not 0 <= self.gamma < math.inf:
-            raise DomainError("gamma must be nonnegative and finite")
-
-
 # ---------------------------------------------------------------------------
 # discrete channels
 # ---------------------------------------------------------------------------
@@ -369,45 +406,15 @@ def dmc_capacity(K: DMCKernel) -> float:
 # additive-noise mutual information
 # ---------------------------------------------------------------------------
 
-def _mi_generic_noise(atoms: np.ndarray, weights: np.ndarray, gamma: float,
-                      noise: NoiseModel) -> float:
-    mu, step = math.sqrt(gamma) * atoms, 0.002
-    lo, hi = noise.support()
-    z = np.arange(math.floor(lo / step), math.ceil(hi / step) + 1) * step
-    pz = np.asarray(noise.density(z))
-    total = 0.0
-    for k in range(len(mu)):
-        py = np.zeros_like(z)
-        for l in range(len(mu)):
-            py += weights[l] * np.asarray(noise.density(mu[k] + z - mu[l]))
-        mask = pz > 0
-        # p_Y >= w_k p_Z on the mask, so the ratio is finite
-        ratio = np.zeros_like(z)
-        ratio[mask] = pz[mask] * np.log(pz[mask] / py[mask])
-        total += weights[k] * float(np.trapezoid(ratio, dx=step))
-    return max(total, 0.0)
-
-
-def mi_additive(input: DiscretePMF, ch: AdditiveChannel) -> float:
+def mi_additive(input: DiscretePMF, noise: NoiseModel, gamma: float) -> float:
     """I(X; sqrt(gamma) X + Z) in nats."""
+    if not 0 <= gamma < math.inf:
+        raise DomainError("gamma must be nonnegative and finite")
     atoms, weights = input.atoms, input.weights
-    if len(atoms) == 1:
-        return 0.0
-    if ch.gamma == 0.0:
+    if len(atoms) == 1 or gamma == 0.0:
         return 0.0
     keep = weights > 0
-    atoms, weights = atoms[keep], weights[keep]
-    noise = ch.noise
-    if isinstance(noise, GaussianNoise):
-        # in units of sigma: unit-variance components, h(Z) = log(2 pi e) / 2
-        h_y = gaussian_mixture_entropy(math.sqrt(ch.gamma) * atoms / noise.sigma, weights)
-        h_z = 0.5 * math.log(2.0 * math.pi * math.e)
-    elif isinstance(noise, UniformNoise):
-        h_y = uniform_mixture_entropy(math.sqrt(ch.gamma) * atoms, weights, noise.a, noise.b)
-        h_z = math.log(noise.b - noise.a)
-    else:
-        return _mi_generic_noise(atoms, weights, ch.gamma, noise)
-    return max(h_y - h_z, 0.0)
+    return max(noise.excess_entropy(math.sqrt(gamma) * atoms[keep], weights[keep]), 0.0)
 
 
 def awgn_capacity(gamma: float) -> float:
@@ -459,8 +466,7 @@ def mmse_numeric(input: DiscretePMF, gamma: float) -> float:
 def immse_gap_check(input: DiscretePMF, gamma: float) -> tuple[float, float]:
     """Capacity gap two ways: direct and via the I-MMSE integral, by the
     composite Simpson rule on 128 intervals."""
-    ch = AdditiveChannel(NoiseModel.gaussian(), gamma)
-    gap_direct = awgn_capacity(gamma) - mi_additive(input, ch)
+    gap_direct = awgn_capacity(gamma) - mi_additive(input, NoiseModel.gaussian(), gamma)
     gaps = [1.0 / (1.0 + s) - mmse_numeric(input, s) for s in np.linspace(0.0, gamma, 129)]
     gap_integral = 0.5 * simpson(np.array(gaps), gamma / 128)
     return float(gap_direct), float(gap_integral)

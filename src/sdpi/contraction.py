@@ -1,7 +1,8 @@
 """Contraction coefficients and the threshold solvers they feed.
 
 theta(delta) is the TV distance between the noise law and its translate;
-eta_tv(A) is its sup over shifts |delta| <= 2A.  The KL contraction
+eta_tv(A) is its sup over shifts |delta| <= 2A, which each noise family
+computes in its own `eta_tv` and `eta_tv_complement`.  The KL contraction
 coefficient is never computed exactly: every consumer substitutes the TV
 upper bound, which is sound for all the bounds built on top.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import DMCKernel, NoiseModel
-from .core_prob import bisect, bisect_up, scan_max
+from .core_prob import bisect, bisect_up
 from .errors import DomainError, NoSolutionError
 
 _BISECT_TOL = 1e-9
@@ -31,31 +32,22 @@ class ThresholdReport:
 
 
 def eta_tv_amplitude(noise: NoiseModel, A: float) -> float:
-    """sup of theta(delta) over |delta| <= 2A.
-
-    Unimodal families have monotone theta, so the sup sits at the endpoint;
-    grid noise gets a 512-point scan refined by `scan_max`'s 17-point zoom.
-    """
+    """sup of theta(delta) over |delta| <= 2A: the noise family's `eta_tv`."""
     if not A >= 0:
         raise DomainError("A must be nonnegative")
-    if A == 0:
-        return 0.0
-    if noise.unimodal:
-        return noise.theta(2.0 * A)
-    return scan_max(lambda ds: np.array([noise.theta(d) for d in ds]),
-                    0.0, 2.0 * A, 512, 1e-8 * max(1.0, A))
+    return noise.eta_tv(A) if A > 0 else 0.0
 
 
 def eta_tv_complement(noise: NoiseModel, A: float) -> float:
-    """1 - eta_tv(A), computed without cancellation.
+    """1 - eta_tv(A), computed without cancellation where the family can.
 
     For large amplitudes eta_tv is within a few ulps of 1 and the difference
-    underflows in `1 - eta_tv_amplitude(...)`; the unimodal families admit
-    a direct expression for the complement.
+    underflows in `1 - eta_tv_amplitude(...)`; the closed-form families give
+    the complement directly.
     """
-    if noise.unimodal and A > 0:
-        return noise.tv_complement(A)
-    return 1.0 - eta_tv_amplitude(noise, A)
+    if not A >= 0:
+        raise DomainError("A must be nonnegative")
+    return noise.eta_tv_complement(A) if A > 0 else 1.0
 
 
 def dobrushin_dmc(K: DMCKernel) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import AdditiveChannel, NoiseModel, awgn_capacity, mi_additive
+from .channels import NoiseModel, awgn_capacity, mi_additive
 from .core_prob import Ccurve, DiscretePMF, binary_entropy, bisect_up, q_function, scan_max
 from .errors import AccuracyError, DomainError
 
@@ -127,7 +127,7 @@ def diag_achievability(a: float, gamma: float) -> tuple[float, float, float]:
     h_x = binary_entropy(q)
     pe = q_function(0.5 * math.sqrt(gamma) * a)
     fano = h_x - binary_entropy(min(pe, 0.5))
-    mi = mi_additive(x, AdditiveChannel(NoiseModel.gaussian(), gamma))
+    mi = mi_additive(x, NoiseModel.gaussian(), gamma)
     return h_x, fano, mi
 
 
@@ -307,5 +307,5 @@ def gh_upper_achievability(t: float, gamma: float) -> tuple[int, float, float]:
     if m > 64:
         raise AccuracyError("quadrature accuracy not certified beyond m = 64")
     x = gauss_hermite_input(m)
-    gap = awgn_capacity(gamma) - mi_additive(x, AdditiveChannel(NoiseModel.gaussian(), gamma))
+    gap = awgn_capacity(gamma) - mi_additive(x, NoiseModel.gaussian(), gamma)
     return m, bound, gap

@@ -38,7 +38,7 @@ def _suite_bsc(seed: int) -> dict:
 def _suite_diag(seed: int) -> dict:
     noise = NoiseModel.gaussian()
     res = sdpi_pair_sampler(noise, gamma=1.0, p=2.0, n_couplings=500, seed=seed,
-                            diag_bound=lambda t: gd_lower(t, 1.0), tolerance=3e-4)
+                            diag_bound=lambda t: gd_lower(t, 1.0))
     return {"suite": "diag", "gamma": 1.0, "n_couplings": 500,
             "violations": res.violation_count,
             "details": [v[:2] for v in res.violations]}

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from sdpi.channels import (
-    AdditiveChannel, DMCKernel, NoiseModel, awgn_capacity, mi_additive,
+    DMCKernel, NoiseModel, awgn_capacity, mi_additive,
 )
 from sdpi.contraction import eta_tv_amplitude
 from sdpi.core_prob import (
@@ -64,8 +64,7 @@ def coupling_sweep():
         results[gamma] = sdpi_pair_sampler(
             NoiseModel.gaussian(), gamma=gamma, p=2.0, n_couplings=10 ** 4,
             seed=2024, diag_bound=lambda t, g=gamma: gd_lower(t, g),
-            horiz_bound=horiz(gamma), capacity=capacity[gamma],
-            tolerance=3e-4, eps_max=1e-3, horiz_tolerance=1e-6)
+            horiz_bound=horiz(gamma), capacity=capacity[gamma])
     return results, time.monotonic() - start
 
 

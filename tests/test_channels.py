@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 from sdpi.channels import (
-    AdditiveChannel, DMCKernel, GaussianNoise, GridNoise, LaplaceNoise, NoiseModel,
+    DMCKernel, GaussianNoise, GridNoise, LaplaceNoise, NoiseModel,
     UniformNoise, awgn_capacity, dmc_capacity, immse_gap_check, lmmse, mi_additive,
     mi_dmc, mmse_numeric, normalize_input,
 )
@@ -184,33 +184,33 @@ class TestNormalizeInput:
 class TestMiAdditive:
     def test_rademacher_snr1(self):
         # BPSK over AWGN at snr 1; cross-checked by adaptive quadrature and MC
-        val = mi_additive(rademacher(), AdditiveChannel(NoiseModel.gaussian(), 1.0))
+        val = mi_additive(rademacher(), NoiseModel.gaussian(), 1.0)
         assert val == pytest.approx(0.3368308203468314, abs=1e-9)
 
     def test_rademacher_high_snr_saturates(self):
-        val = mi_additive(rademacher(), AdditiveChannel(NoiseModel.gaussian(), 100.0))
+        val = mi_additive(rademacher(), NoiseModel.gaussian(), 100.0)
         assert val == pytest.approx(LOG2, abs=1e-9)
 
     def test_below_capacity(self):
         x = DiscretePMF(np.array([-1.5, 0.2, 1.3]), np.array([0.3, 0.4, 0.3]))
         x = normalize_input(x)
         for gamma in (0.5, 1.0, 4.0):
-            val = mi_additive(x, AdditiveChannel(NoiseModel.gaussian(), gamma))
+            val = mi_additive(x, NoiseModel.gaussian(), gamma)
             assert 0.0 <= val <= awgn_capacity(gamma) + 1e-9
 
     def test_uniform_noise_exact_branch(self):
         # X uniform on {0, 2}, Z uniform on [0, 1]: output pieces are disjoint
         # except nowhere, so I = H(X) = log 2
         x = DiscretePMF(np.array([0.0, 2.0]), np.array([0.5, 0.5]))
-        ch = AdditiveChannel(NoiseModel.uniform(0.0, 1.0), 1.0)
-        assert mi_additive(x, ch) == pytest.approx(LOG2, abs=1e-9)
+        z = NoiseModel.uniform(0.0, 1.0)
+        assert mi_additive(x, z, 1.0) == pytest.approx(LOG2, abs=1e-9)
 
     def test_uniform_noise_overlap(self):
         # X on {0, 0.5}, Z uniform on [0, 1]: overlap of width 1/2 costs
         # exactly (1/2) log 2 of the entropy
         x = DiscretePMF(np.array([0.0, 0.5]), np.array([0.5, 0.5]))
-        ch = AdditiveChannel(NoiseModel.uniform(0.0, 1.0), 1.0)
-        assert mi_additive(x, ch) == pytest.approx(0.5 * LOG2, abs=1e-9)
+        z = NoiseModel.uniform(0.0, 1.0)
+        assert mi_additive(x, z, 1.0) == pytest.approx(0.5 * LOG2, abs=1e-9)
 
     @pytest.mark.parametrize("gamma", [0.5, 2.0])
     @pytest.mark.parametrize("noise, breaks, tol", [
@@ -234,7 +234,27 @@ class TestMiAdditive:
         for k, w in enumerate(x.weights):
             pts = sorted({min(max(b + m - mu[k], lo), hi) for m in mu for b in breaks})
             ref += w * sum(quad(integrand, a, b, args=(k,))[0] for a, b in zip(pts, pts[1:]))
-        assert mi_additive(x, AdditiveChannel(noise, gamma)) == pytest.approx(ref, abs=tol)
+        assert mi_additive(x, noise, gamma) == pytest.approx(ref, abs=tol)
+
+
+    def test_negative_gamma(self):
+        with pytest.raises(DomainError):
+            mi_additive(rademacher(), NoiseModel.gaussian(), -1.0)
+
+    @pytest.mark.parametrize("noise", [
+        NoiseModel.gaussian(1.3), NoiseModel.uniform(-1.0, 2.0), NoiseModel.laplace(0.8),
+        NoiseModel.from_grid(GOLDEN_NOISE),
+    ])
+    def test_excess_entropy_rows_match_single_calls(self, noise):
+        # the sampler's batched form: one row per conditional law, a zero weight included
+        mu = np.array([-1.1, 0.2, 0.9, 2.0])
+        v = np.random.default_rng(4).dirichlet(np.ones(4), size=3)
+        v[2, 1] = 0.0
+        v[2] /= v[2].sum()
+        whole = noise.excess_entropy(mu, v)
+        assert whole.shape == (3,)
+        for row, val in zip(v, whole):
+            assert val == noise.excess_entropy(mu, row)
 
 
 class TestAwgnCapacity:
@@ -251,9 +271,9 @@ class TestMmse:
         from sdpi import core_prob
         x = normalize_input(DiscretePMF(np.linspace(-3.0, 3.0, 40),
                                         np.random.default_rng(2).dirichlet(np.ones(40))))
-        whole = mmse_numeric(x, 2.0), mi_additive(x, AdditiveChannel(NoiseModel.gaussian(), 2.0))
+        whole = mmse_numeric(x, 2.0), mi_additive(x, NoiseModel.gaussian(), 2.0)
         monkeypatch.setattr(core_prob, "_GH_BLOCK", 1)  # one atom per block
-        per_atom = mmse_numeric(x, 2.0), mi_additive(x, AdditiveChannel(NoiseModel.gaussian(), 2.0))
+        per_atom = mmse_numeric(x, 2.0), mi_additive(x, NoiseModel.gaussian(), 2.0)
         assert per_atom == pytest.approx(whole, rel=1e-14, abs=0.0)
 
     def test_lmmse(self):

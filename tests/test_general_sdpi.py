@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sdpi import contraction
-from sdpi.channels import NoiseModel
+from sdpi.channels import GridNoise, NoiseModel
 from sdpi.core_prob import DiscretePMF, GridDensity
 from sdpi.errors import DomainError
 from sdpi.general_sdpi import (
@@ -36,13 +35,13 @@ class TestGeneralDiagBound:
     def test_alpha_star_solved_once_per_noise(self, monkeypatch):
         noise = NoiseModel.from_grid(GridDensity.from_function(
             lambda x: np.maximum(1.0 - np.abs(x) / 3.0, 0.0), -3.0, 3.0, 0.05))
-        real, calls = contraction.eta_tv_amplitude, []
+        real, calls = GridNoise.eta_tv, []
 
         def counted(z, A):
             calls.append(A)
             return real(z, A)
 
-        monkeypatch.setattr(contraction, "eta_tv_amplitude", counted)
+        monkeypatch.setattr(GridNoise, "eta_tv", counted)
         per_t = []
         for t in (0.05, 0.2, 1.0):
             n0 = len(calls)
