@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .core_prob import (_GH_WEIGHTS, DiscretePMF, GridDensity, _gh_exponent_blocks,
                         char_fn, gaussian_mixture_entropy, mi_joint, q_function,
@@ -175,6 +174,7 @@ class GaussianNoise(NoiseModel):
 
     def _theta(self, d: float) -> float:
         # 1 - 2 Q(d / (2 sigma))
+        from scipy.special import erf
         return float(erf(d / (2.0 * self.sigma * math.sqrt(2.0))))
 
     def eta_tv_complement(self, A: float) -> float:

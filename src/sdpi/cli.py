@@ -39,7 +39,8 @@ def _parse_grid(spec: str) -> np.ndarray:
             and (hi - lo) / step <= _MAX_GRID_STEPS):
         raise DomainError(f"bad grid spec {spec!r}: need finite lo <= hi, step > 0 "
                           f"and at most {_MAX_GRID_STEPS} steps")
-    n = int(round((hi - lo) / step))
+    # the last point is the largest lo + n * step <= hi, up to rounding of the quotient
+    n = math.floor((hi - lo) / step + 1e-9)
     return lo + step * np.arange(n + 1)
 
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, ShapeError
 
@@ -208,8 +207,12 @@ class GridDensity:
         if len(x) < 2:
             raise ShapeError("a grid density needs at least two nodes")
         steps = np.diff(x)
-        step = float(np.median(steps))
-        if np.any(np.abs(steps - step) > 1e-9 * max(1.0, abs(step))):
+        # np.median's bits without its first-call import of numpy.ma
+        s = np.sort(steps)
+        m = len(s) // 2
+        step = float(s[m] if len(s) % 2 else (s[m - 1] + s[m]) / 2.0)
+        # written so that a nan step (a nan node) fails it too
+        if not np.all(np.abs(steps - step) <= 1e-9 * max(1.0, abs(step))):
             raise ShapeError("grid nodes are not uniformly spaced")
         return GridDensity(float(x[0]), float(x[-1]), step, v)
 
@@ -372,17 +375,27 @@ def binary_entropy_inv(h: float) -> float:
     return 0.5 * (lo + hi)
 
 
+# scipy.special is bound on first use, so a command that never evaluates Q
+# never imports scipy; q_function runs per gd_lower zoom round and keeps no
+# import statement on that path
+_erfc = None
+
+
 def q_function(x) -> float | np.ndarray:
     """Gaussian complementary CDF Q(x) = P[N(0,1) > x]."""
+    global _erfc
+    if _erfc is None:
+        from scipy.special import erfc as _erfc
     x = np.asarray(x, dtype=float)
-    out = 0.5 * special.erfc(x / math.sqrt(2.0))
+    out = 0.5 * _erfc(x / math.sqrt(2.0))
     return out if out.ndim else float(out)
 
 
 def q_inverse(p: float) -> float:
     if not 0.0 < p < 1.0:
         raise DomainError(f"p={p} outside (0, 1)")
-    return float(math.sqrt(2.0) * special.erfcinv(2.0 * p))
+    from scipy.special import erfcinv
+    return float(math.sqrt(2.0) * erfcinv(2.0 * p))
 
 
 def max_entropy_integer(mean_abs: float) -> float:

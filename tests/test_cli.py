@@ -1,13 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sdpi
 from sdpi import verify
-from sdpi.cli import main
+from sdpi.cli import _parse_grid, main
 from sdpi.core_prob import GridDensity
 from sdpi.fi_curves import fi_bsc
 
@@ -367,6 +371,23 @@ class TestConfigAndErrors:
         assert out == ""
         assert json.loads(err)["error"] == "DomainError"
 
+    @pytest.mark.parametrize("grid, points", [
+        ("0:1:0.6", [0.0, 0.6]),
+        ("0:1:0.3", [0.0, 0.3, 0.6, 0.8999999999999999]),
+        ("0:1:1", [0.0, 1.0]),
+        ("0.5:0.5:0.1", [0.5]),
+    ])
+    def test_grid_stops_at_hi(self, grid, points):
+        assert _parse_grid(grid).tolist() == points
+
+    @pytest.mark.parametrize("grid, count", [
+        # quotients that round just below a whole number keep their last point
+        ("0.1:1:0.05", 19), ("0:0.6:0.1", 7), ("0:0.6:0.2", 4), ("0.2:0.6:0.2", 3),
+        ("0:1.2:0.05", 25), ("0:0.6:0.01", 61), ("1e-6:1e-5:1e-6", 10), ("-5:5:0.25", 41),
+    ])
+    def test_grid_point_count(self, grid, count):
+        assert len(_parse_grid(grid)) == count
+
 
 class TestVerifyCommand:
     def test_bsc_suite(self, capsys):
@@ -375,3 +396,43 @@ class TestVerifyCommand:
         rep = json.loads(out)
         assert rep["violations"] == 0
         assert rep["seed"] == 0
+
+
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a new interpreter in tests/golden, importing this sdpi."""
+    env = dict(os.environ, PYTHONPATH=str(Path(sdpi.__file__).resolve().parent.parent))
+    return subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).parent / "golden",
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+class TestColdStart:
+    """The modules a cold process loads; sys.modules is shared inside pytest,
+    so each check runs in a fresh interpreter."""
+
+    def test_import_loads_neither_scipy_nor_numpy_ma(self):
+        done = _fresh_python("import sys, sdpi.cli\n"
+                             "print([m for m in ('scipy', 'numpy.ma') if m in sys.modules])")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["fi-curve", "--channel", "bsc:0.1", "--t-grid", "0:0.6:0.01"],
+                     id="fi-curve-bsc"),
+        pytest.param(["bounds", "horiz", "--gamma", "1.0", "--eps-grid", "1e-6:1e-5:1e-6"],
+                     id="bounds-horiz"),
+        pytest.param(["bounds", "general-diag", "--noise", "laplace:1.0", "--t-grid", "0.1:1:0.1"],
+                     id="bounds-general-diag"),
+        pytest.param(["deconv", "--noise", "gaussian", "--p", "P.csv", "--q", "Q.csv"],
+                     id="deconv"),
+        pytest.param(["check", "strict", "--density", "noise.csv", "--shift-grid=-5:5:0.25"],
+                     id="check-strict"),
+    ])
+    def test_readme_command_runs_without_scipy(self, argv):
+        done = _fresh_python("import runpy, sys\n"
+                             f"sys.argv = ['sdpi', *{argv!r}]\n"
+                             "try:\n"
+                             "    runpy.run_module('sdpi.cli', run_name='__main__')\n"
+                             "except SystemExit as e:\n"
+                             "    print(e.code, 'scipy' in sys.modules, file=sys.stderr)\n")
+        assert done.stderr.splitlines()[-1] == "0 False", done.stderr
+        assert done.stdout

@@ -1,5 +1,6 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from sdpi.channels import DMCKernel, mi_dmc
 from sdpi.core_prob import (
     LOG2, DiscretePMF, GridDensity, binary_entropy, binary_entropy_inv, bisect,
-    char_fn, convolve, gaussian_grid, gaussian_mixture_entropy, kl_divergence,
+    char_fn, convolve, csv_rows, csv_text, gaussian_grid, gaussian_mixture_entropy, kl_divergence,
     ks_distance, levy_concentration, max_entropy_integer, mi_joint, q_function,
     q_inverse, scan_max, simplex_lattice,
     tv_after_noise, tv_distance, uniform_mixture_entropy, v_window, wasserstein,
@@ -134,6 +135,26 @@ class TestGridDensity:
         h = GridDensity.from_csv(g.to_csv())
         assert np.allclose(g.values, h.values)
         assert h.step == pytest.approx(g.step)
+
+    @pytest.mark.parametrize("nodes", [2, 3, 4, 41, 42, 1000, 1001])
+    def test_csv_step_is_numpy_median(self, nodes):
+        # jittered nodes, so the steps differ and the middle ones decide the median
+        rng = np.random.default_rng(nodes)
+        x = -1.0 + 0.05 * np.arange(nodes) + rng.uniform(-1e-12, 1e-12, nodes)
+        h = GridDensity.from_csv(csv_text("x,value", x, np.full(nodes, 1.0 / (x[-1] - x[0]))))
+        assert h.step == float(np.median(np.diff(x)))
+
+    def test_csv_nan_node_rejected(self):
+        # the median step of these nodes is finite; the nan steps must still fail
+        x = [0.0, 0.5, 1.0, math.nan, 2.0, 2.5, 3.0]
+        with pytest.raises(ShapeError):
+            GridDensity.from_csv(csv_text("x,value", x, np.full(7, 1.0 / 3.0)))
+
+    @pytest.mark.parametrize("name", ["noise.csv", "Q.csv"])
+    def test_golden_csv_step_is_numpy_median(self, name):
+        text = (Path(__file__).parent / "golden" / name).read_text()
+        x = csv_rows(text, "x,value", 2)[:, 0]
+        assert GridDensity.from_csv(text).step == float(np.median(np.diff(x)))
 
     def test_csv_plain_floats(self):
         g = std_normal_grid(-1, 1, 0.5)
