@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .core_prob import (  # noqa: F401
     LOG2, Ccurve, DiscretePMF, GridDensity,
-    binary_entropy, binary_entropy_inv, char_fn, convolve, gaussian_grid,
+    binary_entropy, binary_entropy_inv, char_fn, convolve,
     kl_divergence, ks_distance, levy_concentration, max_entropy_integer,
     q_function, q_inverse, tv_distance, v_hat, v_window, wasserstein,
 )
@@ -24,8 +24,8 @@ from .fi_curves import (  # noqa: F401
 from .gaussian_sdpi import (  # noqa: F401
     concentration_radius, diag_achievability, gauss_hermite_input, gd_lower,
     gd_rate_small_t, gd_subgaussian, gh_lower, gh_upper_achievability,
-    horizontal_constants, horizontal_report, ks_from_capacity_gap,
-    ks_from_mmse_gap, ks_talagrand, t_lower_from_gap,
+    horizontal_constants, ks_from_capacity_gap, ks_from_mmse_gap, ks_talagrand,
+    t_lower_from_gap,
 )
 from .deconv import (  # noqa: F401
     C_WINDOW, CfProfile, deconv_v_bound, esseen_bound, g1_profile,

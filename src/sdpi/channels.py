@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_prob import (_GH_WEIGHTS, DiscretePMF, GridDensity, _gh_exponent_blocks,
-                        char_fn, gaussian_mixture_entropy, mi_joint, q_function,
-                        scan_max, simpson, uniform_mixture_entropy)
+from .core_prob import (_GH_ORDER, DiscretePMF, GridDensity, _gh_exponent_blocks,
+                        char_fn, gauss_hermite, gaussian_mixture_entropy, mi_joint,
+                        q_function, scan_max, simpson, uniform_mixture_entropy)
 from .errors import DomainError, ProfileFailureError, ShapeError
 
 
@@ -68,7 +68,8 @@ class NoiseModel:
 
     Besides the methods below, a family has `m1` (sup of the density),
     `variance`, `support` (tails cut at density 1e-16), `sample(n, rng)` and
-    `cf_decay()`, the CF decay profile (label, g, h, g1) with g1 on (0, 1].
+    `cf_decay()`, the CF decay profile (label, g, h, g1) with g1 on (0, 1]; a
+    family whose |phi| is nonincreasing on [0, inf) takes g = `abs_cf`.
     The base `eta_tv` and `excess_entropy` hold for any law; a family
     overrides them where it has a closed form or needs another method.
     """
@@ -189,9 +190,7 @@ class GaussianNoise(NoiseModel):
         return self.sigma * rng.standard_normal(n)
 
     def cf_decay(self):
-        return ("gaussian",
-                lambda T: math.exp(-0.5 * (self.sigma * T) ** 2),
-                lambda T: 0.0,
+        return ("gaussian", self.abs_cf, lambda T: 0.0,
                 lambda u: math.sqrt(-math.log(u)) / self.sigma if u < 1.0 else 0.0)
 
 
@@ -279,9 +278,7 @@ class LaplaceNoise(NoiseModel):
         return rng.laplace(0.0, self.b, n)
 
     def cf_decay(self):
-        return ("laplace",
-                lambda T: 1.0 / (1.0 + (self.b * T) ** 2),
-                lambda T: 0.0,
+        return ("laplace", self.abs_cf, lambda T: 0.0,
                 lambda u: math.sqrt(max(u ** -0.5 - 1.0, 0.0)) / self.b)
 
 
@@ -444,8 +441,8 @@ def lmmse(gamma: float) -> float:
 
 def mmse_numeric(input: DiscretePMF, gamma: float) -> float:
     """E (X - E[X|Y_gamma])^2 for standard Gaussian noise, unit-variance X."""
-    if not gamma >= 0:
-        raise DomainError("gamma must be nonnegative")
+    if not 0 <= gamma < math.inf:
+        raise DomainError("gamma must be nonnegative and finite")
     var = input.var()
     if gamma == 0.0:
         return var
@@ -453,12 +450,13 @@ def mmse_numeric(input: DiscretePMF, gamma: float) -> float:
     keep = weights > 0
     atoms, weights = atoms[keep], weights[keep]
     logw = np.log(weights)
+    _, gh_weights = gauss_hermite(_GH_ORDER)
     second = 0.0  # E (E[X|Y])^2
     for blk, E in _gh_exponent_blocks(math.sqrt(gamma) * atoms):
         z = logw + np.ascontiguousarray(E.transpose(1, 2, 0))  # (atom k, node j, component l)
         ez = np.exp(z - z.max(axis=2, keepdims=True))
         cond_mean = (ez @ atoms) / ez.sum(axis=2)  # E[X | Y = mu_k + s_j]
-        second += float(weights[blk] @ (cond_mean ** 2 @ _GH_WEIGHTS))
+        second += float(weights[blk] @ (cond_mean ** 2 @ gh_weights))
     ex2 = float(weights @ atoms ** 2)
     return max(ex2 - second, 0.0)
 

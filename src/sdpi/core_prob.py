@@ -8,6 +8,7 @@ simplex lattice has one enumerator, `simplex_lattice`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -27,8 +28,24 @@ _GRID_INTEGRAL_TOL = 1e-8
 # domain types
 # ---------------------------------------------------------------------------
 
+class _Moments:
+    """Moments of a distribution kind, all read from its `masses()`."""
+
+    def mean(self) -> float:
+        x, m = self.masses()
+        return float(m @ x)
+
+    def var(self) -> float:
+        x, m = self.masses()
+        return float(m @ (x - self.mean()) ** 2)
+
+    def abs_moment(self, p: float) -> float:
+        x, m = self.masses()
+        return float(m @ np.abs(x) ** p)
+
+
 @dataclass(frozen=True)
-class DiscretePMF:
+class DiscretePMF(_Moments):
     """Finitely supported real-valued distribution (sorted atoms + weights)."""
 
     atoms: np.ndarray
@@ -68,16 +85,6 @@ class DiscretePMF:
     def point_mass(a: float) -> "DiscretePMF":
         return DiscretePMF(np.array([a]), np.array([1.0]))
 
-    def mean(self) -> float:
-        return float(self.weights @ self.atoms)
-
-    def var(self) -> float:
-        m = self.mean()
-        return float(self.weights @ (self.atoms - m) ** 2)
-
-    def abs_moment(self, p: float) -> float:
-        return float(self.weights @ np.abs(self.atoms) ** p)
-
     def cdf(self, x) -> np.ndarray:
         """Right-continuous CDF evaluated at x (scalar or array)."""
         x = np.asarray(x, dtype=float)
@@ -109,7 +116,7 @@ class DiscretePMF:
 
 
 @dataclass(frozen=True)
-class GridDensity:
+class GridDensity(_Moments):
     """Density sampled on a uniform grid; trapezoid integral is 1."""
 
     x_min: float
@@ -176,16 +183,6 @@ class GridDensity:
         c = self.cdf_values()
         out = np.interp(x, self.grid, c, left=0.0, right=c[-1])
         return out if out.ndim else float(out)
-
-    def mean(self) -> float:
-        return float(np.trapezoid(self.grid * self.values, dx=self.step))
-
-    def var(self) -> float:
-        m = self.mean()
-        return float(np.trapezoid((self.grid - m) ** 2 * self.values, dx=self.step))
-
-    def abs_moment(self, p: float) -> float:
-        return float(np.trapezoid(np.abs(self.grid) ** p * self.values, dx=self.step))
 
     def max_density(self) -> float:
         return float(self.values.max())
@@ -259,7 +256,7 @@ def csv_text(header: str, xs, ys) -> str:
 class Ccurve:
     """The result record: a sampled curve with strictly increasing arguments
     and finite values, the constants and solver statistics behind it (`meta`)
-    and provenance notes.  A report of constants alone has no points."""
+    and provenance notes."""
 
     points: tuple
     meta: dict = field(default_factory=dict)
@@ -291,18 +288,17 @@ class Ccurve:
 _ZOOM = np.arange(17.0)
 
 
-def scan_max(f, lo: float, hi: float, n: int, tol: float) -> float:
-    """Maximum of f over [lo, hi], for f vectorised over an array of points.
+def zoom_max(f, xs: np.ndarray, vals: np.ndarray, tol: float) -> float:
+    """Maximum of f, vectorised over an array of points, given its values vals
+    on the increasing points xs.
 
-    f is evaluated on np.linspace(lo, hi, n); then each round evaluates it on
-    17 evenly spaced points across the best point's two neighbours, which
-    narrows that bracket 8x.  Stops once the bracket is at most tol wide or no
-    longer shrinks (its ends are then adjacent floats), and returns the
-    largest value evaluated, so the result is always f at a point.
+    Each round evaluates f on 17 evenly spaced points across the best point's
+    two neighbours, which narrows that bracket 8x.  Stops once the bracket is
+    at most tol wide or no longer shrinks (its ends are then adjacent floats),
+    and returns the largest value seen, so the result is always f at a point.
     """
-    xs, best, width = np.linspace(lo, hi, n), -math.inf, math.inf
+    best, width = -math.inf, math.inf
     while True:
-        vals = f(xs)
         i = int(np.argmax(vals))
         best = max(best, float(vals[i]))
         a, b = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
@@ -312,6 +308,13 @@ def scan_max(f, lo: float, hi: float, n: int, tol: float) -> float:
         step = (b - a) / 16
         xs = (_ZOOM * step if step else _ZOOM / 16 * (b - a)) + a
         xs[-1], width = b, b - a
+        vals = f(xs)
+
+
+def scan_max(f, lo: float, hi: float, n: int, tol: float) -> float:
+    """Maximum of f over [lo, hi]: `zoom_max` from f on np.linspace(lo, hi, n)."""
+    xs = np.linspace(lo, hi, n)
+    return zoom_max(f, xs, f(xs), tol)
 
 
 def bisect(cond, lo: float, hi: float, tol: float = 0.0):
@@ -490,9 +493,20 @@ def uniform_mixture_entropy(mu: np.ndarray, v: np.ndarray, a: float, b: float):
     return h if np.ndim(v) == 2 else float(h[0])
 
 
-# 127-node Gauss-Hermite rule for E f(N(0, 1)) = sum_j _GH_WEIGHTS[j] f(_GH_NODES[j])
-_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(127)
-_GH_NODES, _GH_WEIGHTS = math.sqrt(2.0) * _GH_NODES, _GH_WEIGHTS / math.sqrt(math.pi)
+@functools.lru_cache(maxsize=8)
+def gauss_hermite(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-node Gauss-Hermite rule for the standard normal: read-only
+    (nodes, weights) with E f(N(0, 1)) ~ sum_j weights[j] f(nodes[j]).  Built
+    on first use, so an import runs no eigen-solve and loads no numpy.polynomial."""
+    nodes, weights = np.polynomial.hermite.hermgauss(m)
+    nodes, weights = math.sqrt(2.0) * nodes, weights / math.sqrt(math.pi)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+# the order of the rule behind the Gaussian mixture entropy and the MMSE
+_GH_ORDER = 127
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # elements of one exponent block, which bounds memory for any number of atoms
 _GH_BLOCK = 1 << 18
@@ -501,10 +515,11 @@ _GH_BLOCK = 1 << 18
 def _gh_exponent_blocks(mu: np.ndarray, rows: int = 1):
     """Yield (atoms, E) with E[l, k, j] = -(mu_k + s_j - mu_l)^2 / 2 for the
     components l, atoms k of the slice and Gauss-Hermite nodes s_j."""
-    size = max(1, _GH_BLOCK // (rows * len(_GH_NODES) * len(mu)))
+    nodes, _ = gauss_hermite(_GH_ORDER)
+    size = max(1, _GH_BLOCK // (rows * len(nodes) * len(mu)))
     for i in range(0, len(mu), size):
         atoms = slice(i, i + size)
-        y = mu[atoms, None] + _GH_NODES
+        y = mu[atoms, None] + nodes
         yield atoms, -0.5 * (y - mu[:, None, None]) ** 2
 
 
@@ -519,13 +534,14 @@ def gaussian_mixture_entropy(mu: np.ndarray, v: np.ndarray):
     rows = np.atleast_2d(np.asarray(v, dtype=float))
     with np.errstate(divide="ignore"):
         logv = np.log(rows)[:, :, None, None]  # zero weights drop out as -inf
+    _, weights = gauss_hermite(_GH_ORDER)
     h = np.zeros(len(rows))
     for atoms, E in _gh_exponent_blocks(mu, len(rows)):
         # (row, component l, atom k, node j): the sums over l run on an outer axis
         z = logv + E
         zmax = z.max(axis=1)
         log_p = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1)) - _LOG_SQRT_2PI
-        h -= (rows[:, atoms] * (log_p @ _GH_WEIGHTS)).sum(axis=1)
+        h -= (rows[:, atoms] * (log_p @ weights)).sum(axis=1)
     return h if np.ndim(v) == 2 else float(h[0])
 
 
@@ -604,7 +620,10 @@ def levy_concentration(P: Distribution, delta: float) -> float:
         cum = np.concatenate([[0.0], np.cumsum(P.weights)])
         lo = np.arange(len(P.atoms))
         return float(np.max(cum[hi] - cum[lo]))
-    return float(np.max(P.cdf(P.grid + delta) - P.cdf(P.grid - delta)))
+    # the window mass is piecewise linear in the centre, with its breakpoints
+    # where an edge meets a node: windows [x_i, x_i + 2 delta], [x_i - 2 delta, x_i]
+    x, c = P.grid, P.cdf_values()
+    return float(max(np.max(P.cdf(x + 2.0 * delta) - c), np.max(c - P.cdf(x - 2.0 * delta))))
 
 
 _CF_CHUNK = 512
@@ -692,14 +711,3 @@ def tv_after_noise(P: Distribution, Q: Distribution, Z: GridDensity) -> float:
 
     return float(0.5 * np.trapezoid(np.abs(on_grid(pc) - on_grid(qc)), dx=step))
 
-
-def gaussian_grid(mu: float = 0.0, sigma: float = 1.0, span_sd: float = 10.0,
-                  step: float = 0.01) -> GridDensity:
-    """Gaussian density truncated at +- span_sd standard deviations."""
-    lo = mu - span_sd * sigma
-    hi = mu + span_sd * sigma
-    lo = math.floor(lo / step) * step
-    hi = math.ceil(hi / step) * step
-    return GridDensity.from_function(
-        lambda x: np.exp(-0.5 * ((x - mu) / sigma) ** 2) / (sigma * math.sqrt(2 * math.pi)),
-        lo, hi, step)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import NoiseModel, awgn_capacity, mi_additive
-from .core_prob import Ccurve, DiscretePMF, binary_entropy, bisect_up, q_function, scan_max
+from .core_prob import DiscretePMF, binary_entropy, bisect_up, gauss_hermite, q_function, zoom_max
 from .errors import AccuracyError, DomainError
 
 A0 = 24.0 / math.pi ** 1.5
@@ -51,16 +51,16 @@ def _gd_terms(xp: np.ndarray, gamma: float):
             0.5 * xp * np.log1p(gamma / xp))
 
 
-# gd_lower's first scan: scan_max evaluates the bracket on np.linspace(0, 1/2, _GD_SCAN)
-_GD_SCAN = 2001
+# gd_lower's first scan of x over [0, 1/2]
+_GD_X = np.linspace(0.0, 0.5, 2001)
+_GD_X.setflags(write=False)
 
 
 @functools.lru_cache(maxsize=8)
 def _gd_scan_terms(gamma: float):
-    """`_gd_terms` on gd_lower's scan grid, zero at x = 0, where the bracket is 0."""
-    x = np.linspace(0.0, 0.5, _GD_SCAN)
-    terms = np.zeros((3, _GD_SCAN))
-    terms[:, 1:] = _gd_terms(x[x > 0], gamma)
+    """`_gd_terms` on `_GD_X`, zero at x = 0, where the bracket is 0."""
+    terms = np.zeros((3, len(_GD_X)))
+    terms[:, 1:] = _gd_terms(_GD_X[1:], gamma)
     terms.setflags(write=False)
     return terms
 
@@ -73,13 +73,10 @@ def gd_lower(t: float, gamma: float) -> float:
         raise DomainError("gamma must be positive and finite")
     if t == 0.0:
         return 0.0
+    # the first scan from the cached terms: only t - h_b - c depends on t
     amp, hb, c = _gd_scan_terms(gamma)
-
-    def bracket(x):
-        if len(x) == _GD_SCAN:  # the first scan: only t - h_b - c depends on t
-            return np.maximum(amp * (t - hb - c), 0.0)
-        return _gd_bracket(x, t, gamma)
-    return scan_max(bracket, 0.0, 0.5, _GD_SCAN, 1e-10)
+    return zoom_max(lambda x: _gd_bracket(x, t, gamma), _GD_X,
+                    np.maximum(amp * (t - hb - c), 0.0), 1e-10)
 
 
 def gd_rate_small_t(u: float, gamma: float) -> float:
@@ -88,8 +85,8 @@ def gd_rate_small_t(u: float, gamma: float) -> float:
     This is a restriction of the maximization in gd_lower to one point, so
     the return value never exceeds gd_lower(1/u, gamma).
     """
-    if not gamma > 0:
-        raise DomainError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise DomainError("gamma must be positive and finite")
     if not (u > 1.0 and u * math.log(u) >= 1.0):
         raise DomainError("u too small: need 1/(2 u log u) <= 1/2")
     x = 1.0 / (2.0 * u * math.log(u))
@@ -101,8 +98,8 @@ def gd_subgaussian(t: float, gamma: float, s: float) -> float:
     """Diagonal bound for s-subgaussian inputs, polynomial in t."""
     if not 0.0 < t <= 0.25:
         raise DomainError("t must lie in (0, 1/4]")
-    if not (gamma > 0 and s > 0):
-        raise DomainError("gamma and s must be positive")
+    if not (0 < gamma < math.inf and 0 < s < math.inf):
+        raise DomainError("gamma and s must be positive and finite")
     y = t / math.log(1.0 / t)
     if y > 0.5:
         raise DomainError("t too large: y = t/log(1/t) must be <= 1/2")
@@ -189,10 +186,6 @@ class HorizontalConstants:
     log_c1: float
     log_eps0: float  # validity threshold: need log(1/eps) >= -log_eps0
 
-    @property
-    def eps0(self) -> float:
-        return math.exp(self.log_eps0) if self.log_eps0 > -745 else 0.0
-
 
 def _kappa(gamma: float) -> float:
     """kappa(gamma): sup over L >= 8 of the three-term chain times sqrt(L).
@@ -261,20 +254,6 @@ def gh_lower(t: float, gamma: float) -> float:
     return math.exp(exponent) if exponent > -745 else 0.0
 
 
-def horizontal_report(gamma: float) -> Ccurve:
-    hc = horizontal_constants(gamma)
-    return Ccurve(
-        points=(),
-        meta={"gamma": gamma, "kappa": hc.kappa, "a5": hc.a5, "c1": hc.c1,
-              "log_c1": hc.log_c1, "log_eps0": hc.log_eps0,
-              "a0": A0, "a1": A1, "a2": A2, "a3": A3, "a4": A4},
-        notes=(
-            "kappa assembled from the three-term chain with sup over L >= 8",
-            "a5 = 1 + 2/e + log 2 from the binary-divergence lower bound",
-            "KL contraction replaced by its TV upper bound throughout",
-        ))
-
-
 # ---------------------------------------------------------------------------
 # horizontal achievability
 # ---------------------------------------------------------------------------
@@ -283,11 +262,8 @@ def gauss_hermite_input(m: int) -> DiscretePMF:
     """m-atom zero-mean unit-variance input on Gauss-Hermite nodes."""
     if m < 1:
         raise DomainError("m must be >= 1")
-    nodes, weights = np.polynomial.hermite.hermgauss(m)
-    atoms = math.sqrt(2.0) * nodes
-    w = weights / math.sqrt(math.pi)
-    w = w / w.sum()
-    return DiscretePMF(atoms, w)
+    atoms, w = gauss_hermite(m)
+    return DiscretePMF(atoms, w / w.sum())
 
 
 def gh_upper_achievability(t: float, gamma: float) -> tuple[int, float, float]:

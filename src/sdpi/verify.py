@@ -8,8 +8,6 @@ count; the CLI exits nonzero when it is positive.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .channels import DMCKernel, NoiseModel, awgn_capacity
@@ -35,29 +33,20 @@ def _suite_bsc(seed: int) -> dict:
             "details": mismatches}
 
 
-def _suite_diag(seed: int) -> dict:
-    noise = NoiseModel.gaussian()
-    res = sdpi_pair_sampler(noise, gamma=1.0, p=2.0, n_couplings=500, seed=seed,
-                            diag_bound=lambda t: gd_lower(t, 1.0))
-    return {"suite": "diag", "gamma": 1.0, "n_couplings": 500,
+def _sampler_suite(name: str, seed: int, **bounds) -> dict:
+    """500 random couplings of the AWGN channel at gamma = 1 against `bounds`."""
+    res = sdpi_pair_sampler(NoiseModel.gaussian(), gamma=1.0, p=2.0, n_couplings=500,
+                            seed=seed, **bounds)
+    return {"suite": name, "gamma": 1.0, "n_couplings": 500,
             "violations": res.violation_count,
             "details": [v[:2] for v in res.violations]}
 
 
-def _suite_horiz(seed: int) -> dict:
-    noise = NoiseModel.gaussian()
-
-    def horiz(eps):
-        try:
-            return t_lower_from_gap(eps, 1.0)
-        except DomainError:
-            return None  # bound not applicable at this gap
-
-    res = sdpi_pair_sampler(noise, gamma=1.0, p=2.0, n_couplings=500, seed=seed,
-                            horiz_bound=horiz, capacity=awgn_capacity(1.0))
-    return {"suite": "horiz", "gamma": 1.0, "n_couplings": 500,
-            "violations": res.violation_count,
-            "details": [v[:2] for v in res.violations]}
+def _horiz(eps):
+    try:
+        return t_lower_from_gap(eps, 1.0)
+    except DomainError:
+        return None  # bound not applicable at this gap
 
 
 def _random_pair(rng):
@@ -99,8 +88,13 @@ def _suite_deconv(seed: int) -> dict:
             "details": violations}
 
 
-_SUITES = {"bsc": _suite_bsc, "diag": _suite_diag,
-           "horiz": _suite_horiz, "deconv": _suite_deconv}
+_SUITES = {
+    "bsc": _suite_bsc,
+    "diag": lambda seed: _sampler_suite("diag", seed, diag_bound=lambda t: gd_lower(t, 1.0)),
+    "horiz": lambda seed: _sampler_suite("horiz", seed, horiz_bound=_horiz,
+                                         capacity=awgn_capacity(1.0)),
+    "deconv": _suite_deconv,
+}
 
 
 def run_suite(name: str, seed: int = 0) -> dict:

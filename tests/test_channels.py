@@ -297,6 +297,10 @@ class TestMmse:
     def test_gamma_zero_returns_variance(self):
         assert mmse_numeric(rademacher(), 0.0) == pytest.approx(1.0, abs=1e-12)
 
+    def test_infinite_gamma_rejected(self):
+        with pytest.raises(DomainError):
+            mmse_numeric(rademacher(), math.inf)
+
     def test_gaussian_like_input_near_lmmse(self):
         # fine discretization of N(0,1) has mmse within 1e-3 of the lmmse
         xs = np.linspace(-4.0, 4.0, 81)
@@ -324,7 +328,7 @@ class TestMmseLayout:
     @staticmethod
     def last_axis_mmse(input, gamma):
         from sdpi import core_prob
-        nodes = core_prob._GH_NODES
+        nodes, gh_weights = core_prob.gauss_hermite(127)
         keep = input.weights > 0
         atoms, weights = input.atoms[keep], input.weights[keep]
         mu = math.sqrt(gamma) * atoms
@@ -337,7 +341,7 @@ class TestMmseLayout:
             z = logw + -0.5 * (y[:, :, None] - mu) ** 2
             ez = np.exp(z - z.max(axis=2, keepdims=True))
             cond_mean = (ez @ atoms) / ez.sum(axis=2)
-            second += float(weights[blk] @ (cond_mean ** 2 @ core_prob._GH_WEIGHTS))
+            second += float(weights[blk] @ (cond_mean ** 2 @ gh_weights))
         return max(float(weights @ atoms ** 2) - second, 0.0)
 
     @pytest.mark.parametrize("block", [None, 1, 700])

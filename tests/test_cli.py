@@ -1,6 +1,8 @@
+import importlib
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import warnings
@@ -410,8 +412,10 @@ class TestColdStart:
     so each check runs in a fresh interpreter."""
 
     def test_import_loads_neither_scipy_nor_numpy_ma(self):
+        # nor numpy.polynomial: the Gauss-Hermite rule is built on first use
         done = _fresh_python("import sys, sdpi.cli\n"
-                             "print([m for m in ('scipy', 'numpy.ma') if m in sys.modules])")
+                             "print([m for m in ('scipy', 'numpy.ma', 'numpy.polynomial')\n"
+                             "       if m in sys.modules])")
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
 
@@ -436,3 +440,14 @@ class TestColdStart:
                              "    print(e.code, 'scipy' in sys.modules, file=sys.stderr)\n")
         assert done.stderr.splitlines()[-1] == "0 False", done.stderr
         assert done.stdout
+
+
+@pytest.mark.parametrize("group", ["AWGN_SITES", "DMC_SITES", "CLI_SITES"])
+def test_benchmark_tracer_sites_resolve(group):
+    # perfbench wraps each (module, attribute) site of tracer.py; a refactor that
+    # drops one breaks the traced benchmark, so Tier-1 checks that they resolve
+    root = Path(__file__).resolve().parent.parent
+    sites = runpy.run_path(str(root / "perfbench" / "tracer.py"))[group]
+    assert sites
+    for module, attr, _ in sites:
+        assert callable(getattr(importlib.import_module(module), attr)), (module, attr)

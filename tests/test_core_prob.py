@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdpi.channels import DMCKernel, mi_dmc
+from sdpi.channels import DMCKernel, NoiseModel, mi_dmc
 from sdpi.core_prob import (
     LOG2, DiscretePMF, GridDensity, binary_entropy, binary_entropy_inv, bisect,
-    char_fn, convolve, csv_rows, csv_text, gaussian_grid, gaussian_mixture_entropy, kl_divergence,
-    ks_distance, levy_concentration, max_entropy_integer, mi_joint, q_function,
-    q_inverse, scan_max, simplex_lattice,
+    char_fn, convolve, csv_rows, csv_text, gauss_hermite, gaussian_mixture_entropy,
+    kl_divergence, ks_distance, levy_concentration, max_entropy_integer, mi_joint,
+    q_function, q_inverse, scan_max, simplex_lattice,
     tv_after_noise, tv_distance, uniform_mixture_entropy, v_window, wasserstein,
     xlogx,
 )
@@ -270,6 +270,27 @@ class TestLevyConcentration:
         # P[|Z| <= 0.5] = 2 Phi(0.5) - 1
         expected = 1.0 - 2.0 * q_function(0.5)
         assert levy_concentration(g, 0.5) == pytest.approx(expected, abs=1e-3)
+        assert levy_concentration(g, math.inf) == pytest.approx(1.0, abs=1e-12)
+
+    def test_grid_sup_between_nodes(self):
+        # the best window has an edge at a node and its centre off the nodes
+        g = GridDensity(0.0, 2.0, 1.0, np.array([0.1, 0.1, 1.7]))
+        assert levy_concentration(g, 0.25) == pytest.approx(0.45, abs=1e-15)
+
+    def test_grid_against_dense_scan(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            n = int(rng.integers(2, 30))
+            g = GridDensity.from_function(lambda x: rng.uniform(0.0, 1.0, len(x)),
+                                          0.0, 0.1 * (n - 1), 0.1)
+            delta = float(rng.uniform(0.0, 0.5))
+            h = 1e-5
+            x = np.arange(g.x_min - delta, g.x_max + delta + h, h)
+            dense = float(np.max(g.cdf(x + delta) - g.cdf(x - delta)))
+            got = levy_concentration(g, delta)
+            # a window mass with slope at most 2 max f is within h max f of its sup
+            assert dense <= got + 1e-12
+            assert got <= dense + h * g.max_density() + 1e-12
 
     @given(st.floats(0.0, 3.0), st.floats(0.0, 3.0))
     def test_monotone_in_radius(self, r1, r2):
@@ -477,19 +498,34 @@ class TestGaussianMixtureEntropy:
                                    rtol=1e-15, atol=0.0)
 
 
+class TestGaussHermite:
+    def test_standard_normal_moments(self):
+        nodes, weights = gauss_hermite(127)
+        assert weights.sum() == pytest.approx(1.0, abs=1e-14)
+        assert weights @ nodes ** 2 == pytest.approx(1.0, abs=1e-13)
+        assert weights @ nodes ** 4 == pytest.approx(3.0, abs=1e-12)
+
+    def test_cached_and_read_only(self):
+        nodes, weights = gauss_hermite(5)
+        assert gauss_hermite(5)[0] is nodes
+        assert not nodes.flags.writeable and not weights.flags.writeable
+
+
 class TestTvAfterNoise:
+    Z = NoiseModel.gaussian().to_grid(0.01)
+
     def test_same_input_is_zero(self):
         P = DiscretePMF(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
-        assert tv_after_noise(P, P, gaussian_grid(step=0.01)) == pytest.approx(0.0, abs=1e-12)
+        assert tv_after_noise(P, P, self.Z) == pytest.approx(0.0, abs=1e-12)
 
     def test_far_apart_inputs_near_one(self):
         P, Q = DiscretePMF.point_mass(-10.0), DiscretePMF.point_mass(10.0)
-        assert tv_after_noise(P, Q, gaussian_grid(step=0.01)) == pytest.approx(1.0, abs=1e-9)
+        assert tv_after_noise(P, Q, self.Z) == pytest.approx(1.0, abs=1e-9)
 
     def test_contracts_tv(self):
         P = DiscretePMF(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
         Q = DiscretePMF(np.array([0.0, 1.0]), np.array([0.2, 0.8]))
-        d = tv_after_noise(P, Q, gaussian_grid(step=0.01))
+        d = tv_after_noise(P, Q, self.Z)
         assert 0.0 < d < tv_distance(P, Q)
 
 
@@ -522,7 +558,7 @@ class TestConvolve:
 
 class TestGaussianGrid:
     def test_default(self):
-        g = gaussian_grid()
+        g = NoiseModel.gaussian().to_grid(0.01)
         assert g.step == pytest.approx(0.01)
         assert g.max_density() == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-4)
 
@@ -564,7 +600,7 @@ class TestMixtureEntropyLayout:
     def last_axis_entropy(mu, v):
         # the exponent block laid out (atom k, node j, component l), reduced over l
         from sdpi import core_prob
-        nodes, weights = core_prob._GH_NODES, core_prob._GH_WEIGHTS
+        nodes, weights = core_prob.gauss_hermite(127)
         rows = np.atleast_2d(v)
         with np.errstate(divide="ignore"):
             logv = np.log(rows)[:, None, None, :]

@@ -10,7 +10,7 @@ from sdpi.errors import AccuracyError, DomainError
 from sdpi.gaussian_sdpi import (
     A0, A1, A2, A5, concentration_radius, diag_achievability,
     gauss_hermite_input, gd_lower, gd_rate_small_t, gd_subgaussian, gh_lower,
-    gh_upper_achievability, horizontal_constants, horizontal_report,
+    gh_upper_achievability, horizontal_constants,
     ks_from_capacity_gap, ks_from_mmse_gap, ks_talagrand, t_lower_from_gap,
 )
 
@@ -63,6 +63,8 @@ class TestGdRateSmallT:
             gd_rate_small_t(1.0, 1.0)
         with pytest.raises(DomainError):
             gd_rate_small_t(0.5, 1.0)
+        with pytest.raises(DomainError):
+            gd_rate_small_t(10.0, math.inf)
 
 
 class TestGdSubgaussian:
@@ -84,6 +86,10 @@ class TestGdSubgaussian:
             gd_subgaussian(0.3, 1.0, 1.0)
         with pytest.raises(DomainError):
             gd_subgaussian(0.0, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            gd_subgaussian(0.1, math.inf, 1.0)
+        with pytest.raises(DomainError):
+            gd_subgaussian(0.1, 1.0, math.inf)
 
 
 class TestDiagAchievability:
@@ -158,10 +164,6 @@ class TestHorizontalConstants:
         assert hc.a5 == pytest.approx(A5, abs=0)
         assert hc.log_eps0 == pytest.approx(-1930.6541324772988, rel=1e-6)
 
-    def test_eps0_underflows_for_gamma_one(self):
-        # the certified validity threshold sits far below float64 range
-        assert horizontal_constants(1.0).eps0 == 0.0
-
     def test_kappa_decreasing_then_increasing_in_gamma(self):
         # dominated by 1/sqrt(gamma) at small gamma and gamma^{5/4} at large
         k_small = horizontal_constants(0.01).kappa
@@ -169,11 +171,6 @@ class TestHorizontalConstants:
         k_large = horizontal_constants(100.0).kappa
         assert k_small > k_mid
         assert k_large > k_mid
-
-    def test_report_notes(self):
-        rep = horizontal_report(1.0)
-        assert rep.meta["kappa"] > 0
-        assert any("TV upper bound" in n for n in rep.notes)
 
 
 class TestTLowerFromGap:
