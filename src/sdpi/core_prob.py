@@ -403,8 +403,8 @@ def q_inverse(p: float) -> float:
 
 def max_entropy_integer(mean_abs: float) -> float:
     """Entropy cap for integer-valued variables with E|U| <= mean_abs."""
-    if not mean_abs >= 0:
-        raise DomainError("mean_abs must be nonnegative")
+    if not 0 <= mean_abs < math.inf:
+        raise DomainError("mean_abs must be nonnegative and finite")
     m = mean_abs
     return (m + 1.0) * binary_entropy(1.0 / (m + 1.0)) + LOG2
 
@@ -412,6 +412,8 @@ def max_entropy_integer(mean_abs: float) -> float:
 def v_window(x) -> float | np.ndarray:
     """The spectral window v(x) = 2(1-cos x)/x^2, with v(0)=1 by the series."""
     x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise DomainError("x must be finite")
     # 2(1-cos x)/x^2 loses ~8 digits to cancellation below x ~ 1e-2; the
     # three-term series is exact to <1e-16 relative there
     small = np.abs(x) < 1e-2
@@ -469,8 +471,11 @@ def mi_joint(q: np.ndarray) -> float:
     """Mutual information between the row and column index of a joint pmf."""
     qw = q.sum(axis=1)
     qx = q.sum(axis=0)
-    mask = q > 0
-    val = float(np.sum(q[mask] * np.log(q[mask] / np.outer(qw, qx)[mask])))
+    outer = np.outer(qw, qx)
+    # a subnormal row weight times a column weight can underflow to 0; the term
+    # of such an entry is below 1e-320
+    mask = (q > 0) & (outer > 0)
+    val = float(np.sum(q[mask] * np.log(q[mask] / outer[mask])))
     return max(val, 0.0)
 
 

@@ -181,7 +181,8 @@ def fi_dmc_envelope(K: DMCKernel, t_grid, solver_params: dict | None = None) -> 
     The Lagrangians I(W;Y) - lambda I(W;X) at `n_lambdas` (64) multipliers and
     up to `refinements` (96) bisections are maximized by `_best_split`; the
     upper concave hull of the achieved (I_WX, I_WY) pairs, each re-evaluated
-    exactly, anchored at the origin and capped at capacity, is the curve.
+    exactly, anchored at the origin and capped at the lower end of the capacity
+    bracket (`dmc_capacity`), is the curve; the meta records both ends.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or not np.all(np.diff(t_grid) > 0):
@@ -221,8 +222,9 @@ def fi_dmc_envelope(K: DMCKernel, t_grid, solver_params: dict | None = None) -> 
     cap = dmc_capacity(K)
     hx, hy = np.array(_upper_concave_hull(pairs)).T
     vals = np.interp(t_grid, hx, hy, left=0.0, right=hy[-1])
-    vals = np.maximum(np.minimum(vals, np.minimum(t_grid, cap)), 0.0)
-    meta = {"capacity": cap, "lattice_resolution": resolution,
+    vals = np.maximum(np.minimum(vals, np.minimum(t_grid, cap.lower)), 0.0)
+    meta = {"capacity": cap.lower, "capacity_upper": cap.upper, "capacity_steps": cap.steps,
+            "lattice_resolution": resolution,
             "n_lambdas": len(solved), "no_improve_restarts": 0}
     return Ccurve(tuple(zip(t_grid.tolist(), vals.tolist())), meta)
 

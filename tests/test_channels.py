@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,8 @@ from scipy.integrate import quad
 
 from sdpi.channels import (
     DMCKernel, GaussianNoise, GridNoise, LaplaceNoise, NoiseModel,
-    UniformNoise, awgn_capacity, dmc_capacity, immse_gap_check, lmmse, mi_additive,
-    mi_dmc, mmse_numeric, normalize_input,
+    UniformNoise, _CAPACITY_GAP, _CAPACITY_STEPS, awgn_capacity, dmc_capacity,
+    immse_gap_check, lmmse, mi_additive, mi_dmc, mmse_numeric, normalize_input,
 )
 from sdpi.core_prob import LOG2, DiscretePMF, GridDensity, binary_entropy
 from sdpi.errors import DomainError, ShapeError
@@ -65,34 +66,76 @@ class TestMiDmc:
         assert val == pytest.approx(LOG2 - binary_entropy(0.1), abs=1e-12)
 
 
+# a 5x3 kernel on which 5,000 Blahut-Arimoto steps drive two input weights to
+# subnormals (5e-324 and 1e-323)
+SUBNORMAL_KERNEL = np.array([
+    [0.27489688872110063, 0.06860425470547672, 0.6564988565734226],
+    [0.26222792222880836, 0.28776343696294615, 0.45000864080824554],
+    [0.6002148087567576, 0.3974092309552927, 0.00237596028794973],
+    [0.5187833898018481, 0.17025963923933274, 0.3109569709588192],
+    [0.630829561375245, 0.36827912644355537, 0.00089131218119966],
+])
+
+
 class TestDmcCapacity:
+    # each end of the bracket may miss C by rounding
+    ROUNDING = 1e-15
+
+    def bracket(self, m, closed=None):
+        """The capacity bracket of m, checked to be closed and, given a closed
+        form, to contain it."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cap = dmc_capacity(DMCKernel(np.asarray(m, dtype=float)))
+        assert math.isfinite(cap.lower) and cap.lower <= cap.upper
+        assert cap.upper - cap.lower <= _CAPACITY_GAP
+        assert cap.steps <= _CAPACITY_STEPS
+        if closed is not None:
+            assert cap.lower - self.ROUNDING <= closed <= cap.upper + self.ROUNDING
+        return cap
+
     def test_bsc_closed_form(self):
-        for d in (0.05, 0.1, 0.3):
-            assert dmc_capacity(DMCKernel.bsc(d)) == pytest.approx(
-                LOG2 - binary_entropy(d), abs=1e-9)
+        for d in (0.05, 0.1, 0.3, 0.5):
+            self.bracket(DMCKernel.bsc(d).matrix, LOG2 - binary_entropy(d))
 
     def test_erasure_closed_form(self):
-        assert dmc_capacity(DMCKernel.erasure(0.3, 2)) == pytest.approx(
-            0.7 * LOG2, abs=1e-9)
+        for size in (2, 3):
+            self.bracket(DMCKernel.erasure(0.3, size).matrix, 0.7 * math.log(size))
 
     def test_identity(self):
-        assert dmc_capacity(DMCKernel.identity(3)) == pytest.approx(
-            math.log(3.0), abs=1e-9)
+        self.bracket(np.eye(3), math.log(3.0))
+
+    def test_z_channel(self):
+        # crossover e: C = log(1 + (1 - e) e^(e / (1 - e))), log 1.25 at e = 1/2
+        self.bracket([[1.0, 0.0], [0.5, 0.5]], math.log(1.25))
+
+    def test_degenerate_kernels(self):
+        self.bracket([[0.2, 0.3, 0.5]], 0.0)
+        self.bracket([[0.2, 0.3, 0.5]] * 4, 0.0)
+        # a repeated row and an all-zero output column leave C unchanged
+        bsc = LOG2 - binary_entropy(0.1)
+        self.bracket([[0.9, 0.1], [0.9, 0.1], [0.1, 0.9]], bsc)
+        self.bracket([[0.9, 0.0, 0.1], [0.1, 0.0, 0.9]], bsc)
+
+    def test_subnormal_input_weights(self):
+        # Blahut-Arimoto returned inf here, with a RuntimeWarning
+        self.bracket(SUBNORMAL_KERNEL)
+
+    def test_near_degenerate_kernel_is_bounded(self):
+        # the middle row is a mixture of the others, so its weight goes to 0
+        cap = self.bracket([[0.9, 0.1], [0.55, 0.45], [0.2, 0.8]])
+        assert cap.steps < _CAPACITY_STEPS
 
     def test_matches_row_by_row_iteration(self):
-        # Blahut-Arimoto with D(row_x || q) taken one row at a time over the
-        # positive entries, same tolerance and iteration cap
-        def reference(m, tol=1e-10, max_iter=5000):
+        # 5,000 Blahut-Arimoto steps with D(row_x || q) taken one row at a time
+        # over the positive entries: a lower bound on C that lies in the bracket
+        def reference(m, steps=5000):
             p = np.full(len(m), 1.0 / len(m))
-            for _ in range(max_iter):
+            for _ in range(steps):
                 q = p @ m
                 d = np.array([np.sum(r[r > 0] * np.log(r[r > 0] / q[r > 0])) for r in m])
-                new = p * np.exp(d - d.max())
-                new /= new.sum()
-                done = np.abs(new - p).max() < tol
-                p = new
-                if done:
-                    break
+                p = p * np.exp(d - d.max())
+                p /= p.sum()
             return mi_dmc(p, DMCKernel(m))
 
         rng = np.random.default_rng(5)
@@ -100,7 +143,8 @@ class TestDmcCapacity:
                    np.array([[0.5, 0.5, 0.0], [0.0, 0.2, 0.8], [1.0, 0.0, 0.0]])]
         kernels += [rng.dirichlet(np.ones(ny), size=nx) for nx, ny in ((2, 3), (3, 3), (4, 2))]
         for m in kernels:
-            assert dmc_capacity(DMCKernel(m)) == pytest.approx(reference(m), rel=1e-13, abs=1e-15)
+            cap = self.bracket(m)
+            assert cap.lower - self.ROUNDING <= reference(m) <= cap.upper
 
 
 class TestNoiseModel:
@@ -138,6 +182,11 @@ class TestNoiseModel:
     def test_theta_laplace(self):
         z = NoiseModel.laplace(1.0)
         assert z.theta(1.0) == pytest.approx(1.0 - math.exp(-0.5), abs=1e-12)
+
+    def test_theta_rejects_nan(self):
+        for z in (NoiseModel.gaussian(), NoiseModel.laplace(1.0), NoiseModel.uniform()):
+            with pytest.raises(DomainError):
+                z.theta(math.nan)
 
     def test_to_grid_normalized(self):
         g = NoiseModel.gaussian().to_grid(step=0.01)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +175,11 @@ class TestWindowFunction:
             direct = (math.sin(x / 2.0) / (x / 2.0)) ** 2
             assert v_window(x) == pytest.approx(direct, rel=1e-12)
 
+    def test_rejects_non_finite(self):
+        for x in (math.inf, -math.inf, math.nan, np.array([0.5, math.inf])):
+            with pytest.raises(DomainError):
+                v_window(x)
+
     @given(st.floats(-50.0, 50.0))
     def test_range(self, x):
         v = float(v_window(x))
@@ -206,8 +212,9 @@ class TestMaxEntropyInteger:
         assert cap >= math.log(3.0)  # uniform on {-1, 0, 1} has E|U| = 2/3 < 1
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            max_entropy_integer(-0.1)
+        for m in (-0.1, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                max_entropy_integer(m)
 
 
 class TestDistances:
@@ -425,6 +432,13 @@ class TestMutualInformation:
         closed = binary_entropy(p * (1 - delta) + (1 - p) * delta) - binary_entropy(delta)
         assert mi_joint(w[:, None] * K.matrix) == pytest.approx(closed, abs=1e-14)
         assert mi_dmc(w, K) == pytest.approx(closed, abs=1e-14)
+
+    def test_mi_joint_subnormal_row_weights(self):
+        # the outer product of the marginals underflows to 0 in the first row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = mi_joint(np.array([[5e-324, 5e-324], [0.25, 0.75]]))
+        assert 0.0 <= val < 1e-300
 
     def test_independent_joint_is_zero(self):
         assert mi_joint(np.outer([0.2, 0.8], [0.5, 0.25, 0.25])) == 0.0

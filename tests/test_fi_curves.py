@@ -135,7 +135,9 @@ class TestEnvelope:
     def test_meta_fields(self):
         curve = fi_dmc_envelope(DMCKernel.bsc(0.2), np.linspace(0, 0.6, 4),
                                 {"restarts": 4, "n_lambdas": 8})
-        assert curve.meta["capacity"] == pytest.approx(LOG2 - binary_entropy(0.2), abs=1e-9)
+        assert curve.meta["capacity"] == pytest.approx(LOG2 - binary_entropy(0.2), abs=1e-15)
+        assert 0.0 <= curve.meta["capacity_upper"] - curve.meta["capacity"] <= 1e-12
+        assert curve.meta["capacity_steps"] == 0  # the uniform input is optimal
         assert curve.meta["lattice_resolution"] == 1000
         assert curve.meta["n_lambdas"] >= 8
         assert curve.meta["no_improve_restarts"] == 0
