@@ -20,7 +20,7 @@ import numpy as np
 
 from .core_prob import (_GH_ORDER, DiscretePMF, GridDensity, _gh_exponent_blocks,
                         char_fn, gauss_hermite, gaussian_mixture_entropy, mi_joint,
-                        q_function, scan_max, simpson, uniform_mixture_entropy)
+                        q_function, simpson, uniform_mixture_entropy, zoom_max)
 from .errors import DomainError, ProfileFailureError, ShapeError
 
 
@@ -53,6 +53,8 @@ class DMCKernel:
     def erasure(alpha: float, size: int = 2) -> "DMCKernel":
         if not 0.0 <= alpha <= 1.0:
             raise DomainError("erasure probability must lie in [0, 1]")
+        if not size >= 1:
+            raise DomainError("alphabet size must be at least 1")
         m = np.zeros((size, size + 1))
         for i in range(size):
             m[i, i] = 1 - alpha
@@ -61,6 +63,8 @@ class DMCKernel:
 
     @staticmethod
     def identity(size: int) -> "DMCKernel":
+        if not size >= 1:
+            raise DomainError("alphabet size must be at least 1")
         return DMCKernel(np.eye(size))
 
 
@@ -328,9 +332,10 @@ class GridNoise(NoiseModel):
 
     def eta_tv(self, A: float) -> float:
         """theta of a grid law need not be monotone: a 512-point scan of
-        [0, 2A], refined by `scan_max`'s 17-point zoom."""
-        return scan_max(lambda ds: np.array([self.theta(d) for d in ds]),
-                        0.0, 2.0 * A, 512, 1e-8 * max(1.0, A))
+        [0, 2A], refined by `zoom_max`'s 17-point zoom."""
+        theta = np.vectorize(self.theta, otypes=[float])
+        ds = np.linspace(0.0, 2.0 * A, 512)
+        return zoom_max(theta, ds, theta(ds), 1e-8 * max(1.0, A))
 
     def sample(self, n: int, rng) -> np.ndarray:
         return self.grid_density.quantile(rng.uniform(0.0, 1.0, n))
@@ -434,8 +439,8 @@ def dmc_capacity(K: DMCKernel) -> CapacityBracket:
             mu *= 0.1
         p = p + s * dp
         p /= p.sum()
-    # both ends are bounds, so an upper below the lower is rounding
-    return CapacityBracket(lower, max(upper, lower), steps)
+    # crossed ends are rounding: drop the lower end, as the curve is capped at it
+    return CapacityBracket(min(lower, upper), upper, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,7 @@ def _cmd_fi_curve(args):
     return 0
 
 
-def _t_lower_or_nan(eps: float, gamma: float) -> float:
+def t_lower_or_nan(eps: float, gamma: float) -> float:
     """t_lower_from_gap, or nan where eps lies outside its validity range."""
     try:
         return t_lower_from_gap(eps, gamma)
@@ -141,7 +141,7 @@ def _cmd_bounds(args):
     elif args.bound == "horiz":
         eps = _parse_grid(args.eps_grid)
         hc = horizontal_constants(args.gamma)
-        _emit_csv(args, "eps,t_lower", eps, [_t_lower_or_nan(e, args.gamma) for e in eps],
+        _emit_csv(args, "eps,t_lower", eps, [t_lower_or_nan(e, args.gamma) for e in eps],
                   gamma=args.gamma, c1=hc.c1, kappa=hc.kappa, a5=hc.a5, log_eps0=hc.log_eps0)
     else:  # general-diag
         noise = _parse_noise(args.noise)
@@ -163,6 +163,27 @@ def _cmd_contraction(args):
     return 0
 
 
+def deconv_report(P, Q, noise: NoiseModel, step: float) -> dict:
+    """The `sdpi deconv` report: d_TV after noise on a `step` grid and d_KS,
+    then, when Q is a density and 0 < d_TV < 1, the three KS bounds at
+    T = g1(m1 d_TV)."""
+    d_tv = tv_after_noise(P, Q, noise.to_grid(step=step))
+    report = {"d_tv_conv": d_tv, "d_ks": ks_distance(P, Q)}
+    if isinstance(Q, GridDensity) and 0 < d_tv < 1:
+        m2 = Q.max_density()
+        mom = (P.abs_moment(1.0), Q.abs_moment(1.0))
+        profile = g1_profile(noise)
+        T = profile.g1_of_u(min(noise.m1 * d_tv, 1.0))
+        try:
+            report["ks_from_tv_bound"] = ks_from_tv_bound(noise, m2, mom, profile, T, d_tv)
+        except ProfileFailureError as e:  # profile without a closed-form floor
+            report["ks_from_tv_bound_error"] = str(e)
+        report["ks_deconv_solve"] = ks_deconv_solve(noise, d_tv, m2, mom)
+        report["esseen_bound"] = esseen_bound(P, Q, m2, T)
+        report["T"] = T
+    return report
+
+
 def _cmd_deconv(args):
     noise = _parse_noise(args.noise)
     P = _load_distribution(args.p_dist)
@@ -177,22 +198,7 @@ def _cmd_deconv(args):
         step = (grids[0].x_max - grids[0].x_min) / (len(grids[0].values) - 1)
     else:
         step = 0.01 if args.step is None else args.step
-    d_tv = tv_after_noise(P, Q, noise.to_grid(step=step))
-    d_ks = ks_distance(P, Q)
-    m2 = Q.max_density() if isinstance(Q, GridDensity) else None
-    report = {"d_tv_conv": d_tv, "d_ks": d_ks}
-    mom = (P.abs_moment(1.0), Q.abs_moment(1.0))
-    if m2 is not None and 0 < d_tv < 1:
-        profile = g1_profile(noise)
-        T = profile.g1_of_u(min(noise.m1 * d_tv, 1.0))
-        try:
-            report["ks_from_tv_bound"] = ks_from_tv_bound(noise, m2, mom, profile, T, d_tv)
-        except ProfileFailureError as e:  # profile without a closed-form floor
-            report["ks_from_tv_bound_error"] = str(e)
-        report["ks_deconv_solve"] = ks_deconv_solve(noise, d_tv, m2, mom)
-        report["esseen_bound"] = esseen_bound(P, Q, m2, T)
-        report["T"] = T
-    _emit(args, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _emit(args, json.dumps(deconv_report(P, Q, noise, step), indent=2, sort_keys=True) + "\n")
     return 0
 
 

@@ -11,24 +11,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import DMCKernel, NoiseModel
-from .core_prob import bisect, bisect_up
+from .core_prob import ThresholdReport, bisect, bisect_up
 from .errors import DomainError, NoSolutionError
 
 _BISECT_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ThresholdReport:
-    """Solved threshold plus the evidence: iterations and final bracket."""
-
-    value: float
-    iterations: int
-    bracket: tuple[float, float]
 
 
 def eta_tv_amplitude(noise: NoiseModel, A: float) -> float:
@@ -79,8 +69,7 @@ def alpha_star(noise: NoiseModel) -> ThresholdReport:
         # already below the target at tiny alpha; shrink further to find the inf
         while lo > 1e-12 and ok(lo / 2.0):
             lo /= 2.0
-    value, it, bracket = bisect(ok, lo, search_max, _BISECT_TOL)
-    return ThresholdReport(value, it, bracket)
+    return bisect(ok, lo, search_max, _BISECT_TOL)
 
 
 def _threshold(scale: float, target: float, p: float, floor_ap: float,
@@ -95,7 +84,7 @@ def _threshold(scale: float, target: float, p: float, floor_ap: float,
     found = bisect_up(cond, floor_a, _BISECT_TOL, 1e12)
     if found is None:
         raise NoSolutionError(f"{name} search exceeded range")
-    return ThresholdReport(*found)
+    return found
 
 
 def a2_star(noise: NoiseModel, t: float, gamma: float, p: float) -> ThresholdReport:

@@ -12,6 +12,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -311,18 +312,20 @@ def zoom_max(f, xs: np.ndarray, vals: np.ndarray, tol: float) -> float:
         vals = f(xs)
 
 
-def scan_max(f, lo: float, hi: float, n: int, tol: float) -> float:
-    """Maximum of f over [lo, hi]: `zoom_max` from f on np.linspace(lo, hi, n)."""
-    xs = np.linspace(lo, hi, n)
-    return zoom_max(f, xs, f(xs), tol)
+class ThresholdReport(NamedTuple):
+    """A solved threshold plus the evidence: iterations and final bracket."""
+
+    value: float
+    iterations: int
+    bracket: tuple[float, float]
 
 
-def bisect(cond, lo: float, hi: float, tol: float = 0.0):
+def bisect(cond, lo: float, hi: float, tol: float = 0.0) -> ThresholdReport:
     """Smallest x in [lo, hi] with cond(x) True, for cond monotone in x.
 
     cond should be False at lo and True at hi.  Halves the bracket until it is
     at most tol wide or its midpoint no longer splits it (the bracket is then
-    two adjacent floats).  Returns (hi, iterations, (lo, hi)).
+    two adjacent floats).  The record's value is the bracket's upper end.
     """
     it = 0
     while hi - lo > tol:
@@ -334,13 +337,13 @@ def bisect(cond, lo: float, hi: float, tol: float = 0.0):
         else:
             lo = mid
         it += 1
-    return hi, it, (lo, hi)
+    return ThresholdReport(hi, it, (lo, hi))
 
 
-def bisect_up(cond, lo: float, tol: float, hi_max: float):
+def bisect_up(cond, lo: float, tol: float, hi_max: float) -> ThresholdReport | None:
     """Smallest x >= lo > 0 with cond(x) True, for cond monotone in x: hi
     doubles from lo until cond(hi) holds, then `bisect` runs on [lo, hi] to tol
-    and its triple is returned.  Returns None once hi passes hi_max."""
+    and its record is returned.  Returns None once hi passes hi_max."""
     hi = lo
     while not cond(hi):
         hi *= 2.0

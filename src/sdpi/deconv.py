@@ -38,6 +38,11 @@ class CfProfile:
     g1_of_u: Callable[[float], float]
 
 
+def _check_constants(m2: float, first_moments: tuple[float, ...] = ()) -> None:
+    if not (0 < m2 < math.inf and all(0 <= m < math.inf for m in first_moments)):
+        raise DomainError("need m2 in (0, inf) and first moments in [0, inf)")
+
+
 # ---------------------------------------------------------------------------
 # Esseen smoothing inequality
 # ---------------------------------------------------------------------------
@@ -50,6 +55,7 @@ def esseen_bound(P: Distribution, Q: Distribution, m2: float, T: float) -> float
     """
     if not 0 < T < math.inf:
         raise DomainError("T must be positive and finite")
+    _check_constants(m2)
     step = min(1e-3, T / 4096.0)
     n = int(math.ceil(T / step))
     if n % 2 == 1:
@@ -110,6 +116,7 @@ def ks_from_tv_bound(noise: NoiseModel, m2: float, first_moments: tuple[float, f
         raise DomainError("T must be positive")
     if not 0.0 <= d_tv <= 1.0:
         raise DomainError("d_tv must lie in [0, 1]")
+    _check_constants(m2, first_moments)
     mp, mq = first_moments
     term1 = T * profile.h_of_T(T) / math.pi
     term2 = (24.0 * m2 + 2.0 * (mp + mq)) / (math.pi * T)
@@ -132,6 +139,7 @@ def ks_deconv_solve(noise: NoiseModel, d_tv: float, m2: float,
     """
     if not 0.0 < d_tv < 1.0:
         raise DomainError("d_tv must lie in (0, 1)")
+    _check_constants(m2, first_moments)
     mp, mq = first_moments
     c0 = max(24.0 * m2 + 2.0 * (mp + mq), math.sqrt(8.0 * noise.m1 * math.pi)) / math.pi
     if isinstance(noise, GaussianNoise):

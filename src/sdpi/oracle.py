@@ -201,8 +201,8 @@ def sdpi_pair_sampler(noise: NoiseModel, gamma: float, p: float,
 
     Computes (I(W;X), I(W;Y)) per coupling and counts violations against the
     supplied diagonal bound curve (t -> g_d(t)) and, when `capacity` is set,
-    the horizontal curve (eps -> minimal I(W;X); may return None when the
-    bound is not applicable at that eps).
+    the horizontal curve (eps -> minimal I(W;X); may return None or nan when
+    the bound is not applicable at that eps).
     """
     # the paper's conventions: AWGN (E|X|^p = 1, the channel applies
     # sqrt(gamma)) for Gaussian noise, Y = X + Z with E|X|^p = gamma otherwise

@@ -2,20 +2,23 @@
 
 These are scaled-down versions of the full test-suite sweeps: small enough
 to run in seconds to a couple of minutes, strict enough to catch a broken
-bound.  Every suite returns a JSON-serializable report with a `violations`
-count; the CLI exits nonzero when it is positive.
+bound; `deconv` and `horiz` check the CLI's own `deconv_report` and
+`t_lower_or_nan`.  Every suite returns a JSON-serializable report with a
+`violations` count; the CLI exits nonzero when it is positive.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .channels import DMCKernel, NoiseModel, awgn_capacity
-from .core_prob import DiscretePMF, GridDensity, ks_distance, tv_after_noise
-from .deconv import esseen_bound, g1_profile, ks_deconv_solve, ks_from_tv_bound
+from .cli import deconv_report, t_lower_or_nan
+from .core_prob import DiscretePMF, GridDensity
 from .errors import DomainError
 from .fi_curves import fi_bsc
-from .gaussian_sdpi import gd_lower, t_lower_from_gap
+from .gaussian_sdpi import gd_lower
 from .oracle import fi_bruteforce_dmc, sdpi_pair_sampler
 
 
@@ -42,13 +45,6 @@ def _sampler_suite(name: str, seed: int, **bounds) -> dict:
             "details": [v[:2] for v in res.violations]}
 
 
-def _horiz(eps):
-    try:
-        return t_lower_from_gap(eps, 1.0)
-    except DomainError:
-        return None  # bound not applicable at this gap
-
-
 def _random_pair(rng):
     k = int(rng.integers(2, 5))
     atoms = np.sort(rng.uniform(-1.5, 1.5, k))
@@ -63,25 +59,17 @@ def _random_pair(rng):
 
 
 def _suite_deconv(seed: int) -> dict:
+    """`sdpi deconv`'s KS bounds against its d_KS; a missing bound is a violation."""
     rng = np.random.default_rng(seed)
     violations = []
     for trial in range(6):
         noise = NoiseModel.gaussian() if trial % 2 == 0 else NoiseModel.uniform(0.0, 2.0)
         P, Q = _random_pair(rng)
-        d_tv = tv_after_noise(P, Q, noise.to_grid(step=0.01))
-        d_tv = min(max(d_tv, 1e-12), 1.0 - 1e-12)
-        d_ks = ks_distance(P, Q)
-        m2 = Q.max_density()
-        mom = (P.abs_moment(1.0), Q.abs_moment(1.0))
-        profile = g1_profile(noise)
-        T = profile.g1_of_u(min(noise.m1 * d_tv, 1.0))
-        checks = {
-            "ks_from_tv": ks_from_tv_bound(noise, m2, mom, profile, T, d_tv),
-            "ks_deconv_solve": ks_deconv_solve(noise, d_tv, m2, mom),
-            "esseen": esseen_bound(P, Q, m2, max(T, 1.0)),
-        }
-        for name, bound in checks.items():
-            if bound < d_ks - 1e-6:
+        report = deconv_report(P, Q, noise, 0.01)
+        d_ks = report["d_ks"]
+        for name in ("ks_from_tv_bound", "ks_deconv_solve", "esseen_bound"):
+            bound = report.get(name, math.nan)
+            if not bound >= d_ks - 1e-6:
                 violations.append({"trial": trial, "check": name,
                                    "bound": bound, "d_ks": d_ks})
     return {"suite": "deconv", "trials": 6, "violations": len(violations),
@@ -91,8 +79,8 @@ def _suite_deconv(seed: int) -> dict:
 _SUITES = {
     "bsc": _suite_bsc,
     "diag": lambda seed: _sampler_suite("diag", seed, diag_bound=lambda t: gd_lower(t, 1.0)),
-    "horiz": lambda seed: _sampler_suite("horiz", seed, horiz_bound=_horiz,
-                                         capacity=awgn_capacity(1.0)),
+    "horiz": lambda seed: _sampler_suite("horiz", seed, capacity=awgn_capacity(1.0),
+                                         horiz_bound=lambda e: t_lower_or_nan(e, 1.0)),
     "deconv": _suite_deconv,
 }
 

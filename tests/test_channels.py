@@ -45,6 +45,13 @@ class TestDMCKernel:
         K = DMCKernel.identity(3)
         assert np.allclose(K.matrix, np.eye(3))
 
+    @pytest.mark.parametrize("size", [0, -1, -2])
+    def test_alphabet_size_below_one_rejected(self, size):
+        with pytest.raises(DomainError):
+            DMCKernel.identity(size)
+        with pytest.raises(DomainError):
+            DMCKernel.erasure(0.3, size)
+
     @pytest.mark.parametrize("shape", [(0, 3), (0, 0), (3, 0)])
     def test_empty_matrix_rejected(self, shape):
         with pytest.raises(DomainError):
@@ -112,6 +119,11 @@ class TestDmcCapacity:
     def test_degenerate_kernels(self):
         self.bracket([[0.2, 0.3, 0.5]], 0.0)
         self.bracket([[0.2, 0.3, 0.5]] * 4, 0.0)
+        # a row summing to 1 - 1.1e-16: I(p) rounds to 2.2e-16 while the upper end
+        # is 0.0, and the crossed ends must still hold C = 0
+        cap = self.bracket([[0.4780179436439269, 0.0013779279720172687, 0.3968674544168628,
+                             0.08127921302932085, 0.04245746093787205]])
+        assert cap.lower <= 0.0 <= cap.upper
         # a repeated row and an all-zero output column leave C unchanged
         bsc = LOG2 - binary_entropy(0.1)
         self.bracket([[0.9, 0.1], [0.9, 0.1], [0.1, 0.9]], bsc)

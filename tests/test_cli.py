@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import sdpi
-from sdpi import verify
+from sdpi import cli, verify
 from sdpi.cli import _parse_grid, main
 from sdpi.core_prob import GridDensity
+from sdpi.errors import ProfileFailureError
 from sdpi.fi_curves import fi_bsc
 
 
@@ -302,6 +303,13 @@ class TestConfigAndErrors:
         assert out == ""
         assert json.loads(err)["error"] == "DomainError"
 
+    @pytest.mark.parametrize("channel", ["identity:-1", "erasure:0.3:-2"])
+    def test_negative_alphabet_size_is_domain_error(self, channel, capsys):
+        code, out, err = run(["fi-curve", "--channel", channel, "--t-grid", "0:1:0.5"], capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
     @pytest.mark.parametrize("argv", [
         ["fi-curve", "--channel", "erasure:0.3:x", "--t-grid", "0:1:0.5"],
         ["fi-curve", "--channel", "bsc:", "--t-grid", "0:1:0.5"],
@@ -398,6 +406,22 @@ class TestVerifyCommand:
         rep = json.loads(out)
         assert rep["violations"] == 0
         assert rep["seed"] == 0
+
+    def test_deconv_suite_checks_the_printed_report(self, monkeypatch):
+        # the suite runs `sdpi deconv`'s own report, so a bound broken there shows
+        monkeypatch.setattr(cli, "esseen_bound", lambda *args: 0.0)
+        rep = verify.run_suite("deconv", 0)
+        assert rep["violations"] == 6
+        assert [v["check"] for v in rep["details"]] == ["esseen_bound"] * 6
+
+    def test_deconv_suite_counts_a_missing_bound(self, monkeypatch):
+        def no_floor(*args):
+            raise ProfileFailureError("profile has no positive CF floor at this T")
+
+        monkeypatch.setattr(cli, "ks_from_tv_bound", no_floor)
+        rep = verify.run_suite("deconv", 0)
+        assert rep["violations"] == 6
+        assert {v["check"] for v in rep["details"]} == {"ks_from_tv_bound"}
 
 
 def _fresh_python(code: str) -> subprocess.CompletedProcess:

@@ -173,6 +173,13 @@ class TestA2Star:
         floor = max(math.e, 2.0, 1.16082728220821 * math.e ** 3) ** 0.5
         assert rep.value == pytest.approx(floor, rel=1e-6)
 
+    def test_record_carries_bracket(self):
+        rep = a2_star(NoiseModel.laplace(1.0), 0.5, 1.0, 2.0)
+        lo, hi = rep.bracket
+        assert rep.value == hi
+        assert hi - lo <= 1e-9
+        assert rep.iterations > 0
+
     def test_nonincreasing_in_t(self):
         z = NoiseModel.gaussian()
         vals = [a2_star(z, t, 1.0, 2.0).value for t in (0.05, 0.2, 1.0)]

@@ -12,9 +12,9 @@ from sdpi.core_prob import (
     LOG2, DiscretePMF, GridDensity, binary_entropy, binary_entropy_inv, bisect,
     char_fn, convolve, csv_rows, csv_text, gauss_hermite, gaussian_mixture_entropy,
     kl_divergence, ks_distance, levy_concentration, max_entropy_integer, mi_joint,
-    q_function, q_inverse, scan_max, simplex_lattice,
+    q_function, q_inverse, simplex_lattice,
     tv_after_noise, tv_distance, uniform_mixture_entropy, v_window, wasserstein,
-    xlogx,
+    xlogx, zoom_max,
 )
 from sdpi.errors import DomainError, ShapeError
 
@@ -339,19 +339,26 @@ class TestCharFn:
         np.testing.assert_allclose(together.ravel(), one_by_one, rtol=0, atol=1e-15)
 
 
+def zoom_linspace(f, lo, hi, n, tol):
+    """`zoom_max` from f on np.linspace(lo, hi, n), as `GridNoise.eta_tv` calls it."""
+    xs = np.linspace(lo, hi, n)
+    return zoom_max(f, xs, f(xs), tol)
+
+
 class TestSearches:
     @staticmethod
     def counted(f, calls, limit=100):
         def g(x):
             calls.append(np.array(x))
-            assert len(calls) <= limit, "scan_max did not stop"
+            assert len(calls) <= limit, "zoom_max did not stop"
             return f(x)
         return g
 
-    def test_scan_max_within_tol(self):
+    def test_zoom_max_within_tol(self):
         calls = []
         tol = 1e-9
-        best = scan_max(self.counted(lambda x: -(x - 0.3137) ** 2, calls), 0.0, 1.0, 101, tol)
+        best = zoom_linspace(self.counted(lambda x: -(x - 0.3137) ** 2, calls),
+                             0.0, 1.0, 101, tol)
         xs = np.concatenate(calls)
         x = xs[np.argmax(-(xs - 0.3137) ** 2)]
         assert abs(x - 0.3137) <= tol
@@ -361,14 +368,14 @@ class TestSearches:
         assert len(calls) <= 1 + rounds
         assert all(len(c) == 17 for c in calls[1:])
 
-    def test_scan_max_at_bracket_edge(self):
+    def test_zoom_max_at_bracket_edge(self):
         calls = []
-        assert scan_max(self.counted(lambda x: x, calls), 2.0, 3.0, 11, 1e-8) == 3.0
+        assert zoom_linspace(self.counted(lambda x: x, calls), 2.0, 3.0, 11, 1e-8) == 3.0
 
-    def test_scan_max_zero_tol_returns(self):
+    def test_zoom_max_zero_tol_returns(self):
         # the bracket stops shrinking at adjacent floats
         calls = []
-        best = scan_max(self.counted(lambda x: np.cos(x - 0.3), calls), 0.0, 1.0, 11, 0.0)
+        best = zoom_linspace(self.counted(lambda x: np.cos(x - 0.3), calls), 0.0, 1.0, 11, 0.0)
         assert best == pytest.approx(1.0, abs=1e-15)
         assert len(calls) < 30
 
@@ -578,12 +585,12 @@ class TestGaussianGrid:
 
 
 class TestZoomStencil:
-    """scan_max's 17-point rounds are np.linspace over the best point's neighbours."""
+    """zoom_max's 17-point rounds are np.linspace over the best point's neighbours."""
 
     @staticmethod
     def assert_linspace_rounds(f, lo, hi, n, tol):
         calls = []
-        scan_max(lambda x: calls.append(np.array(x)) or f(x), lo, hi, n, tol)
+        zoom_linspace(lambda x: calls.append(np.array(x)) or f(x), lo, hi, n, tol)
         assert calls[0].tobytes() == np.linspace(lo, hi, n).tobytes()
         for prev, xs in zip(calls, calls[1:]):
             i = int(np.argmax(f(prev)))

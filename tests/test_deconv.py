@@ -220,3 +220,25 @@ class TestKsDeconvSolve:
             ks_deconv_solve(NoiseModel.gaussian(), 0.0, 0.4, (1.0, 1.0))
         with pytest.raises(DomainError):
             ks_deconv_solve(NoiseModel.gaussian(), 1.0, 0.4, (1.0, 1.0))
+
+
+class TestConstantsDomain:
+    """A KS bound needs a density bound m2 in (0, inf) and first moments in
+    [0, inf); outside them the formulas return negative or nan "bounds"."""
+
+    @pytest.mark.parametrize("m2, mom", [
+        (-5.0, (1.0, 1.0)), (0.0, (1.0, 1.0)), (math.nan, (1.0, 1.0)), (math.inf, (1.0, 1.0)),
+        (0.4, (-1.0, 1.0)), (0.4, (1.0, math.nan)), (0.4, (math.inf, 1.0)),
+    ])
+    def test_bad_constants_rejected(self, m2, mom):
+        noise = NoiseModel.gaussian()
+        prof = g1_profile(noise)
+        with pytest.raises(DomainError):
+            ks_from_tv_bound(noise, m2, mom, prof, 2.0, 0.01)
+        with pytest.raises(DomainError):
+            ks_deconv_solve(noise, 0.01, m2, mom)
+
+    @pytest.mark.parametrize("m2", [-5.0, 0.0, math.nan, math.inf])
+    def test_esseen_rejects_bad_m2(self, m2):
+        with pytest.raises(DomainError):
+            esseen_bound(rademacher(), std_normal_grid(), m2, 4.0)
