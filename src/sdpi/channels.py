@@ -4,23 +4,24 @@ Two channel families: row-stochastic discrete kernels and additive-noise
 channels Y = sqrt(gamma) X + Z, where each noise family is a `NoiseModel`
 subclass that owns the family's rules: its closed forms, its output entropy
 `excess_entropy` and its TV contraction `eta_tv`.  Mutual information is
-I(X;Y) = h(Y) - h(Z), the excess entropy of the input's atoms: Gaussian and
-uniform noise take it from the mixture entropies of `core_prob`
-(Gauss-Hermite quadrature, or exact for the piecewise-constant uniform output
-density); other noise laws use trapezoid quadrature on a fine grid.
+I(X;Y) = h(Y) - h(Z), the excess entropy of the input's atoms.  Every family
+but uniform noise takes it from one trapezoid rule on a uniform grid over the
+noise support, which `mmse_numeric` shares; the piecewise-constant output
+density of uniform noise has an exact sum in `core_prob`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .core_prob import (_GH_ORDER, DiscretePMF, GridDensity, _gh_exponent_blocks,
-                        char_fn, gauss_hermite, gaussian_mixture_entropy, mi_joint,
-                        q_function, simpson, uniform_mixture_entropy, zoom_max)
+from .core_prob import (DiscretePMF, GridDensity, char_fn, mi_joint, q_function, simpson,
+                        uniform_mixture_entropy, zoom_max)
 from .errors import DomainError, ProfileFailureError, ShapeError
 
 
@@ -53,19 +54,24 @@ class DMCKernel:
     def erasure(alpha: float, size: int = 2) -> "DMCKernel":
         if not 0.0 <= alpha <= 1.0:
             raise DomainError("erasure probability must lie in [0, 1]")
-        if not size >= 1:
-            raise DomainError("alphabet size must be at least 1")
-        m = np.zeros((size, size + 1))
-        for i in range(size):
-            m[i, i] = 1 - alpha
-            m[i, size] = alpha
-        return DMCKernel(m)
+        size = _alphabet_size(size)
+        return DMCKernel(np.column_stack([(1 - alpha) * np.eye(size), np.full(size, alpha)]))
 
     @staticmethod
     def identity(size: int) -> "DMCKernel":
-        if not size >= 1:
-            raise DomainError("alphabet size must be at least 1")
-        return DMCKernel(np.eye(size))
+        return DMCKernel(np.eye(_alphabet_size(size)))
+
+
+def _alphabet_size(size) -> int:
+    """size as an int, for an integer (numpy's too) of at least 1."""
+    if not (isinstance(size, numbers.Integral) and size >= 1):
+        raise DomainError(f"alphabet size must be an integer >= 1, not {size!r}")
+    return int(size)
+
+
+# elements of one `NoiseModel._shifted_blocks` chunk, which bounds memory for any
+# number of atoms and any grid
+_SHIFT_BLOCK = 1 << 18
 
 
 class NoiseModel:
@@ -81,6 +87,9 @@ class NoiseModel:
 
     # grid cells added beyond the support on each side by `to_grid`
     _grid_pad = 0
+    # the step of `excess_entropy`'s grid, in units of the family's `_scale`
+    _entropy_step = 0.002
+    _scale = 1.0
 
     @staticmethod
     def gaussian(sigma: float = 1.0) -> "GaussianNoise":
@@ -133,33 +142,62 @@ class NoiseModel:
         """h(M + Z) - h(Z) for M ~ sum_k v_k delta_{mu_k}, one value per row of
         a 2-d v.
 
-        Equal to sum_k v_k D(p_Z(. - mu_k) || p_Y), by the trapezoid rule on a
-        0.002 grid over the support: k^2 density evaluations and a rows x grid
-        output density at a time.
+        Equal to sum_k v_k D(p_Z || p_Y(mu_k + .)), by the trapezoid rule on
+        `_entropy_grid`, which converges exponentially for an analytic density
+        (Trefethen and Weideman, SIAM Review 56(3), 2014).  As
+        p_Y(mu_k + z) >= v_k p_Z(z), the log ratio is capped at -log v_k, so an
+        atom whose p_Y underflows stays finite; a zero weight's term is 0.
+        Each row's value is the same, bit for bit, whatever the other rows.
         """
+        _, log_pz, wpz = self._entropy_grid()
         rows = np.atleast_2d(np.asarray(v, dtype=float))
-        step = 0.002
+        cap = -np.log(np.where(rows > 0, rows, 1.0))
+        total = np.zeros(len(rows))
+        for k, j, D in self._shifted_blocks(np.asarray(mu, dtype=float)):
+            # one matrix-vector product per row keeps each row's bits its own
+            py = np.stack([row @ D.reshape(len(row), -1) for row in rows])
+            with np.errstate(divide="ignore"):
+                log_ratio = log_pz[j] - np.log(py).reshape(len(rows), *D.shape[1:])
+            integrals = np.minimum(log_ratio, cap[:, k, None]) @ wpz[j]  # (row, atom)
+            total += (rows[:, k] * integrals).sum(axis=1)
+        return total if np.ndim(v) == 2 else float(total[0])
+
+    @functools.lru_cache(maxsize=8)
+    def _entropy_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (z, log p_Z(z), w(z) p_Z(z)) with trapezoid weights w: the
+        output-entropy grid, uniform over the support with step `_entropy_step`
+        times `_scale`, less its nodes where p_Z = 0 (they add nothing)."""
+        step = self._entropy_step * self._scale
         lo, hi = self.support()
         z = np.arange(math.floor(lo / step), math.ceil(hi / step) + 1) * step
         pz = np.asarray(self.density(z))
-        mask = pz > 0
-        total = np.zeros(len(rows))
-        for k in range(len(mu)):
-            # a zero-weight atom adds nothing, and p_Y may vanish on its shift
-            live = rows[:, k] > 0
-            py = np.zeros((np.count_nonzero(live), len(z)))
-            for l in range(len(mu)):
-                py += rows[live, l, None] * np.asarray(self.density(mu[k] + z - mu[l]))
-            # p_Y >= v_k p_Z on the mask, so the ratio is finite
-            ratio = np.zeros_like(py)
-            ratio[:, mask] = pz[mask] * np.log(pz[mask] / py[:, mask])
-            total[live] += rows[live, k] * np.trapezoid(ratio, dx=step, axis=1)
-        return total if np.ndim(v) == 2 else float(total[0])
+        w = np.full(len(z), step)
+        w[0] = w[-1] = 0.5 * step
+        pos = pz > 0
+        grid = z[pos], np.log(pz[pos]), (w * pz)[pos]
+        for a in grid:
+            a.setflags(write=False)
+        return grid
+
+    def _shifted_blocks(self, mu: np.ndarray):
+        """Yield (k, j, D) with D[l, a, b] = p_Z(mu[k][a] + z[j][b] - mu[l]) over
+        slices k of the atoms and j of the `_entropy_grid` nodes: whole grids
+        for as many atoms as _SHIFT_BLOCK elements hold, else node blocks of one
+        atom, so no D has more than max(_SHIFT_BLOCK, len(mu)) elements."""
+        z, _, _ = self._entropy_grid()
+        nodes = min(len(z), max(1, _SHIFT_BLOCK // len(mu)))
+        atoms = max(1, _SHIFT_BLOCK // (len(mu) * nodes))
+        for a in range(0, len(mu), atoms):
+            for b in range(0, len(z), nodes):
+                k, j = slice(a, a + atoms), slice(b, b + nodes)
+                yield k, j, self.density((mu[k, None] + z[j]) - mu[:, None, None])
 
 
 @dataclass(frozen=True)
 class GaussianNoise(NoiseModel):
     sigma: float
+    _entropy_step = 0.1  # 181 nodes over +-9 sigma
+    _scale = property(lambda self: self.sigma)
 
     def __post_init__(self):
         if not 0 < self.sigma < math.inf:
@@ -188,11 +226,6 @@ class GaussianNoise(NoiseModel):
 
     def eta_tv_complement(self, A: float) -> float:
         return 2.0 * q_function(A / self.sigma)
-
-    def excess_entropy(self, mu: np.ndarray, v: np.ndarray):
-        # in units of sigma: unit-variance components, h(Z) = log(2 pi e) / 2
-        return gaussian_mixture_entropy(mu / self.sigma, v) \
-            - 0.5 * math.log(2.0 * math.pi * math.e)
 
     def sample(self, n: int, rng) -> np.ndarray:
         return self.sigma * rng.standard_normal(n)
@@ -255,6 +288,7 @@ class UniformNoise(NoiseModel):
 @dataclass(frozen=True)
 class LaplaceNoise(NoiseModel):
     b: float
+    _scale = property(lambda self: self.b)
 
     def __post_init__(self):
         if not 0 < self.b < math.inf:
@@ -493,16 +527,16 @@ def mmse_numeric(input: DiscretePMF, gamma: float) -> float:
     atoms, weights = input.atoms, input.weights
     keep = weights > 0
     atoms, weights = atoms[keep], weights[keep]
-    logw = np.log(weights)
-    _, gh_weights = gauss_hermite(_GH_ORDER)
+    noise = NoiseModel.gaussian()
+    _, _, wpz = noise._entropy_grid()
     second = 0.0  # E (E[X|Y])^2
-    for blk, E in _gh_exponent_blocks(math.sqrt(gamma) * atoms):
-        z = logw + np.ascontiguousarray(E.transpose(1, 2, 0))  # (atom k, node j, component l)
-        ez = np.exp(z - z.max(axis=2, keepdims=True))
-        cond_mean = (ez @ atoms) / ez.sum(axis=2)  # E[X | Y = mu_k + s_j]
-        second += float(weights[blk] @ (cond_mean ** 2 @ gh_weights))
-    ex2 = float(weights @ atoms ** 2)
-    return max(ex2 - second, 0.0)
+    for k, j, D in noise._shifted_blocks(math.sqrt(gamma) * atoms):
+        D2 = D.reshape(len(atoms), -1)
+        num, den = (weights * atoms) @ D2, weights @ D2
+        # E[X | Y = mu_k + z]; where p_Y underflows, so does the pair's mass
+        cond_mean = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+        second += float(weights[k] @ (cond_mean.reshape(D.shape[1:]) ** 2 @ wpz[j]))
+    return max(float(weights @ atoms ** 2) - second, 0.0)
 
 
 def immse_gap_check(input: DiscretePMF, gamma: float) -> tuple[float, float]:

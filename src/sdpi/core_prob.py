@@ -3,7 +3,9 @@
 Everything here is a pure function of immutable inputs.  Distributions come
 in two flavors: finitely supported (`DiscretePMF`) and density-on-a-grid
 (`GridDensity`).  All information quantities use natural logarithms.  The
-simplex lattice has one enumerator, `simplex_lattice`.
+simplex lattice has one enumerator, `simplex_lattice`.  The output entropy of
+a finite input plus additive noise is `channels.NoiseModel.excess_entropy`;
+only the exact uniform-noise sum, `uniform_mixture_entropy`, lives here.
 """
 
 from __future__ import annotations
@@ -504,53 +506,14 @@ def uniform_mixture_entropy(mu: np.ndarray, v: np.ndarray, a: float, b: float):
 @functools.lru_cache(maxsize=8)
 def gauss_hermite(m: int) -> tuple[np.ndarray, np.ndarray]:
     """The m-node Gauss-Hermite rule for the standard normal: read-only
-    (nodes, weights) with E f(N(0, 1)) ~ sum_j weights[j] f(nodes[j]).  Built
-    on first use, so an import runs no eigen-solve and loads no numpy.polynomial."""
+    (nodes, weights) with E f(N(0, 1)) ~ sum_j weights[j] f(nodes[j]), the
+    atoms of `gaussian_sdpi.gauss_hermite_input`.  Built on first use, so an
+    import runs no eigen-solve and loads no numpy.polynomial."""
     nodes, weights = np.polynomial.hermite.hermgauss(m)
     nodes, weights = math.sqrt(2.0) * nodes, weights / math.sqrt(math.pi)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
-
-
-# the order of the rule behind the Gaussian mixture entropy and the MMSE
-_GH_ORDER = 127
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-# elements of one exponent block, which bounds memory for any number of atoms
-_GH_BLOCK = 1 << 18
-
-
-def _gh_exponent_blocks(mu: np.ndarray, rows: int = 1):
-    """Yield (atoms, E) with E[l, k, j] = -(mu_k + s_j - mu_l)^2 / 2 for the
-    components l, atoms k of the slice and Gauss-Hermite nodes s_j."""
-    nodes, _ = gauss_hermite(_GH_ORDER)
-    size = max(1, _GH_BLOCK // (rows * len(nodes) * len(mu)))
-    for i in range(0, len(mu), size):
-        atoms = slice(i, i + size)
-        y = mu[atoms, None] + nodes
-        yield atoms, -0.5 * (y - mu[:, None, None]) ** 2
-
-
-def gaussian_mixture_entropy(mu: np.ndarray, v: np.ndarray):
-    """Differential entropy of sum_k v_k N(mu_k, 1), one value per row of a 2-d v.
-
-    Component k is integrated on the Gauss-Hermite rule centred at mu_k; the
-    log-density is a max-shifted log-sum-exp, so zero weights and far-apart
-    atoms stay finite.
-    """
-    mu = np.asarray(mu, dtype=float)
-    rows = np.atleast_2d(np.asarray(v, dtype=float))
-    with np.errstate(divide="ignore"):
-        logv = np.log(rows)[:, :, None, None]  # zero weights drop out as -inf
-    _, weights = gauss_hermite(_GH_ORDER)
-    h = np.zeros(len(rows))
-    for atoms, E in _gh_exponent_blocks(mu, len(rows)):
-        # (row, component l, atom k, node j): the sums over l run on an outer axis
-        z = logv + E
-        zmax = z.max(axis=1)
-        log_p = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1)) - _LOG_SQRT_2PI
-        h -= (rows[:, atoms] * (log_p @ weights)).sum(axis=1)
-    return h if np.ndim(v) == 2 else float(h[0])
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,17 @@ class TestDMCKernel:
         with pytest.raises(DomainError):
             DMCKernel.erasure(0.3, size)
 
+    @pytest.mark.parametrize("size", [2.5, 3.0, "3", None, math.nan])
+    def test_non_integer_alphabet_size_rejected(self, size):
+        with pytest.raises(DomainError):
+            DMCKernel.identity(size)
+        with pytest.raises(DomainError):
+            DMCKernel.erasure(0.3, size)
+
+    def test_numpy_integer_alphabet_size(self):
+        assert DMCKernel.identity(np.int64(3)).matrix.shape == (3, 3)
+        assert DMCKernel.erasure(0.3, np.int32(3)).matrix.shape == (3, 4)
+
     @pytest.mark.parametrize("shape", [(0, 3), (0, 0), (3, 0)])
     def test_empty_matrix_rejected(self, shape):
         with pytest.raises(DomainError):
@@ -298,6 +309,23 @@ class TestMiAdditive:
         assert mi_additive(x, noise, gamma) == pytest.approx(ref, abs=tol)
 
 
+    @pytest.mark.parametrize("b", [0.003, 0.01, 1.0, 30.0])
+    def test_laplace_grid_scales_with_b(self, b):
+        # the entropy grid's step is 0.002 b, so the error does not grow as b shrinks
+        mu, v = np.array([0.0, 0.7 * b]), np.array([0.4, 0.6])
+        noise = NoiseModel.laplace(b)
+
+        def integrand(z, k):
+            py = sum(w * noise.density(mu[k] + z - m) for w, m in zip(v, mu))
+            return noise.density(z) * math.log(noise.density(z) / py)
+
+        ref = 0.0
+        for k in range(2):
+            pts = sorted({-38.0 * b, 38.0 * b, 0.0, *(m - mu[k] for m in mu)})
+            ref += v[k] * sum(quad(integrand, lo, hi, args=(k,), epsabs=0.0, epsrel=1e-12)[0]
+                              for lo, hi in zip(pts, pts[1:]))
+        assert noise.excess_entropy(mu, v) == pytest.approx(ref, rel=1e-5, abs=0.0)
+
     def test_negative_gamma(self):
         with pytest.raises(DomainError):
             mi_additive(rademacher(), NoiseModel.gaussian(), -1.0)
@@ -329,13 +357,15 @@ class TestAwgnCapacity:
 
 class TestMmse:
     def test_blocks_match_per_atom_loop(self, monkeypatch):
-        from sdpi import core_prob
+        from sdpi import channels
         x = normalize_input(DiscretePMF(np.linspace(-3.0, 3.0, 40),
                                         np.random.default_rng(2).dirichlet(np.ones(40))))
         whole = mmse_numeric(x, 2.0), mi_additive(x, NoiseModel.gaussian(), 2.0)
-        monkeypatch.setattr(core_prob, "_GH_BLOCK", 1)  # one atom per block
-        per_atom = mmse_numeric(x, 2.0), mi_additive(x, NoiseModel.gaussian(), 2.0)
-        assert per_atom == pytest.approx(whole, rel=1e-14, abs=0.0)
+        # one atom per block, with its whole grid or 25 nodes at a time
+        for nodes in (len(NoiseModel.gaussian()._entropy_grid()[0]), 25):
+            monkeypatch.setattr(channels, "_SHIFT_BLOCK", 40 * nodes)
+            per_atom = mmse_numeric(x, 2.0), mi_additive(x, NoiseModel.gaussian(), 2.0)
+            assert per_atom == pytest.approx(whole, rel=1e-14, abs=0.0)
 
     def test_lmmse(self):
         assert lmmse(1.0) == pytest.approx(0.5, abs=1e-15)
@@ -362,6 +392,14 @@ class TestMmse:
         with pytest.raises(DomainError):
             mmse_numeric(rademacher(), math.inf)
 
+    def test_tiny_weight_far_atom_finite(self):
+        # p_Y underflows on part of the far atom's grid: no nan, no warning
+        for tiny in (1e-300, 1e-310):
+            x = DiscretePMF(np.array([0.0, 60.0]), np.array([1.0, tiny]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert 0.0 <= mmse_numeric(x, 1.0) <= 1e-290
+
     def test_gaussian_like_input_near_lmmse(self):
         # fine discretization of N(0,1) has mmse within 1e-3 of the lmmse
         xs = np.linspace(-4.0, 4.0, 81)
@@ -380,45 +418,3 @@ class TestImmseGapCheck:
     def test_values_frozen(self):
         gap_direct, gap_integral = immse_gap_check(rademacher(), 1.0)
         assert gap_direct == pytest.approx(0.009742769933141215, abs=1e-6)
-
-
-class TestMmseLayout:
-    """mmse_numeric reads the component-outer exponent block transposed and keeps the
-    values of the (atom, node, component) layout bit for bit."""
-
-    @staticmethod
-    def last_axis_mmse(input, gamma):
-        from sdpi import core_prob
-        nodes, gh_weights = core_prob.gauss_hermite(127)
-        keep = input.weights > 0
-        atoms, weights = input.atoms[keep], input.weights[keep]
-        mu = math.sqrt(gamma) * atoms
-        logw = np.log(weights)
-        second = 0.0
-        size = max(1, core_prob._GH_BLOCK // (len(nodes) * len(mu)))
-        for i in range(0, len(mu), size):
-            blk = slice(i, i + size)
-            y = mu[blk, None] + nodes
-            z = logw + -0.5 * (y[:, :, None] - mu) ** 2
-            ez = np.exp(z - z.max(axis=2, keepdims=True))
-            cond_mean = (ez @ atoms) / ez.sum(axis=2)
-            second += float(weights[blk] @ (cond_mean ** 2 @ gh_weights))
-        return max(float(weights @ atoms ** 2) - second, 0.0)
-
-    @pytest.mark.parametrize("block", [None, 1, 700])
-    def test_matches_last_axis_layout(self, block, monkeypatch):
-        from sdpi import core_prob
-        if block is not None:
-            monkeypatch.setattr(core_prob, "_GH_BLOCK", block)
-        rng = np.random.default_rng(9)
-        for i in range(150):
-            k = int(rng.integers(1, 7))
-            atoms = np.sort(rng.uniform(-3.0, 3.0, k)) + 0.01 * np.arange(k)
-            if i % 5 == 0 and k > 1:
-                atoms[-1] += 60.0
-            w = rng.dirichlet(np.ones(k))
-            if i % 3 == 0 and k > 1:
-                w[0] = 0.0
-                w /= w.sum()
-            x, gamma = DiscretePMF(atoms, w), float(rng.uniform(0.1, 20.0))
-            assert mmse_numeric(x, gamma) == self.last_axis_mmse(x, gamma)

@@ -443,6 +443,17 @@ class TestColdStart:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
 
+    def test_sampler_loads_neither_scipy_nor_numpy_polynomial(self):
+        # the horiz suite runs the sampler as the diag suite does, but without
+        # gd_lower, whose scipy.special loads numpy.polynomial itself; the
+        # sampler's output entropy is a trapezoid rule, not a Gauss-Hermite one
+        done = _fresh_python("import sys, sdpi.verify\n"
+                             "assert sdpi.verify.run_suite('horiz', 0)['violations'] == 0\n"
+                             "print([m for m in ('scipy', 'numpy.ma', 'numpy.polynomial')\n"
+                             "       if m in sys.modules])")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
     @pytest.mark.parametrize("argv", [
         pytest.param(["fi-curve", "--channel", "bsc:0.1", "--t-grid", "0:0.6:0.01"],
                      id="fi-curve-bsc"),

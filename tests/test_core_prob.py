@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from sdpi.channels import DMCKernel, NoiseModel, mi_dmc
 from sdpi.core_prob import (
     LOG2, DiscretePMF, GridDensity, binary_entropy, binary_entropy_inv, bisect,
-    char_fn, convolve, csv_rows, csv_text, gauss_hermite, gaussian_mixture_entropy,
+    char_fn, convolve, csv_rows, csv_text, gauss_hermite,
     kl_divergence, ks_distance, levy_concentration, max_entropy_integer, mi_joint,
     q_function, q_inverse, simplex_lattice,
     tv_after_noise, tv_distance, uniform_mixture_entropy, v_window, wasserstein,
@@ -467,10 +467,15 @@ class TestMutualInformation:
 H_GAUSS = 0.5 * math.log(2.0 * math.pi * math.e)
 
 
+def mixture_entropy(mu, v):
+    """h(sum_k v_k N(mu_k, 1)) from the Gaussian noise's excess entropy."""
+    return NoiseModel.gaussian().excess_entropy(mu, v) + H_GAUSS
+
+
 class TestGaussianMixtureEntropy:
     @staticmethod
     def quad_entropy(mu, v):
-        """-int p log p by adaptive quadrature, independent of the Hermite rule."""
+        """-int p log p by adaptive quadrature, independent of the trapezoid rule."""
         from scipy.integrate import quad
 
         def integrand(y):
@@ -489,24 +494,28 @@ class TestGaussianMixtureEntropy:
     ])
     def test_matches_quadrature(self, mu, v):
         mu, v = np.array(mu), np.array(v)
-        assert gaussian_mixture_entropy(mu, v) == pytest.approx(
+        assert mixture_entropy(mu, v) == pytest.approx(
             self.quad_entropy(mu, v), rel=1e-10)
 
     def test_separated_atoms_known_error(self):
-        # atoms 4-10 noise deviations apart: log p turns between two Hermite
-        # nodes and the 127-node rule is off by up to ~1e-8 relative
+        # atoms 4-10 noise deviations apart, where log p turned over between
+        # the nodes of a 127-node Gauss-Hermite rule (off by ~1e-8 relative)
         mu, v = np.array([0.0, 6.0, 7.5]), np.array([0.7, 0.05, 0.25])
-        assert gaussian_mixture_entropy(mu, v) == pytest.approx(
-            self.quad_entropy(mu, v), rel=2e-8)
+        assert mixture_entropy(mu, v) == pytest.approx(
+            self.quad_entropy(mu, v), rel=1e-12)
 
     def test_single_component(self):
-        assert gaussian_mixture_entropy(np.array([2.5]), np.array([1.0])) \
+        assert mixture_entropy(np.array([2.5]), np.array([1.0])) \
             == pytest.approx(H_GAUSS, rel=1e-14)
 
     def test_zero_weight_far_atom_finite(self):
-        h = gaussian_mixture_entropy(np.array([0.0, 60.0]), np.array([1.0, 0.0]))
-        assert math.isfinite(h)
-        assert h == pytest.approx(H_GAUSS, rel=1e-14)
+        # a zero or tiny weight 60 deviations off: no nan, no warning
+        for tiny in (0.0, 1e-300, 1e-320):
+            with warnings.catch_warnings(), np.errstate(invalid="raise", over="raise"):
+                warnings.simplefilter("error")
+                h = mixture_entropy(np.array([0.0, 60.0]), np.array([1.0, tiny]))
+            assert math.isfinite(h)
+            assert h == pytest.approx(H_GAUSS, rel=1e-14)
 
     def test_rows_match_single_calls(self):
         rng = np.random.default_rng(3)
@@ -514,8 +523,8 @@ class TestGaussianMixtureEntropy:
         v = rng.dirichlet(np.ones(5), size=4)
         v[1, 2] = 0.0
         v[1] /= v[1].sum()
-        np.testing.assert_allclose(gaussian_mixture_entropy(mu, v),
-                                   [gaussian_mixture_entropy(mu, r) for r in v],
+        np.testing.assert_allclose(mixture_entropy(mu, v),
+                                   [mixture_entropy(mu, r) for r in v],
                                    rtol=1e-15, atol=0.0)
 
 
@@ -612,53 +621,3 @@ class TestZoomStencil:
         # a = 0 every round, down to subnormal widths where (b - a) / 16 is 0
         calls = self.assert_linspace_rounds(lambda x: -x, 0.0, 0.5, 2001, 0.0)
         assert calls[-1][-1] < 32 * 5e-324
-
-
-class TestMixtureEntropyLayout:
-    """The component-outer exponent layout gives the parent layout's values bit for bit."""
-
-    @staticmethod
-    def last_axis_entropy(mu, v):
-        # the exponent block laid out (atom k, node j, component l), reduced over l
-        from sdpi import core_prob
-        nodes, weights = core_prob.gauss_hermite(127)
-        rows = np.atleast_2d(v)
-        with np.errstate(divide="ignore"):
-            logv = np.log(rows)[:, None, None, :]
-        h = np.zeros(len(rows))
-        size = max(1, core_prob._GH_BLOCK // (len(rows) * len(nodes) * len(mu)))
-        for i in range(0, len(mu), size):
-            atoms = slice(i, i + size)
-            y = mu[atoms, None] + nodes
-            z = logv + -0.5 * (y[:, :, None] - mu) ** 2
-            zmax = z.max(axis=3)
-            log_p = (zmax + np.log(np.exp(z - zmax[..., None]).sum(axis=3))
-                     - core_prob._LOG_SQRT_2PI)
-            h -= (rows[:, atoms] * (log_p @ weights)).sum(axis=1)
-        return h
-
-    @staticmethod
-    def draws(seed, n):
-        rng = np.random.default_rng(seed)
-        for i in range(n):
-            k, r = int(rng.integers(1, 7)), int(rng.integers(1, 6))
-            mu = np.sort(rng.normal(0.0, float(rng.choice([0.5, 2.0, 10.0])), k))
-            if i % 5 == 0 and k > 1:
-                mu[-1] += 60.0  # atoms 60 noise deviations apart
-            v = rng.dirichlet(np.ones(k), size=r)
-            if i % 3 == 0 and k > 1:
-                v[0, rng.integers(k)] = 0.0  # a zero weight
-            yield mu, v
-
-    def test_matches_last_axis_layout(self):
-        for mu, v in self.draws(5, 600):
-            got = gaussian_mixture_entropy(mu, v)
-            assert got.tobytes() == self.last_axis_entropy(mu, v).tobytes()
-            assert gaussian_mixture_entropy(mu, v[0]) == self.last_axis_entropy(mu, v[0])[0]
-
-    def test_matches_last_axis_layout_in_blocks(self, monkeypatch):
-        from sdpi import core_prob
-        monkeypatch.setattr(core_prob, "_GH_BLOCK", 700)  # one or two atoms per block
-        for mu, v in self.draws(6, 200):
-            assert gaussian_mixture_entropy(mu, v).tobytes() \
-                == self.last_axis_entropy(mu, v).tobytes()

@@ -1,0 +1,71 @@
+"""High-precision references for the additive-noise quadrature: 40-digit
+mpmath and adaptive `scipy.integrate.quad`, each computed without the
+package's trapezoid rule."""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+from scipy.integrate import quad
+
+from sdpi.channels import NoiseModel, mmse_numeric
+from sdpi.core_prob import DiscretePMF, q_function
+
+mpmath.mp.dps = 40
+
+
+@pytest.mark.parametrize("d", [3, 4, 6, 8, 10, 15])
+def test_gaussian_excess_entropy_two_atoms(d):
+    # atoms 0 and d with weights (1/2, 1/2): by symmetry
+    # h(Y) - h(Z) = log 2 - E log(1 + exp(-d Z - d^2 / 2)), Z ~ N(0, 1)
+    D = mpmath.mpf(d)
+    tail = mpmath.quad(lambda z: mpmath.npdf(z) * mpmath.log1p(mpmath.exp(-D * z - D * D / 2)),
+                       [-mpmath.inf, -D / 2, 0, mpmath.inf])
+    ref = float(mpmath.log(2) - tail)
+    got = NoiseModel.gaussian().excess_entropy(np.array([0.0, float(d)]), np.array([0.5, 0.5]))
+    assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def expected_posterior_variance(atoms, weights, gamma):
+    """E Var(X | sqrt(gamma) X + Z) by quad: a sum of squares at every y, so
+    it has none of the cancellation of E X^2 - E E[X|Y]^2."""
+    mu = math.sqrt(gamma) * atoms
+    logw = np.log(weights)
+
+    def integrand(y):
+        e = logw - 0.5 * (y - mu) ** 2
+        top = e.max()
+        p = np.exp(e - top)
+        mean = p @ atoms / p.sum()
+        return math.exp(top) / math.sqrt(2.0 * math.pi) * float(p @ (atoms - mean) ** 2)
+
+    # the integrand lives where the posterior is mixed, between adjacent atoms
+    cuts = np.unique(np.concatenate([mu, 0.5 * (mu[1:] + mu[:-1]), [mu[0] - 12.0, mu[-1] + 12.0]]))
+    return sum(quad(integrand, lo, hi, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+               for lo, hi in zip(cuts, cuts[1:]))
+
+
+def test_mmse_matches_posterior_variance():
+    # 150 seeded inputs of 1 to 6 atoms, some 60 apart, some with a zero weight
+    rng = np.random.default_rng(9)
+    worst = 0.0
+    for i in range(150):
+        k = int(rng.integers(1, 7))
+        atoms = np.sort(rng.uniform(-3.0, 3.0, k)) + 0.01 * np.arange(k)
+        if i % 5 == 0 and k > 1:
+            atoms[-1] += 60.0
+        w = rng.dirichlet(np.ones(k))
+        if i % 3 == 0 and k > 1:
+            w[0] = 0.0
+            w /= w.sum()
+        gamma = float(rng.uniform(0.1, 20.0))
+        keep = w > 0
+        ref = expected_posterior_variance(atoms[keep], w[keep], gamma)
+        worst = max(worst, abs(mmse_numeric(DiscretePMF(atoms, w), gamma) - ref))
+    assert worst <= 1e-11
+
+
+def test_q_function_tail():
+    ref = float(mpmath.erfc(30 / mpmath.sqrt(2)) / 2)
+    assert q_function(30.0) == pytest.approx(ref, rel=1e-12, abs=0.0)
