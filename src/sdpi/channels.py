@@ -5,8 +5,8 @@ channels Y = sqrt(gamma) X + Z, where each noise family is a `NoiseModel`
 subclass that owns the family's rules: its closed forms, its output entropy
 `excess_entropy` and its TV contraction `eta_tv`.  Mutual information is
 I(X;Y) = h(Y) - h(Z), the excess entropy of the input's atoms.  Every family
-but uniform noise takes it from one trapezoid rule on a uniform grid over the
-noise support, which `mmse_numeric` shares; the piecewise-constant output
+but uniform noise takes it from one trapezoid rule on the law's `to_grid`
+lattice, which `mmse_numeric` shares; the piecewise-constant output
 density of uniform noise has an exact sum in `core_prob`.
 """
 
@@ -87,9 +87,8 @@ class NoiseModel:
 
     # grid cells added beyond the support on each side by `to_grid`
     _grid_pad = 0
-    # the step of `excess_entropy`'s grid, in units of the family's `_scale`
-    _entropy_step = 0.002
-    _scale = 1.0
+    # cells of `excess_entropy`'s grid across the support, whatever its width
+    _entropy_cells = 3000
 
     @staticmethod
     def gaussian(sigma: float = 1.0) -> "GaussianNoise":
@@ -116,7 +115,8 @@ class NoiseModel:
         out = self._abs_cf(np.asarray(omega, dtype=float))
         return out if np.ndim(out) else float(out)
 
-    def to_grid(self, step: float = 0.005) -> GridDensity:
+    def to_grid(self, step: float) -> GridDensity:
+        """The law, renormalized, on the multiples of step that cover its support."""
         lo, hi = self.support()
         lo, hi = lo - self._grid_pad * step, hi + self._grid_pad * step
         return GridDensity.from_function(self.density, math.floor(lo / step) * step,
@@ -164,17 +164,13 @@ class NoiseModel:
 
     @functools.lru_cache(maxsize=8)
     def _entropy_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only (z, log p_Z(z), w(z) p_Z(z)) with trapezoid weights w: the
-        output-entropy grid, uniform over the support with step `_entropy_step`
-        times `_scale`, less its nodes where p_Z = 0 (they add nothing)."""
-        step = self._entropy_step * self._scale
+        """Read-only (z, log p_Z(z), mass of z) on the nodes of positive mass of
+        `to_grid` at `_entropy_cells` cells across the support.  log p_Z is the
+        law's own, as in `_shifted_blocks`, so one atom gives 0 up to rounding."""
         lo, hi = self.support()
-        z = np.arange(math.floor(lo / step), math.ceil(hi / step) + 1) * step
-        pz = np.asarray(self.density(z))
-        w = np.full(len(z), step)
-        w[0] = w[-1] = 0.5 * step
-        pos = pz > 0
-        grid = z[pos], np.log(pz[pos]), (w * pz)[pos]
+        z, wpz = self.to_grid((hi - lo) / self._entropy_cells).masses()
+        pos = wpz > 0
+        grid = z[pos], np.log(self.density(z[pos])), wpz[pos]
         for a in grid:
             a.setflags(write=False)
         return grid
@@ -196,8 +192,7 @@ class NoiseModel:
 @dataclass(frozen=True)
 class GaussianNoise(NoiseModel):
     sigma: float
-    _entropy_step = 0.1  # 181 nodes over +-9 sigma
-    _scale = property(lambda self: self.sigma)
+    _entropy_cells = 180  # step 0.1 sigma over +-9 sigma
 
     def __post_init__(self):
         if not 0 < self.sigma < math.inf:
@@ -288,7 +283,7 @@ class UniformNoise(NoiseModel):
 @dataclass(frozen=True)
 class LaplaceNoise(NoiseModel):
     b: float
-    _scale = property(lambda self: self.b)
+    _entropy_cells = 38_000  # step 0.002 b over +-38 b
 
     def __post_init__(self):
         if not 0 < self.b < math.inf:
@@ -350,8 +345,10 @@ class GridNoise(NoiseModel):
     def support(self) -> tuple[float, float]:
         return (self.grid_density.x_min, self.grid_density.x_max)
 
-    def to_grid(self, step: float = 0.005) -> GridDensity:
-        return self.grid_density
+    @property
+    def _entropy_cells(self) -> int:
+        # never coarser than the law's own lattice
+        return max(NoiseModel._entropy_cells, len(self.grid_density.values) - 1)
 
     def _theta(self, d: float) -> float:
         # |f - f_d| on the grid, plus the mass of f_d pushed past x_max

@@ -65,11 +65,13 @@ def alpha_star(noise: NoiseModel) -> ThresholdReport:
             "eta_tv stays above 1/3 over the whole search range; "
             "the noise does not contract at any amplitude")
     lo = 1.0 / search_max
-    if ok(lo):
-        # already below the target at tiny alpha; shrink further to find the inf
-        while lo > 1e-12 and ok(lo / 2.0):
-            lo /= 2.0
-    return bisect(ok, lo, search_max, _BISECT_TOL)
+    if not ok(lo):
+        return bisect(ok, lo, search_max, _BISECT_TOL)
+    # already below the target at tiny alpha: halve to a bracket [lo/2, lo] that
+    # fails at its lower end, and bisect it to the same relative width
+    while lo > 1e-12 and ok(lo / 2.0):
+        lo /= 2.0
+    return bisect(ok, lo / 2.0, lo, _BISECT_TOL * lo)
 
 
 def _threshold(scale: float, target: float, p: float, floor_ap: float,

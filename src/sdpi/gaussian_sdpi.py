@@ -276,12 +276,13 @@ def gh_upper_achievability(t: float, gamma: float) -> tuple[int, float, float]:
         raise DomainError("gamma must be nonnegative")
     if not t >= math.log(2.0) - 1e-12:
         raise DomainError("need t >= log 2 so that m >= 2")
+    # m = floor(e^t) > 64, checked before e^t can overflow
+    if t > math.log(65.0):
+        raise AccuracyError("quadrature accuracy not certified beyond m = 64")
     m = int(math.floor(math.exp(t)))
     bound = 4.0 * (1.0 + gamma) * (gamma / (1.0 + gamma)) ** (2 * m)
     if gamma == 0.0:
         return m, 0.0, 0.0
-    if m > 64:
-        raise AccuracyError("quadrature accuracy not certified beyond m = 64")
     x = gauss_hermite_input(m)
     gap = awgn_capacity(gamma) - mi_additive(x, NoiseModel.gaussian(), gamma)
     return m, bound, gap

@@ -154,6 +154,8 @@ def mc_mutual_info(input: DiscretePMF, noise: NoiseModel, gamma: float,
     """MI estimate by density-ratio averaging; returns (estimate, 3-sigma)."""
     if n_samples < 10 ** 5:
         raise DomainError("need at least 1e5 samples")
+    if not 0 <= gamma < math.inf:
+        raise DomainError("gamma must be nonnegative and finite")
     rng = np.random.default_rng(seed)
     atoms, weights = input.atoms, input.weights
     mu = math.sqrt(gamma) * atoms
@@ -204,6 +206,12 @@ def sdpi_pair_sampler(noise: NoiseModel, gamma: float, p: float,
     the horizontal curve (eps -> minimal I(W;X); may return None or nan when
     the bound is not applicable at that eps).
     """
+    if not 0 <= gamma < math.inf:
+        raise DomainError("gamma must be nonnegative and finite")
+    if not 1 <= p < math.inf:
+        raise DomainError("p must be >= 1 and finite")
+    if not n_couplings >= 0:
+        raise DomainError("n_couplings must be nonnegative")
     # the paper's conventions: AWGN (E|X|^p = 1, the channel applies
     # sqrt(gamma)) for Gaussian noise, Y = X + Z with E|X|^p = gamma otherwise
     budget, gain = (1.0, math.sqrt(gamma)) if isinstance(noise, GaussianNoise) else (gamma, 1.0)

@@ -326,6 +326,25 @@ class TestMiAdditive:
                               for lo, hi in zip(pts, pts[1:]))
         assert noise.excess_entropy(mu, v) == pytest.approx(ref, rel=1e-5, abs=0.0)
 
+    def test_grid_noise_is_scale_invariant(self):
+        # the entropy grid has a fixed number of cells across the support, so the
+        # law scaled by s with the input scaled by s gives the same I(X;Y)
+        x = DiscretePMF(np.array([-0.4, 0.1, 0.5]), np.array([0.3, 0.3, 0.4]))
+        g = GOLDEN_NOISE
+        mis, nodes = [], set()
+        for s in (1e-3, 1.0, 100.0):
+            noise = NoiseModel.from_grid(
+                GridDensity(s * g.x_min, s * g.x_max, s * g.step, g.values / s))
+            mis.append(mi_additive(DiscretePMF(s * x.atoms, x.weights), noise, 1.0))
+            nodes.add(len(noise._entropy_grid()[0]))
+        assert mis == pytest.approx([mis[1]] * 3, rel=1e-12, abs=0.0)
+        assert len(nodes) == 1
+
+    @pytest.mark.parametrize("noise", [NoiseModel.laplace(1.0), NoiseModel.from_grid(GOLDEN_NOISE)])
+    def test_single_atom_is_zero(self, noise):
+        # the lattice's masses are renormalized, but p_Z in the log ratio is the law's own
+        assert noise.excess_entropy(np.array([0.3]), np.array([1.0])) == pytest.approx(0.0, abs=1e-15)
+
     def test_negative_gamma(self):
         with pytest.raises(DomainError):
             mi_additive(rademacher(), NoiseModel.gaussian(), -1.0)

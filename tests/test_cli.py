@@ -193,6 +193,29 @@ class TestDeconvCommand:
         assert "ks_from_tv_bound" not in rep
         assert "no positive CF floor" in rep["ks_from_tv_bound_error"]
 
+    def test_grid_noise_on_grid_q(self, capsys):
+        # grid noise is resampled at Q's 0.01 step, not used on its own 0.05 grid
+        golden = Path(__file__).parent / "golden"
+        code, out, err = run(["deconv", "--noise", f"grid:{golden / 'noise.csv'}",
+                              "--p", str(golden / "P.csv"), "--q", str(golden / "Q.csv")],
+                             capsys)
+        assert code == 0
+        assert err == ""
+        assert 0.0 < json.loads(out)["d_tv_conv"] < 1.0
+
+    def test_step_resamples_grid_noise(self, tmp_path, capsys):
+        golden = Path(__file__).parent / "golden"
+        q = tmp_path / "q.csv"
+        q.write_text("atom,weight\n0.0,0.5\n1.0,0.5\n")
+        d_tv = []
+        for step in ("0.05", "0.01"):
+            code, out, err = run(["deconv", "--noise", f"grid:{golden / 'noise.csv'}",
+                                  "--p", str(golden / "P.csv"), "--q", str(q),
+                                  "--step", step], capsys)
+            assert code == 0, err
+            d_tv.append(json.loads(out)["d_tv_conv"])
+        assert abs(d_tv[0] - d_tv[1]) > 1e-3
+
 
 class TestCheckCommand:
     def test_uniform_not_strict(self, tmp_path, capsys):

@@ -151,6 +151,16 @@ class TestAlphaStar:
         assert rep.value == pytest.approx(1.16082728220821, abs=1e-6)
         assert eta_tv_amplitude(NoiseModel.gaussian(), 1.0 / (2.0 * rep.value)) <= 1.0 / 3.0
 
+    @pytest.mark.parametrize("sigma", [3e6, 1e7, 1e9])
+    def test_wide_noise_bracket(self, sigma):
+        # eta_tv already holds at alpha = 1e-6: the bracket's lower end must fail it
+        from sdpi.core_prob import q_inverse
+        noise = NoiseModel.gaussian(sigma)
+        rep = alpha_star(noise)
+        ref = 1.0 / (2.0 * sigma * q_inverse(1.0 / 3.0))
+        assert rep.value == pytest.approx(ref, rel=1e-6, abs=0.0)
+        assert eta_tv_amplitude(noise, 1.0 / (2.0 * rep.bracket[0])) > 1.0 / 3.0
+
     def test_uniform_unit_value(self):
         # eta_tv(1/(2 alpha)) = min(1/alpha, 1) <= 1/3 iff alpha >= 3
         rep = alpha_star(NoiseModel.uniform(0.0, 1.0))

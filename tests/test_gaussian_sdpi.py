@@ -241,6 +241,12 @@ class TestGhUpperAchievability:
         with pytest.raises(AccuracyError):
             gh_upper_achievability(math.log(65.0) + 1e-9, 1.0)
 
+    @pytest.mark.parametrize("gamma", [0.0, 1.0])
+    def test_accuracy_cutoff_before_overflow(self, gamma):
+        # e^800 overflows a float: the m > 64 check comes first
+        with pytest.raises(AccuracyError):
+            gh_upper_achievability(800.0, gamma)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             gh_upper_achievability(0.5, 1.0)

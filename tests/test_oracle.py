@@ -118,6 +118,11 @@ class TestMcMutualInfo:
         with pytest.raises(DomainError):
             mc_mutual_info(rademacher(), NoiseModel.gaussian(), 1.0, 10 ** 4)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -1.0])
+    def test_bad_gamma_rejected(self, gamma):
+        with pytest.raises(DomainError):
+            mc_mutual_info(rademacher(), NoiseModel.gaussian(), gamma, 10 ** 5)
+
 
 class TestPairSampler:
     def test_diag_no_violations(self):
@@ -140,6 +145,17 @@ class TestPairSampler:
                                 n_couplings=200, seed=2,
                                 diag_bound=lambda t: 0.0)
         assert res.violation_count == 0
+
+    @pytest.mark.parametrize("kw", [
+        dict(gamma=math.nan), dict(gamma=math.inf), dict(gamma=-1.0),
+        dict(p=0.0), dict(p=0.5), dict(p=math.nan), dict(p=math.inf),
+        dict(n_couplings=-1),
+    ])
+    def test_bad_arguments_rejected(self, kw):
+        # a nan gamma used to give nan I(W;Y) and a sweep with no violations
+        args = dict(gamma=1.0, p=2.0, n_couplings=5, diag_bound=lambda t: 0.0) | kw
+        with pytest.raises(DomainError):
+            sdpi_pair_sampler(NoiseModel.gaussian(), **args)
 
     def test_reproducible(self):
         kw = dict(gamma=1.0, p=2.0, n_couplings=50, seed=123)
