@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core_prob import (DiscretePMF, GridDensity, char_fn, mi_joint, q_function, simpson,
+from .core_prob import (DiscretePMF, GridDensity, char_fn, mi_joint, q_function,
                         uniform_mixture_entropy, zoom_max)
 from .errors import DomainError, ProfileFailureError, ShapeError
 
@@ -412,14 +412,6 @@ class GridNoise(NoiseModel):
 # discrete channels
 # ---------------------------------------------------------------------------
 
-def mi_dmc(input: DiscretePMF | np.ndarray, K: DMCKernel) -> float:
-    """I(X;Y) for a discrete input through a row-stochastic kernel."""
-    w = input.weights if isinstance(input, DiscretePMF) else np.asarray(input, dtype=float)
-    if len(w) != K.matrix.shape[0]:
-        raise ShapeError("input length does not match the kernel rows")
-    return mi_joint(w[:, None] * K.matrix)
-
-
 # the capacity solver stops once its bracket is this narrow, or after this many
 # Newton steps; the best bracket seen is a certificate either way
 _CAPACITY_GAP = 1e-12
@@ -496,17 +488,8 @@ def awgn_capacity(gamma: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# MMSE and the I-MMSE check
+# MMSE
 # ---------------------------------------------------------------------------
-
-def normalize_input(input: DiscretePMF) -> DiscretePMF:
-    """Shift and scale to mean 0, variance 1."""
-    v = input.var()
-    if not v > 0:
-        raise DomainError("zero-variance input cannot be normalized")
-    m = input.mean()
-    return DiscretePMF((input.atoms - m) / math.sqrt(v), input.weights)
-
 
 def lmmse(gamma: float) -> float:
     if not gamma >= 0:
@@ -534,12 +517,3 @@ def mmse_numeric(input: DiscretePMF, gamma: float) -> float:
         cond_mean = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
         second += float(weights[k] @ (cond_mean.reshape(D.shape[1:]) ** 2 @ wpz[j]))
     return max(float(weights @ atoms ** 2) - second, 0.0)
-
-
-def immse_gap_check(input: DiscretePMF, gamma: float) -> tuple[float, float]:
-    """Capacity gap two ways: direct and via the I-MMSE integral, by the
-    composite Simpson rule on 128 intervals."""
-    gap_direct = awgn_capacity(gamma) - mi_additive(input, NoiseModel.gaussian(), gamma)
-    gaps = [1.0 / (1.0 + s) - mmse_numeric(input, s) for s in np.linspace(0.0, gamma, 129)]
-    gap_integral = 0.5 * simpson(np.array(gaps), gamma / 128)
-    return float(gap_direct), float(gap_integral)

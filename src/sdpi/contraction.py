@@ -19,6 +19,7 @@ from .core_prob import ThresholdReport, bisect, bisect_up
 from .errors import DomainError, NoSolutionError
 
 _BISECT_TOL = 1e-9
+_ALPHA_REL_TOL = 1e-10
 
 
 def eta_tv_amplitude(noise: NoiseModel, A: float) -> float:
@@ -53,8 +54,8 @@ def dobrushin_dmc(K: DMCKernel) -> float:
 
 @functools.lru_cache(maxsize=8)
 def alpha_star(noise: NoiseModel) -> ThresholdReport:
-    """Smallest alpha in (0, 1e6] with eta_tv(1/(2 alpha)) <= 1/3; cached, as
-    a2_star asks for it at every t."""
+    """Smallest alpha in (0, 1e6] with eta_tv(1/(2 alpha)) <= 1/3, to within
+    2e-10 relative; cached, as a2_star asks for it at every t."""
     target, search_max = 1.0 / 3.0, 1e6
 
     def ok(alpha):
@@ -64,14 +65,12 @@ def alpha_star(noise: NoiseModel) -> ThresholdReport:
         raise NoSolutionError(
             "eta_tv stays above 1/3 over the whole search range; "
             "the noise does not contract at any amplitude")
-    lo = 1.0 / search_max
-    if not ok(lo):
-        return bisect(ok, lo, search_max, _BISECT_TOL)
-    # already below the target at tiny alpha: halve to a bracket [lo/2, lo] that
-    # fails at its lower end, and bisect it to the same relative width
-    while lo > 1e-12 and ok(lo / 2.0):
-        lo /= 2.0
-    return bisect(ok, lo / 2.0, lo, _BISECT_TOL * lo)
+    # halve to a bracket [hi/2, hi] that fails at its lower end, down to the
+    # smallest positive float at most, and bisect it to a relative width
+    hi = search_max
+    while hi > math.ulp(0.0) and ok(hi / 2.0):
+        hi /= 2.0
+    return bisect(ok, hi / 2.0, hi, _ALPHA_REL_TOL * hi)
 
 
 def _threshold(scale: float, target: float, p: float, floor_ap: float,

@@ -105,11 +105,6 @@ class DiscretePMF(_Moments):
         return np.concatenate([self.atoms,
                                self.atoms - 1e-12 * np.maximum(1.0, np.abs(self.atoms))])
 
-    def quantile(self, u) -> np.ndarray:
-        """Left-continuous inverse of the CDF."""
-        cum = np.cumsum(self.weights)
-        return self.atoms[np.minimum(np.searchsorted(cum, u, side="left"), len(self.atoms) - 1)]
-
     def to_csv(self) -> str:
         return csv_text("atom,weight", self.atoms, self.weights)
 
@@ -399,21 +394,6 @@ def q_function(x) -> float | np.ndarray:
     return out if out.ndim else float(out)
 
 
-def q_inverse(p: float) -> float:
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"p={p} outside (0, 1)")
-    from scipy.special import erfcinv
-    return float(math.sqrt(2.0) * erfcinv(2.0 * p))
-
-
-def max_entropy_integer(mean_abs: float) -> float:
-    """Entropy cap for integer-valued variables with E|U| <= mean_abs."""
-    if not 0 <= mean_abs < math.inf:
-        raise DomainError("mean_abs must be nonnegative and finite")
-    m = mean_abs
-    return (m + 1.0) * binary_entropy(1.0 / (m + 1.0)) + LOG2
-
-
 def v_window(x) -> float | np.ndarray:
     """The spectral window v(x) = 2(1-cos x)/x^2, with v(0)=1 by the series."""
     x = np.asarray(x, dtype=float)
@@ -613,18 +593,6 @@ def char_fn(P: Distribution, omega) -> complex | np.ndarray:
     for i in range(0, len(w), _CF_CHUNK):
         out[i:i + _CF_CHUNK] = (mass * np.exp(1j * w[i:i + _CF_CHUNK] * x)).sum(axis=1)
     return out.reshape(omega.shape) if omega.ndim else complex(out[0])
-
-
-def wasserstein(P: Distribution, Q: Distribution, order: int = 1) -> float:
-    """W_1 or W_2 via the scalar quantile coupling."""
-    if order not in (1, 2):
-        raise DomainError("order must be 1 or 2")
-    n = 200_001
-    u = (np.arange(n) + 0.5) / n
-    d = np.abs(P.quantile(u) - Q.quantile(u))
-    if order == 1:
-        return float(d.mean())
-    return float(math.sqrt((d * d).mean()))
 
 
 # ---------------------------------------------------------------------------

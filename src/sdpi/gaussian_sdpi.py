@@ -245,15 +245,6 @@ def t_lower_from_gap(epsilon: float, gamma: float, log_eps: float | None = None)
     return 0.25 * math.log(L) - hc.log_c1
 
 
-def gh_lower(t: float, gamma: float) -> float:
-    """Lower bound exp(-c1(gamma) e^{4t}) on the horizontal gap g_h(t)."""
-    if not t >= 0:
-        raise DomainError("t must be nonnegative")
-    hc = horizontal_constants(gamma)
-    exponent = -hc.c1 * math.exp(4.0 * t)
-    return math.exp(exponent) if exponent > -745 else 0.0
-
-
 # ---------------------------------------------------------------------------
 # horizontal achievability
 # ---------------------------------------------------------------------------

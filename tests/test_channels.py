@@ -10,9 +10,9 @@ from scipy.integrate import quad
 from sdpi.channels import (
     DMCKernel, GaussianNoise, GridNoise, LaplaceNoise, NoiseModel,
     UniformNoise, _CAPACITY_GAP, _CAPACITY_STEPS, awgn_capacity, dmc_capacity,
-    immse_gap_check, lmmse, mi_additive, mi_dmc, mmse_numeric, normalize_input,
+    lmmse, mi_additive, mmse_numeric,
 )
-from sdpi.core_prob import LOG2, DiscretePMF, GridDensity, binary_entropy
+from sdpi.core_prob import LOG2, DiscretePMF, GridDensity, binary_entropy, mi_joint, simpson
 from sdpi.errors import DomainError, ShapeError
 
 
@@ -21,6 +21,11 @@ GOLDEN_NOISE = GridDensity.from_csv((Path(__file__).parent / "golden" / "noise.c
 
 def rademacher():
     return DiscretePMF(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
+
+
+def standardized(x):
+    """x shifted and scaled to mean 0, variance 1."""
+    return DiscretePMF((x.atoms - x.mean()) / math.sqrt(x.var()), x.weights)
 
 
 class TestDMCKernel:
@@ -70,17 +75,19 @@ class TestDMCKernel:
 
 
 class TestMiDmc:
+    """I(X;Y) of an input pmf w through a kernel K: mi_joint of the joint w K."""
+
     def test_independent(self):
         K = DMCKernel(np.array([[0.5, 0.5], [0.5, 0.5]]))
-        assert mi_dmc(np.array([0.3, 0.7]), K) == pytest.approx(0.0, abs=1e-12)
+        assert mi_joint(np.array([[0.3], [0.7]]) * K.matrix) == pytest.approx(0.0, abs=1e-12)
 
     def test_identity_is_entropy(self):
         K = DMCKernel.identity(2)
         p = np.array([0.25, 0.75])
-        assert mi_dmc(p, K) == pytest.approx(binary_entropy(0.25), abs=1e-12)
+        assert mi_joint(p[:, None] * K.matrix) == pytest.approx(binary_entropy(0.25), abs=1e-12)
 
     def test_bsc_uniform_input(self):
-        val = mi_dmc(np.array([0.5, 0.5]), DMCKernel.bsc(0.1))
+        val = mi_joint(np.array([[0.5], [0.5]]) * DMCKernel.bsc(0.1).matrix)
         assert val == pytest.approx(LOG2 - binary_entropy(0.1), abs=1e-12)
 
 
@@ -159,7 +166,7 @@ class TestDmcCapacity:
                 d = np.array([np.sum(r[r > 0] * np.log(r[r > 0] / q[r > 0])) for r in m])
                 p = p * np.exp(d - d.max())
                 p /= p.sum()
-            return mi_dmc(p, DMCKernel(m))
+            return mi_joint(p[:, None] * m)
 
         rng = np.random.default_rng(5)
         kernels = [DMCKernel.erasure(0.4, 3).matrix,
@@ -241,18 +248,6 @@ class TestNoiseModel:
         assert np.var(x) == pytest.approx(z.variance(), rel=0.01)
 
 
-class TestNormalizeInput:
-    def test_standardizes(self):
-        P = DiscretePMF(np.array([0.0, 4.0]), np.array([0.5, 0.5]))
-        Q = normalize_input(P)
-        assert Q.mean() == pytest.approx(0.0, abs=1e-12)
-        assert Q.var() == pytest.approx(1.0, abs=1e-12)
-
-    def test_zero_variance(self):
-        with pytest.raises(DomainError):
-            normalize_input(DiscretePMF.point_mass(1.0))
-
-
 class TestMiAdditive:
     def test_rademacher_snr1(self):
         # BPSK over AWGN at snr 1; cross-checked by adaptive quadrature and MC
@@ -265,7 +260,7 @@ class TestMiAdditive:
 
     def test_below_capacity(self):
         x = DiscretePMF(np.array([-1.5, 0.2, 1.3]), np.array([0.3, 0.4, 0.3]))
-        x = normalize_input(x)
+        x = standardized(x)
         for gamma in (0.5, 1.0, 4.0):
             val = mi_additive(x, NoiseModel.gaussian(), gamma)
             assert 0.0 <= val <= awgn_capacity(gamma) + 1e-9
@@ -377,8 +372,8 @@ class TestAwgnCapacity:
 class TestMmse:
     def test_blocks_match_per_atom_loop(self, monkeypatch):
         from sdpi import channels
-        x = normalize_input(DiscretePMF(np.linspace(-3.0, 3.0, 40),
-                                        np.random.default_rng(2).dirichlet(np.ones(40))))
+        x = standardized(DiscretePMF(np.linspace(-3.0, 3.0, 40),
+                                     np.random.default_rng(2).dirichlet(np.ones(40))))
         whole = mmse_numeric(x, 2.0), mi_additive(x, NoiseModel.gaussian(), 2.0)
         # one atom per block, with its whole grid or 25 nodes at a time
         for nodes in (len(NoiseModel.gaussian()._entropy_grid()[0]), 25):
@@ -396,7 +391,7 @@ class TestMmse:
         assert val == pytest.approx(0.44959950920661806, abs=1e-8)
 
     def test_mmse_below_lmmse(self):
-        x = normalize_input(DiscretePMF(
+        x = standardized(DiscretePMF(
             np.array([-2.0, 0.1, 0.5]), np.array([0.2, 0.5, 0.3])))
         for gamma in (0.25, 1.0, 4.0):
             assert mmse_numeric(x, gamma) <= lmmse(gamma) + 1e-9
@@ -424,16 +419,25 @@ class TestMmse:
         xs = np.linspace(-4.0, 4.0, 81)
         w = np.exp(-0.5 * xs * xs)
         w /= w.sum()
-        x = normalize_input(DiscretePMF(xs, w))
+        x = standardized(DiscretePMF(xs, w))
         assert mmse_numeric(x, 1.0) == pytest.approx(lmmse(1.0), abs=1e-3)
+
+
+def immse_gaps(x, gamma):
+    """The capacity gap C(gamma) - I(X; Y_gamma) two ways: directly, and by the
+    I-MMSE relation as half the integral of lmmse - mmse over [0, gamma], by the
+    composite Simpson rule on 128 intervals."""
+    direct = awgn_capacity(gamma) - mi_additive(x, NoiseModel.gaussian(), gamma)
+    gaps = [lmmse(s) - mmse_numeric(x, s) for s in np.linspace(0.0, gamma, 129)]
+    return direct, 0.5 * simpson(np.array(gaps), gamma / 128)
 
 
 class TestImmseGapCheck:
     def test_agreement(self):
-        gap_direct, gap_integral = immse_gap_check(rademacher(), 1.0)
+        gap_direct, gap_integral = immse_gaps(rademacher(), 1.0)
         assert gap_direct == pytest.approx(gap_integral, abs=1e-3)
         assert gap_direct > 0.0
 
     def test_values_frozen(self):
-        gap_direct, gap_integral = immse_gap_check(rademacher(), 1.0)
+        gap_direct, gap_integral = immse_gaps(rademacher(), 1.0)
         assert gap_direct == pytest.approx(0.009742769933141215, abs=1e-6)

@@ -466,6 +466,15 @@ class TestColdStart:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
 
+    def test_package_root_loads_no_submodule(self):
+        # the root re-exports nothing, and the CLI loads the oracles only for verify
+        done = _fresh_python("import sys, sdpi\n"
+                             "print([m for m in sys.modules if m.startswith('sdpi.')])\n"
+                             "import sdpi.cli\n"
+                             "print([m for m in ('sdpi.oracle', 'sdpi.verify') if m in sys.modules])")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n[]\n"
+
     def test_sampler_loads_neither_scipy_nor_numpy_polynomial(self):
         # the horiz suite runs the sampler as the diag suite does, but without
         # gd_lower, whose scipy.special loads numpy.polynomial itself; the

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import ndtri
 
 from sdpi.channels import DMCKernel, NoiseModel
 from sdpi.contraction import (
@@ -14,6 +15,11 @@ from sdpi.core_prob import GridDensity, q_function
 from sdpi.errors import DomainError, NoSolutionError
 
 GOLDEN_NOISE = GridDensity.from_csv((Path(__file__).parent / "golden" / "noise.csv").read_text())
+
+
+def gaussian_alpha_star(sigma):
+    """Closed form 1/(2 sigma Q^{-1}(1/3)) of alpha* for N(0, sigma^2) noise."""
+    return 1.0 / (2.0 * sigma * ndtri(2.0 / 3.0))
 
 
 class TestThetaShift:
@@ -144,22 +150,30 @@ class TestDobrushin:
 
 class TestAlphaStar:
     def test_gaussian_value(self):
-        # 1/(2 Q^{-1}(1/3))
-        from sdpi.core_prob import q_inverse
         rep = alpha_star(NoiseModel.gaussian())
-        assert rep.value == pytest.approx(1.0 / (2.0 * q_inverse(1.0 / 3.0)), abs=1e-6)
+        assert rep.value == pytest.approx(gaussian_alpha_star(1.0), abs=1e-6)
         assert rep.value == pytest.approx(1.16082728220821, abs=1e-6)
         assert eta_tv_amplitude(NoiseModel.gaussian(), 1.0 / (2.0 * rep.value)) <= 1.0 / 3.0
 
     @pytest.mark.parametrize("sigma", [3e6, 1e7, 1e9])
     def test_wide_noise_bracket(self, sigma):
         # eta_tv already holds at alpha = 1e-6: the bracket's lower end must fail it
-        from sdpi.core_prob import q_inverse
         noise = NoiseModel.gaussian(sigma)
         rep = alpha_star(noise)
-        ref = 1.0 / (2.0 * sigma * q_inverse(1.0 / 3.0))
-        assert rep.value == pytest.approx(ref, rel=1e-6, abs=0.0)
+        assert rep.value == pytest.approx(gaussian_alpha_star(sigma), rel=1e-6, abs=0.0)
         assert eta_tv_amplitude(noise, 1.0 / (2.0 * rep.bracket[0])) > 1.0 / 3.0
+
+    @pytest.mark.parametrize("sigma", [1e-3, 1.0, 1e5, 1e9, 1e13])
+    def test_gaussian_relative_accuracy(self, sigma):
+        # a bracket of relative width at the top of the range (sigma = 1e-3) and
+        # below the old halving floor of 1e-12 (sigma = 1e13)
+        noise = NoiseModel.gaussian(sigma)
+        rep = alpha_star(noise)
+        lo, hi = rep.bracket
+        assert rep.value == hi
+        assert hi == pytest.approx(gaussian_alpha_star(sigma), rel=1e-9, abs=0.0)
+        assert eta_tv_amplitude(noise, 1.0 / (2.0 * hi)) <= 1.0 / 3.0
+        assert eta_tv_amplitude(noise, 1.0 / (2.0 * lo)) > 1.0 / 3.0
 
     def test_uniform_unit_value(self):
         # eta_tv(1/(2 alpha)) = min(1/alpha, 1) <= 1/3 iff alpha >= 3

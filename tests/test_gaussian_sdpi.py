@@ -9,7 +9,7 @@ from sdpi.core_prob import binary_entropy, q_function
 from sdpi.errors import AccuracyError, DomainError
 from sdpi.gaussian_sdpi import (
     A0, A1, A2, A5, concentration_radius, diag_achievability,
-    gauss_hermite_input, gd_lower, gd_rate_small_t, gd_subgaussian, gh_lower,
+    gauss_hermite_input, gd_lower, gd_rate_small_t, gd_subgaussian,
     gh_upper_achievability, horizontal_constants,
     ks_from_capacity_gap, ks_from_mmse_gap, ks_talagrand, t_lower_from_gap,
 )
@@ -193,19 +193,6 @@ class TestTLowerFromGap:
     def test_bad_epsilon(self):
         with pytest.raises(DomainError):
             t_lower_from_gap(0.0, 1.0)
-
-
-class TestGhLower:
-    def test_underflow_guard(self):
-        assert gh_lower(1.0, 1.0) == 0.0
-
-    def test_monotone_nonincreasing(self):
-        hc_vals = [gh_lower(t, 0.01) for t in (0.0, 0.5, 1.0)]
-        assert all(a >= b for a, b in zip(hc_vals, hc_vals[1:]))
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            gh_lower(-0.1, 1.0)
 
 
 class TestGaussHermiteInput:
