@@ -1,3 +1,4 @@
+import itertools
 import math
 from pathlib import Path
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from sdpi.channels import DMCKernel, NoiseModel, mi_additive
-from sdpi.core_prob import DiscretePMF, GridDensity
+from sdpi.core_prob import DiscretePMF, GridDensity, mi_joint
 from sdpi.errors import BudgetError, DomainError
 from sdpi.fi_curves import fi_bsc
 from sdpi.gaussian_sdpi import gd_lower
@@ -20,6 +21,16 @@ def rademacher():
 
 
 class TestBruteForce:
+    @pytest.fixture
+    def enumerations(self, monkeypatch):
+        """The n of every lattice enumeration the oracle starts, from an empty cache."""
+        oracle._bruteforce_envelope.cache_clear()
+        seen = []
+        real_lattice = oracle.simplex_lattice
+        monkeypatch.setattr(oracle, "simplex_lattice",
+                            lambda n, parts: seen.append(n) or real_lattice(n, parts))
+        return seen
+
     def test_t_zero(self):
         assert fi_bruteforce_dmc(DMCKernel.bsc(0.1), 0.0) <= 1e-12
 
@@ -57,14 +68,16 @@ class TestBruteForce:
         with pytest.raises(DomainError):
             fi_bruteforce_dmc(DMCKernel.bsc(0.1), 0.2, w_size=0)
 
-    def test_single_w_value_gives_zero(self):
-        # one value of W carries no information: 2 lattice cells
+    def test_single_w_value_gives_zero(self, enumerations):
+        # one value of W carries no information: answered before any enumeration
         assert fi_bruteforce_dmc(DMCKernel.bsc(0.1), 0.1, w_size=1, resolution=10) == 0.0
+        assert enumerations == []
 
-    def test_single_input_kernel_gives_zero(self):
-        # with |X| = 1, I(W;Y) <= I(W;X) = 0: the lattice clips its rounding
+    def test_single_input_kernel_gives_zero(self, enumerations):
+        # with |X| = 1, I(W;Y) <= I(W;X) = 0 on every coupling
         val = fi_bruteforce_dmc(DMCKernel(np.array([[0.5, 0.5]])), 0.1, w_size=2)
         assert val == 0.0
+        assert enumerations == []
 
     def test_resolution_floor(self):
         with pytest.raises(DomainError):
@@ -74,12 +87,62 @@ class TestBruteForce:
         with pytest.raises(DomainError):
             fi_bruteforce_dmc(DMCKernel.bsc(0.1), -0.1)
 
-    def test_envelope_cache_is_bounded(self, monkeypatch):
-        oracle._bruteforce_envelope.cache_clear()
-        enumerations = []
-        real_lattice = oracle.simplex_lattice
-        monkeypatch.setattr(oracle, "simplex_lattice",
-                            lambda n, parts: enumerations.append(n) or real_lattice(n, parts))
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_non_finite_t(self, t):
+        with pytest.raises(DomainError, match="finite"):
+            fi_bruteforce_dmc(DMCKernel.bsc(0.1), t)
+
+    def test_non_integral_sizes(self):
+        K = DMCKernel.bsc(0.1)
+        with pytest.raises(DomainError, match="w_size"):
+            fi_bruteforce_dmc(K, 0.2, w_size=2.5)
+        with pytest.raises(DomainError, match="resolution"):
+            fi_bruteforce_dmc(K, 0.2, w_size=2, resolution=10.5)
+        # numpy integers are integers
+        assert fi_bruteforce_dmc(K, 0.2, np.int64(2), np.int32(10)) == \
+            fi_bruteforce_dmc(K, 0.2, 2, 10)
+
+    def test_checks_precede_degenerate_return(self):
+        bsc, single_input = DMCKernel.bsc(0.1), DMCKernel(np.array([[0.5, 0.5]]))
+        for kwargs in ({"t": -0.1}, {"t": math.inf}, {"t": 0.1, "resolution": 5},
+                       {"t": 0.1, "resolution": 10.5}):
+            with pytest.raises(DomainError):
+                fi_bruteforce_dmc(bsc, w_size=1, **kwargs)
+        with pytest.raises(DomainError):
+            fi_bruteforce_dmc(single_input, 0.1, w_size=3)
+        with pytest.raises(BudgetError):
+            fi_bruteforce_dmc(DMCKernel(np.full((4, 4), 0.25)), 0.1, w_size=1)
+
+    @pytest.mark.parametrize("K, w_size, n", [
+        (DMCKernel.bsc(0.2), 2, 12),
+        (DMCKernel(np.random.default_rng(3).dirichlet(np.ones(3), size=2)), 3, 8),
+        (DMCKernel(np.random.default_rng(4).dirichlet(np.ones(2), size=3)), 2, 8),
+    ])
+    def test_table_walk_matches_joint_mi(self, K, w_size, n):
+        # every lattice coupling evaluated with mi_joint, binned by the same ceiling rule
+        bin_w, stair, bin_vals, bin_rows = oracle._bruteforce_envelope(
+            K.matrix.tobytes(), K.matrix.shape, w_size, n)
+        cells = w_size * K.matrix.shape[0]
+
+        def pair(q):
+            j = q.reshape(w_size, -1)
+            i_wx = mi_joint(j)
+            return i_wx, min(mi_joint(j @ K.matrix), i_wx)
+
+        ref = np.full(len(stair), -np.inf)
+        for bars in itertools.combinations(range(n + cells - 1), cells - 1):
+            counts = np.diff((-1,) + bars + (n + cells - 1,)) - 1
+            i_wx, i_wy = pair(counts / n)
+            b = min(math.ceil(i_wx / bin_w - 1e-12), len(ref) - 1)
+            ref[b] = max(ref[b], i_wy)
+        np.testing.assert_allclose(stair, np.maximum.accumulate(ref), rtol=0, atol=1e-12)
+        for b in np.flatnonzero(np.isfinite(bin_vals)):
+            counts = bin_rows[b] * n
+            np.testing.assert_allclose(counts, np.round(counts), rtol=0, atol=1e-9)
+            assert round(counts.sum()) == n
+            assert abs(pair(bin_rows[b])[1] - bin_vals[b]) <= 1e-12
+
+    def test_envelope_cache_is_bounded(self, enumerations):
         cap = 8
         kernels = [DMCKernel.bsc(0.05 + 0.02 * i) for i in range(cap + 3)]
         for K in kernels:
