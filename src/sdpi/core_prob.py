@@ -11,7 +11,6 @@ only the exact uniform-noise sum, `uniform_mixture_entropy`, lives here.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -428,12 +427,18 @@ def simplex_lattice(n: int, parts: int):
     comps = (np.vstack(list(simplex_lattice(n, parts - 3))) if parts > 4
              else np.full((1, 1), n, dtype=np.int32))
     width = parts + 1 - comps.shape[1]
-    # stars and bars: the leading parts of the compositions of n into `width` parts;
-    # those of r <= n are the rows summing to at most r, with the slack r - sum last
-    bars = np.array(list(itertools.combinations(range(n + width - 1), width - 1)),
-                    dtype=np.int32)
-    lead = np.diff(bars, prepend=np.int32(-1), axis=1) - 1
-    used = lead.sum(axis=1, dtype=np.int32)
+    # the leading parts of the compositions of n into `width` parts, the rows of
+    # width - 1 parts summing to at most n in lexicographic order, grown a column at
+    # a time; those of r <= n are the rows summing to at most r, with the slack
+    # r - sum last
+    lead = np.zeros((1, 0), dtype=np.int32)
+    used = np.zeros(1, dtype=np.int32)
+    for _ in range(width - 1):
+        counts = n + 1 - used
+        start = np.repeat(np.cumsum(counts, dtype=np.int32) - counts, counts)
+        part = np.arange(len(start), dtype=np.int32) - start
+        lead = np.column_stack([np.repeat(lead, counts, axis=0), part])
+        used = np.repeat(used, counts) + part
     tails = {r: np.column_stack([lead[used <= r], r - used[used <= r]])
              for r in set(comps[:, -1].tolist())}
     for head, r in zip(comps[:, :-1], comps[:, -1].tolist()):

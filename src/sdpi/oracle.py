@@ -5,8 +5,9 @@ the primitives in core_prob (`xlogx`, `mi_joint`, `bisect`, the lattice
 enumerator `simplex_lattice`) and the noise laws' own `density`, `sample` and
 `excess_entropy` (the output entropy h(Y) - h(Z) of a finite input, which
 `mi_additive` reads too): the methods are the oracle's own
-(lattice search, Monte Carlo, random couplings), so that agreement is
-evidence, not circularity.
+(lattice search polished by Newton steps on the exact derivatives of mutual
+information, Monte Carlo, random couplings), so that agreement is evidence,
+not circularity.
 """
 
 from __future__ import annotations
@@ -84,31 +85,139 @@ def _joint_mi_pair(q: np.ndarray, Km: np.ndarray, w_size: int) -> tuple[float, f
     return mi_joint(j), mi_joint(j @ Km)
 
 
+def _mi_derivatives(j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of I over the cells of a joint pmf j, flattened by rows.
+
+    dI/dj = log j - log j_w - log j_x up to a constant, which moves nothing on
+    {sum j = 1}; the Hessian is diag(1/j) - [same row]/j_w - [same column]/j_x.
+    An empty cell, row or column reads 0 in both."""
+    def inv(v):
+        return np.divide(1.0, v, out=np.zeros_like(v), where=v > 0)
+
+    def log(v):
+        return np.log(v, out=np.zeros_like(v), where=v > 0)
+
+    jw, jx = j.sum(axis=1), j.sum(axis=0)
+    grad = log(j) - log(jw)[:, None] - log(jx)[None, :]
+    m, n = j.shape
+    hess = (np.diag(inv(j).ravel()) - np.kron(np.diag(inv(jw)), np.ones((n, n)))
+            - np.kron(np.ones((m, m)), np.diag(inv(jx))))
+    return grad.ravel(), hess
+
+
+# a cell below _DEAD_MASS is dropped; a step may take a cell at most _TO_BOUNDARY
+# of the way to 0; _FLOOR is the reduced Hessian's eigenvalue floor, relative to
+# its largest; loop caps
+_DEAD_MASS = 1e-6
+_TO_BOUNDARY = 0.97
+_FLOOR = 1e-4
+_NEWTON_STEPS = 100
+_HALVINGS = 40
+
+
+def _newton_ascent(q: np.ndarray, Km: np.ndarray, t: float) -> np.ndarray:
+    """Local maximiser of I(W;Y) s.t. I(W;X) <= t from a positive joint pmf q.
+
+    Reduced-space SQP (Nocedal & Wright, ch. 18) on the live cells, in the
+    coordinates dq / sqrt(q): a Newton step on the tangent space of
+    {sum q = 1}, or, when that step would cross t or q is above it, a normal
+    step onto the linearised {sum q = 1, I(W;X) = t} plus a Newton step on
+    its tangent space.  The reduced Hessian of the Lagrangian is made
+    negative definite by flipping its eigenvalues and flooring them at
+    _FLOOR of the largest (a W value whose conditional repeats another's
+    leaves it singular).  The exact penalty I(W;Y) - nu max(I(W;X) - t, 0)
+    picks the step length, each trial point of a constrained step corrected
+    back onto I(W;X) = t along the normal, so the curvature of I(W;X) does
+    not cut the step.  A cell whose mass falls below _DEAD_MASS, as on a W
+    value or input letter the optimum leaves empty, is set to zero and the
+    search goes on over the rest."""
+    m, nx = q.shape
+    big = np.kron(np.eye(m), Km)  # q.ravel() @ big = (q @ Km).ravel()
+
+    def merit(q):
+        return mi_joint(q @ Km) - nu * max(mi_joint(q) - t, 0.0)
+
+    def newton_step(b, A, rhs, h, scale):
+        """The step and the largest reduced gradient for the constraints A s = rhs;
+        1e-6 scale floors the curvature where h cancels to rounding."""
+        _, sv, vt = np.linalg.svd(A)
+        Z = vt[int((sv > 1e-12 * sv[0]).sum()):].T
+        s_n = np.linalg.lstsq(A, rhs, rcond=None)[0]
+        r = Z.T @ (b + h @ s_n)
+        e, v = np.linalg.eigh(Z.T @ h @ Z)
+        e = np.maximum(np.abs(e), max(_FLOOR * np.abs(e).max(initial=0.0), 1e-6 * scale))
+        return s_n + Z @ (v @ ((v.T @ r) / e)), np.abs(r).max(initial=0.0)
+
+    nu = 0.0
+    live = np.ones(q.size, dtype=bool)
+    for _ in range(_NEWTON_STEPS):
+        live &= q.ravel() >= _DEAD_MASS
+        q = np.where(live.reshape(m, nx), q, 0.0)
+        q = q / q.sum()
+        if (q.sum(axis=1) > 0).sum() < 2 or (q.sum(axis=0) > 0).sum() < 2:
+            break  # I(W;X) = 0 on what is left
+        c = mi_joint(q) - t
+        a, h_x = _mi_derivatives(q)
+        g_r, h_r = _mi_derivatives(q @ Km)
+        b, h_y = big @ g_r, big @ h_r @ big.T
+        x = q.ravel()[live]
+        # in the coordinates s = dq / sqrt(q) a cell's curvature 1/q reads 1
+        sc = np.sqrt(x)
+        a, b = sc * a[live], sc * b[live]
+        h_x = sc[:, None] * h_x[np.ix_(live, live)] * sc
+        h_y = sc[:, None] * h_y[np.ix_(live, live)] * sc
+        A = np.vstack([sc, a])
+        lam = np.linalg.lstsq(A.T, b, rcond=None)[0][1]
+        nu = max(nu, 2.0 * abs(lam))
+        scale = np.abs(h_y).max() + np.abs(h_x).max()
+        # the constraint binds when q is above t, or when the step without it
+        # crosses t and the step with it still ascends
+        s, r = newton_step(b, A[:1], [0.0], h_y, scale)
+        active = c > 0 or c + a @ s > 0
+        if active:
+            s_c, r_c = newton_step(b, A, [0.0, -c], h_y - lam * h_x, scale)
+            active = c > 0 or b @ s_c > 0
+            if active:
+                s, r = s_c, r_c
+        slope = b @ s + nu * max(c, 0.0)  # the merit's, along s
+        converged = r <= 1e-10 and (not active or abs(c) <= 1e-14)
+        if converged or not slope > 0:
+            break
+        d = sc * s
+        shrink = d < 0
+        step = min(1.0, _TO_BOUNDARY * float(np.min(-x[shrink] / d[shrink], initial=np.inf)))
+        phi = merit(q)
+        for _ in range(_HALVINGS):
+            trial = q.ravel().copy()
+            trial[live] = x + step * d
+            if active:
+                gap = t - mi_joint(trial.reshape(m, nx))
+                back = sc * np.linalg.lstsq(A, [0.0, gap], rcond=None)[0]
+                if np.all(trial[live] + back > 0):
+                    trial[live] += back
+            trial = trial.reshape(m, nx)
+            if merit(trial) >= phi + 1e-4 * step * slope:
+                break
+            step *= 0.5
+        else:
+            break
+        q = trial
+    return q
+
+
 def _polish_coupling(q0: np.ndarray, Km: np.ndarray, w_size: int,
                      t: float) -> float:
     """Local continuous refinement of the best lattice coupling.
 
-    Runs SLSQP on max I(W;Y) s.t. I(W;X) <= t from the lattice argmax, then
-    re-evaluates the polished point exactly and enforces the constraint (by
-    mixing toward the product of its marginals if needed), so the returned
-    value is still a certified achievable point.
+    Runs `_newton_ascent` on max I(W;Y) s.t. I(W;X) <= t from the lattice
+    argmax, then re-evaluates the polished point exactly and enforces the
+    constraint (by mixing toward the product of its marginals if needed), so
+    the returned value is still a certified achievable point.
     """
-    from scipy.optimize import minimize
     cells = q0.size
     start = 0.98 * q0 + 0.02 / cells
-
-    def neg_iwy(q):
-        return -_joint_mi_pair(q, Km, w_size)[1]
-
-    def slack(q):
-        return t - _joint_mi_pair(q, Km, w_size)[0]
-
-    res = minimize(neg_iwy, start, method="SLSQP",
-                   bounds=[(0.0, 1.0)] * cells,
-                   constraints=[{"type": "eq", "fun": lambda q: q.sum() - 1.0},
-                                {"type": "ineq", "fun": slack}],
-                   options={"maxiter": 200, "ftol": 1e-12})
-    q = np.clip(res.x, 0.0, None)
+    q = _newton_ascent(start.reshape(w_size, -1), Km, t).ravel()
+    q = np.clip(q, 0.0, None)
     if q.sum() <= 0:
         return 0.0
     q = q / q.sum()

@@ -30,7 +30,7 @@ def _suite_bsc(seed: int) -> dict:
     for t in (0.1, 0.3, 0.5):
         bf = fi_bruteforce_dmc(K, t, w_size=3, resolution=40)
         ref = fi_bsc(t, delta)
-        if bf > ref + 1e-9 or ref - bf > 5e-3:
+        if bf > ref + 1e-9 or ref - bf > 1e-8:
             mismatches.append({"t": t, "bruteforce": bf, "closed_form": ref})
     return {"suite": "bsc", "delta": delta, "violations": len(mismatches),
             "details": mismatches}

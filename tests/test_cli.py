@@ -430,6 +430,12 @@ class TestVerifyCommand:
         assert rep["violations"] == 0
         assert rep["seed"] == 0
 
+    @pytest.mark.parametrize("seed, delta", [(0, 0.3), (1, 0.2), (11, 0.1)])
+    def test_bsc_suite_meets_its_gate_at_each_crossover(self, seed, delta):
+        # the three seeds draw every crossover, so the suite's 9 cases all run
+        rep = verify.run_suite("bsc", seed)
+        assert (rep["delta"], rep["violations"]) == (delta, 0)
+
     def test_deconv_suite_checks_the_printed_report(self, monkeypatch):
         # the suite runs `sdpi deconv`'s own report, so a bound broken there shows
         monkeypatch.setattr(cli, "esseen_bound", lambda *args: 0.0)
@@ -497,6 +503,7 @@ class TestColdStart:
                      id="deconv"),
         pytest.param(["check", "strict", "--density", "noise.csv", "--shift-grid=-5:5:0.25"],
                      id="check-strict"),
+        pytest.param(["verify", "--suite", "bsc", "--seed", "11"], id="verify-bsc"),
     ])
     def test_readme_command_runs_without_scipy(self, argv):
         done = _fresh_python("import runpy, sys\n"

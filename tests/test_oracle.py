@@ -8,7 +8,7 @@ import pytest
 from sdpi.channels import DMCKernel, NoiseModel, mi_additive
 from sdpi.core_prob import DiscretePMF, GridDensity, mi_joint
 from sdpi.errors import BudgetError, DomainError
-from sdpi.fi_curves import fi_bsc
+from sdpi.fi_curves import fi_bsc, fi_erasure
 from sdpi.gaussian_sdpi import gd_lower
 from sdpi import oracle
 from sdpi.oracle import (
@@ -46,7 +46,7 @@ class TestBruteForce:
             bf = fi_bruteforce_dmc(K, t, w_size=3, resolution=30)
             ref = fi_bsc(t, 0.2)
             assert bf <= ref + 1e-9
-            assert ref - bf <= 2e-3
+            assert ref - bf <= 1e-8
 
     def test_monotone_in_t(self):
         K = DMCKernel.bsc(0.1)
@@ -141,6 +141,58 @@ class TestBruteForce:
             np.testing.assert_allclose(counts, np.round(counts), rtol=0, atol=1e-9)
             assert round(counts.sum()) == n
             assert abs(pair(bin_rows[b])[1] - bin_vals[b]) <= 1e-12
+
+    @staticmethod
+    def _stair(K, t, w_size, n):
+        """The lattice alone: the staircase value the polish starts from."""
+        bin_w, stair, _, _ = oracle._bruteforce_envelope(
+            K.matrix.tobytes(), K.matrix.shape, w_size, n)
+        return stair[min(math.floor(t / bin_w + 1e-12), len(stair) - 1)]
+
+    # verify --suite bsc's 9 cases, criterion 1's 8 and the 2 above
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("delta, t, n", [
+        *[(d, t, 40) for d in (0.1, 0.2, 0.3) for t in (0.1, 0.3, 0.5)],
+        *[(d, t, 60) for d in (0.1, 0.3) for t in (0.1, 0.2, 0.4, 0.6)],
+        (0.2, 0.15, 30), (0.2, 0.45, 30),
+    ])
+    def test_polish_reaches_bsc_closed_form(self, delta, t, n):
+        K = DMCKernel.bsc(delta)
+        bf = fi_bruteforce_dmc(K, t, w_size=3, resolution=n)
+        assert abs(bf - fi_bsc(t, delta)) <= 1e-9
+        assert bf >= self._stair(K, t, 3, n)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.6])
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_polish_reaches_erasure_closed_form(self, alpha, size):
+        # I(W;Y) = (1 - alpha) I(W;X) on every coupling: the polish must reach I(W;X) = t
+        K, w_size = DMCKernel.erasure(alpha, size), 5 - size
+        for t in (0.2, 0.5):
+            bf = fi_bruteforce_dmc(K, t, w_size=w_size, resolution=30)
+            assert abs(bf - fi_erasure(t, alpha, size)) <= 1e-12
+            assert bf >= self._stair(K, t, w_size, 30)
+
+    # fi_bruteforce_dmc at resolution 30 with the SLSQP polish this one replaced,
+    # one row per kernel of the panel below, at t = 0.05, 0.3, 0.8
+    _SLSQP_PANEL = [
+        0.0035349825017217586, 0.019399006405436056, 0.036111385703066774,
+        0.014587858003147915, 0.08242762817704696, 0.15994142379995455,
+        0.017099779375389, 0.09589401338901267, 0.1827535189471322,
+        0.02428479010740448, 0.14148323471710056, 0.28092439449296186,
+    ]
+
+    @pytest.mark.filterwarnings("error")
+    def test_polish_panel_against_slsqp(self):
+        # at t = 0.8 the constraint is slack for every |X| = 2 coupling
+        rng = np.random.default_rng(23)
+        got = []
+        for nx, ny in [(2, 2), (2, 3), (3, 2), (3, 3)]:
+            K, w_size = DMCKernel(rng.dirichlet(np.ones(ny), size=nx)), 5 - nx
+            for t in (0.05, 0.3, 0.8):
+                got.append(fi_bruteforce_dmc(K, t, w_size, 30))
+                assert got[-1] >= self._stair(K, t, w_size, 30)
+        assert np.all(np.array(got) >= np.array(self._SLSQP_PANEL) - 1e-6)
 
     def test_envelope_cache_is_bounded(self, enumerations):
         cap = 8
