@@ -73,21 +73,6 @@ def alpha_star(noise: NoiseModel) -> ThresholdReport:
     return bisect(ok, hi / 2.0, hi, _ALPHA_REL_TOL * hi)
 
 
-def _threshold(scale: float, target: float, p: float, floor_ap: float,
-               name: str) -> ThresholdReport:
-    """Smallest A with A^p >= floor_ap and scale log(A^p) / A^p <= target."""
-    floor_a = floor_ap ** (1.0 / p)
-
-    def cond(A):
-        ap = A ** p
-        return scale * math.log(ap) / ap <= target
-
-    found = bisect_up(cond, floor_a, _BISECT_TOL, 1e12)
-    if found is None:
-        raise NoSolutionError(f"{name} search exceeded range")
-    return found
-
-
 def a2_star(noise: NoiseModel, t: float, gamma: float, p: float) -> ThresholdReport:
     """Smallest A with 18 gamma A^-p log(A^p) <= t above the amplitude floor.
 
@@ -100,22 +85,13 @@ def a2_star(noise: NoiseModel, t: float, gamma: float, p: float) -> ThresholdRep
     if not p >= 1:
         raise DomainError("p must be >= 1")
     astar = alpha_star(noise).value
-    floor_ap = max(math.e, 2.0 * gamma, astar * math.e ** 3 / gamma)
-    return _threshold(18.0 * gamma, t, p, floor_ap, "a2_star")
+    floor_a = max(math.e, 2.0 * gamma, astar * math.e ** 3 / gamma) ** (1.0 / p)
 
+    def cond(A):
+        ap = A ** p
+        return 18.0 * gamma * math.log(ap) / ap <= t
 
-def a1_star(gamma: float, p: float, grid_step: float, entropy: float) -> ThresholdReport:
-    """Smallest A with A^-p log A^p <= H/(6 gamma) above the grid floor.
-
-    Floor: A^p >= max{e, 2 gamma, e^3 / (gamma Delta)}.
-    """
-    if not entropy > 0:
-        raise DomainError("entropy must be positive")
-    if not grid_step > 0:
-        raise DomainError("grid_step must be positive")
-    if not 0 < gamma < math.inf:
-        raise DomainError("gamma must be positive and finite")
-    if not p >= 1:
-        raise DomainError("p must be >= 1")
-    floor_ap = max(math.e, 2.0 * gamma, math.e ** 3 / (gamma * grid_step))
-    return _threshold(1.0, entropy / (6.0 * gamma), p, floor_ap, "a1_star")
+    found = bisect_up(cond, floor_a, _BISECT_TOL, 1e12)
+    if found is None:
+        raise NoSolutionError("a2_star search exceeded range")
+    return found

@@ -524,27 +524,6 @@ def _require_same_grid(P: GridDensity, Q: GridDensity):
         raise ShapeError("grid densities are not aligned")
 
 
-def kl_divergence(P: Distribution, Q: Distribution) -> float:
-    """D(P || Q) in nats; +inf when P has mass where Q vanishes."""
-    if isinstance(P, DiscretePMF) and isinstance(Q, DiscretePMF):
-        _, p, q = _align_atoms(P, Q)
-        if np.any((p > 0) & (q <= 0)):
-            return math.inf
-        mask = p > 0
-        d = float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
-    elif isinstance(P, GridDensity) and isinstance(Q, GridDensity):
-        _require_same_grid(P, Q)
-        p, q, w = P.values, Q.values, P.node_weights
-        if np.any((p > 1e-15) & (q <= 1e-300)):
-            return math.inf
-        mask = p > 0
-        d = float(np.sum(w[mask] * p[mask] * np.log(p[mask] / np.maximum(q[mask], 1e-300))))
-    else:
-        raise ShapeError("kl_divergence requires same-kind inputs")
-    # quadrature can produce a tiny negative for P ~= Q
-    return max(d, 0.0) if d > -1e-10 else d
-
-
 def tv_distance(P: Distribution, Q: Distribution) -> float:
     """Total variation: half the L1 distance of weights / densities."""
     if isinstance(P, DiscretePMF) and isinstance(Q, DiscretePMF):

@@ -1,5 +1,5 @@
-"""Deconvolution bounds: Esseen smoothing, the spectral-window lemma, the
-KS-from-TV theorem and the no-zero-CF corollary.
+"""Deconvolution bounds: Esseen smoothing, the KS-from-TV theorem and the
+no-zero-CF corollary.
 
 All bounds here upper-bound a pre-convolution distance (KS between P and Q)
 in terms of a post-convolution one (TV between P*P_Z and Q*P_Z).  The noise
@@ -17,11 +17,10 @@ import numpy as np
 
 from .channels import GaussianNoise, NoiseModel
 from .core_prob import Distribution, char_fn, simpson
-from .errors import DomainError, ProfileFailureError
+from .errors import BudgetError, DomainError, ProfileFailureError
 
-# constant of the spectral-window lemma, from the two-term proof chain:
-# 2 h(T)/T with h = sqrt(T), plus sqrt(8 pi delta) / (sqrt(T) sqrt(delta))
-C_WINDOW = 2.0 + math.sqrt(8.0 * math.pi)
+# the most frequency nodes esseen_bound integrates over (T up to about 4,194)
+_ESSEEN_MAX_NODES = 2 ** 22
 
 
 @dataclass(frozen=True)
@@ -60,6 +59,9 @@ def esseen_bound(P: Distribution, Q: Distribution, m2: float, T: float) -> float
     n = int(math.ceil(T / step))
     if n % 2 == 1:
         n += 1
+    if n > _ESSEEN_MAX_NODES:
+        raise BudgetError(f"T = {T:g} needs {n} frequency nodes, "
+                          f"more than {_ESSEEN_MAX_NODES}")
     omegas = np.linspace(0.0, T, n + 1)
     diff = np.abs(char_fn(P, omegas[1:]) - char_fn(Q, omegas[1:]))
     integrand = np.empty(n + 1)
@@ -90,27 +92,12 @@ def g1_profile(noise: NoiseModel) -> CfProfile:
 # bounds
 # ---------------------------------------------------------------------------
 
-def deconv_v_bound(noise: NoiseModel, d_tv: float) -> tuple[float, float]:
-    """Window-difference bound: for T = g1(m1 d_tv), the expectation of
-    v(T X - x0) differs between P and Q by at most (2 + sqrt(8 pi))/sqrt(T)."""
-    if not 0.0 < d_tv <= 1.0:
-        raise DomainError("d_tv must lie in (0, 1]")
-    profile = g1_profile(noise)
-    u = min(noise.m1 * d_tv, 1.0)
-    T = profile.g1_of_u(u)
-    return T, C_WINDOW / math.sqrt(T)
-
-
 def ks_from_tv_bound(noise: NoiseModel, m2: float, first_moments: tuple[float, float],
-                     profile: CfProfile, T: float, d_tv: float,
-                     w1: float | None = None) -> float:
+                     profile: CfProfile, T: float, d_tv: float) -> float:
     """KS bound from a post-convolution TV distance, given a (g, h) profile.
 
     T h(T)/pi + (24 m2 + 2 (E_P|X| + E_Q|X|)) / (pi T)
       + (2T)^{3/2} / (sqrt(pi) g(T)) sqrt(m1 d_tv).
-
-    Passing w1 = W_1(P*P_Z, Q*P_Z) switches the last term to the refined
-    2 T w1 / (pi g(T)) form, valid when second moments are finite.
     """
     if not T > 0:
         raise DomainError("T must be positive")
@@ -123,10 +110,7 @@ def ks_from_tv_bound(noise: NoiseModel, m2: float, first_moments: tuple[float, f
     g = profile.g_of_T(T)
     if g is None or g <= 0:
         raise ProfileFailureError("profile has no positive CF floor at this T")
-    if w1 is None:
-        term3 = (2.0 * T) ** 1.5 / (math.sqrt(math.pi) * g) * math.sqrt(noise.m1 * d_tv)
-    else:
-        term3 = 2.0 * T * w1 / (math.pi * g)
+    term3 = (2.0 * T) ** 1.5 / (math.sqrt(math.pi) * g) * math.sqrt(noise.m1 * d_tv)
     return term1 + term2 + term3
 
 

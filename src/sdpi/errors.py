@@ -14,7 +14,7 @@ class NoSolutionError(RuntimeError):
 
 
 class BudgetError(RuntimeError):
-    """A brute-force enumeration would exceed its combinatorial budget."""
+    """An enumeration or allocation would exceed its budget."""
 
 
 class ProfileFailureError(RuntimeError):

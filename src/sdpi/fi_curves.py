@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
@@ -23,13 +24,9 @@ def fi_erasure(t: float, alpha: float, alphabet_size: int) -> float:
         raise DomainError("t must be nonnegative")
     if not 0.0 <= alpha <= 1.0:
         raise DomainError("alpha must lie in [0, 1]")
-    if alphabet_size < 2:
-        raise DomainError("alphabet_size must be >= 2")
+    if not (isinstance(alphabet_size, numbers.Integral) and alphabet_size >= 2):
+        raise DomainError("alphabet_size must be an integer >= 2")
     return (1.0 - alpha) * min(t, math.log(alphabet_size))
-
-
-def _star(p: float, q: float) -> float:
-    return p * (1.0 - q) + q * (1.0 - p)
 
 
 def mrs_gerber(x: float, delta: float) -> float:
@@ -39,7 +36,7 @@ def mrs_gerber(x: float, delta: float) -> float:
     if not 0.0 <= delta <= 0.5:
         raise DomainError("delta must lie in [0, 1/2]")
     p = binary_entropy_inv(min(x, LOG2))
-    return binary_entropy(_star(delta, p))
+    return binary_entropy(delta * (1.0 - p) + p * (1.0 - delta))
 
 
 def fi_bsc(t: float, delta: float) -> float:
@@ -52,19 +49,6 @@ def fi_bsc(t: float, delta: float) -> float:
         return 0.0
     residual = max(LOG2 - t, 0.0)
     return max(LOG2 - mrs_gerber(residual, delta), 0.0)
-
-
-def fi_fixed_marginal_bsc(x: float, p: float, delta: float) -> float:
-    """F_I curve of the BSC at a fixed input marginal Bernoulli(p)."""
-    if not 0.0 <= p <= 0.5:
-        raise DomainError("p must lie in [0, 1/2]")
-    if not 0.0 <= delta <= 0.5:
-        raise DomainError("delta must lie in [0, 1/2]")
-    hp = binary_entropy(p)
-    if not 0 <= x <= hp + 1e-12:
-        raise DomainError("x must lie in [0, h_b(p)]")
-    x = min(x, hp)
-    return binary_entropy(_star(p, delta)) - mrs_gerber(hp - x, delta)
 
 
 # ---------------------------------------------------------------------------

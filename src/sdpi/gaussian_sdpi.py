@@ -79,35 +79,6 @@ def gd_lower(t: float, gamma: float) -> float:
                     np.maximum(amp * (t - hb - c), 0.0), 1e-10)
 
 
-def gd_rate_small_t(u: float, gamma: float) -> float:
-    """Small-t rate: the diagonal bracket evaluated at x = 1/(2 u log u).
-
-    This is a restriction of the maximization in gd_lower to one point, so
-    the return value never exceeds gd_lower(1/u, gamma).
-    """
-    if not 0 < gamma < math.inf:
-        raise DomainError("gamma must be positive and finite")
-    if not (u > 1.0 and u * math.log(u) >= 1.0):
-        raise DomainError("u too small: need 1/(2 u log u) <= 1/2")
-    x = 1.0 / (2.0 * u * math.log(u))
-    t = 1.0 / u
-    return float(_gd_bracket(np.array([x]), t, gamma)[0])
-
-
-def gd_subgaussian(t: float, gamma: float, s: float) -> float:
-    """Diagonal bound for s-subgaussian inputs, polynomial in t."""
-    if not 0.0 < t <= 0.25:
-        raise DomainError("t must lie in (0, 1/4]")
-    if not (0 < gamma < math.inf and 0 < s < math.inf):
-        raise DomainError("gamma and s must be positive and finite")
-    y = t / math.log(1.0 / t)
-    if y > 0.5:
-        raise DomainError("t too large: y = t/log(1/t) must be <= 1/2")
-    amp = math.sqrt(2.0 * gamma * s * math.log(1.0 / y))
-    bracket = t - binary_entropy(y) - 0.5 * y * math.log1p(gamma / y)
-    return float(2.0 * q_function(amp) * bracket)
-
-
 def diag_achievability(a: float, gamma: float) -> tuple[float, float, float]:
     """Two-atom sparse input: entropy, Fano lower bound, exact MI.
 

@@ -1,41 +1,20 @@
-"""Diagonal and horizontal bounds for general additive noise.
+"""Diagonal bound and strict-contraction check for general additive noise.
 
-The diagonal route composes the threshold solvers of `contraction` into
-g_d(t) = (1/2)(1 - eta_tv(A2*)) t; the horizontal route goes through the
-deconvolution machinery and the Levy concentration function of the
-capacity-achieving input.
+The diagonal bound composes the threshold solvers of `contraction` into
+g_d(t) = (1/2)(1 - eta_tv(A2*)) t; the strict-contraction check scans the
+noise support against its translates.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import NoiseModel
-from .contraction import a1_star, a2_star, alpha_star, eta_tv_complement
-from .core_prob import Ccurve, Distribution, GridDensity, bisect, levy_concentration
-from .deconv import C_WINDOW, g1_profile
-from .errors import DomainError, NoSolutionError
-
-
-def diag_master_bound(I_WX: float, h_eps: float, eps: float,
-                      I_cond_E1: float, eta_bar: float) -> float:
-    """Transparent calculator for the master diagonal inequality:
-    I(W;Y) <= I_WX - eta_bar (I_WX - h_eps - eps I_cond_E1)."""
-    if not all(v >= 0 for v in (I_WX, h_eps, eps, I_cond_E1)):
-        raise DomainError("all inputs must be nonnegative")
-    if not 0.0 <= eta_bar <= 1.0:
-        raise DomainError("eta_bar must lie in [0, 1]")
-    return I_WX - eta_bar * (I_WX - h_eps - eps * I_cond_E1)
-
-
-def discrete_grid_bound(noise: NoiseModel, p: float, gamma: float,
-                        grid_step: float, entropy: float) -> float:
-    """Coefficient rho < 1 with I(X;Y) <= rho H(X) for grid-valued inputs."""
-    rep = a1_star(gamma, p, grid_step, entropy)
-    return 1.0 - 0.5 * eta_tv_complement(noise, rep.value)
+from .contraction import a2_star, alpha_star, eta_tv_complement
+from .core_prob import Ccurve, GridDensity
+from .errors import NoSolutionError
 
 
 def general_diag_bound(t: float, noise: NoiseModel, p: float, gamma: float) -> float:
@@ -97,40 +76,3 @@ def strict_contraction_check(noise: GridDensity, shift_grid) -> StrictVerdict:
         w = min(witnesses, key=lambda v: (abs(v), -v))
         return StrictVerdict(False, w, step)
     return StrictVerdict(True, None, step)
-
-
-def _validity_value(eps: float, noise: NoiseModel, x_star: Distribution,
-                    profile) -> tuple[float, float]:
-    u = min(noise.m1 * math.sqrt(eps), 1.0)
-    T = profile.g1_of_u(u)
-    val = levy_concentration(x_star, T ** -0.75) + (4.0 + 2.0 * C_WINDOW) / math.sqrt(T)
-    return val, T
-
-
-def rho_eps0(noise: NoiseModel, x_star: Distribution) -> float:
-    """Largest eps with L(X*; T^{-3/4}) + (4+2c)/sqrt(T) < 1, T = g1(m1 sqrt(eps))."""
-    profile = g1_profile(noise)
-
-    def invalid(log_eps):
-        return _validity_value(math.exp(log_eps), noise, x_star, profile)[0] >= 1.0
-
-    if invalid(-700.0):
-        return 0.0
-    _, _, (lo, _) = bisect(invalid, -700.0, 0.0)
-    return math.exp(lo)
-
-
-def rho_horizontal(epsilon: float, noise: NoiseModel, x_star: Distribution) -> float:
-    """General horizontal bound rho(eps) = -0.5 log(L(X*;T^{-3/4}) + (4+2c)/sqrt(T)).
-
-    Requires eps below the computed validity threshold eps0; x_star is the
-    (caller-supplied) capacity-achieving input approximation.
-    """
-    if not epsilon > 0:
-        raise DomainError("epsilon must be positive")
-    profile = g1_profile(noise)
-    val, _ = _validity_value(epsilon, noise, x_star, profile)
-    if val >= 1.0:
-        eps0 = rho_eps0(noise, x_star)
-        raise DomainError(f"epsilon outside validity range: eps0 = {eps0:.6g}")
-    return -0.5 * math.log(val)

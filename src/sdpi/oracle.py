@@ -270,8 +270,8 @@ def fi_bruteforce_dmc(K: DMCKernel, t: float, w_size: int = 3,
 def mc_mutual_info(input: DiscretePMF, noise: NoiseModel, gamma: float,
                    n_samples: int = 10 ** 6, seed: int = 0) -> tuple[float, float]:
     """MI estimate by density-ratio averaging; returns (estimate, 3-sigma)."""
-    if n_samples < 10 ** 5:
-        raise DomainError("need at least 1e5 samples")
+    if not (isinstance(n_samples, numbers.Integral) and n_samples >= 10 ** 5):
+        raise DomainError("n_samples must be an integer >= 1e5")
     if not 0 <= gamma < math.inf:
         raise DomainError("gamma must be nonnegative and finite")
     rng = np.random.default_rng(seed)
@@ -328,8 +328,8 @@ def sdpi_pair_sampler(noise: NoiseModel, gamma: float, p: float,
         raise DomainError("gamma must be nonnegative and finite")
     if not 1 <= p < math.inf:
         raise DomainError("p must be >= 1 and finite")
-    if not n_couplings >= 0:
-        raise DomainError("n_couplings must be nonnegative")
+    if not (isinstance(n_couplings, numbers.Integral) and n_couplings >= 0):
+        raise DomainError("n_couplings must be a nonnegative integer")
     # the paper's conventions: AWGN (E|X|^p = 1, the channel applies
     # sqrt(gamma)) for Gaussian noise, Y = X + Z with E|X|^p = gamma otherwise
     budget, gain = (1.0, math.sqrt(gamma)) if isinstance(noise, GaussianNoise) else (gamma, 1.0)

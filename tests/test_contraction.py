@@ -8,11 +8,11 @@ from scipy.special import ndtri
 
 from sdpi.channels import DMCKernel, NoiseModel
 from sdpi.contraction import (
-    a1_star, a2_star, alpha_star, dobrushin_dmc, eta_tv_amplitude,
+    a2_star, alpha_star, dobrushin_dmc, eta_tv_amplitude,
     eta_tv_complement,
 )
 from sdpi.core_prob import GridDensity, q_function
-from sdpi.errors import DomainError, NoSolutionError
+from sdpi.errors import DomainError
 
 GOLDEN_NOISE = GridDensity.from_csv((Path(__file__).parent / "golden" / "noise.csv").read_text())
 
@@ -214,21 +214,3 @@ class TestA2Star:
             a2_star(NoiseModel.gaussian(), 0.0, 1.0, 2.0)
         with pytest.raises(DomainError):
             a2_star(NoiseModel.gaussian(), 0.5, -1.0, 2.0)
-
-
-class TestA1Star:
-    def test_satisfied(self):
-        rep = a1_star(1.0, 2.0, 0.01, 0.5)
-        ap = rep.value ** 2
-        assert math.log(ap) / ap <= 0.5 / 6.0 + 1e-9
-
-    def test_floor_includes_grid_term(self):
-        coarse = a1_star(1.0, 2.0, 1.0, 100.0)
-        fine = a1_star(1.0, 2.0, 1e-4, 100.0)
-        assert fine.value > coarse.value
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            a1_star(1.0, 2.0, 0.0, 0.5)
-        with pytest.raises(DomainError):
-            a1_star(1.0, 2.0, 0.01, -1.0)

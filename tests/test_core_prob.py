@@ -5,13 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from sdpi.channels import DMCKernel, NoiseModel
 from sdpi.core_prob import (
     LOG2, DiscretePMF, GridDensity, binary_entropy, binary_entropy_inv, bisect,
     char_fn, convolve, csv_rows, csv_text, gauss_hermite,
-    kl_divergence, ks_distance, levy_concentration, mi_joint, q_function, simplex_lattice,
+    ks_distance, levy_concentration, mi_joint, q_function, simplex_lattice,
     tv_after_noise, tv_distance, uniform_mixture_entropy, v_window,
     xlogx, zoom_max,
 )
@@ -212,25 +212,6 @@ class TestDistances:
         Q = std_normal_grid()
         # sup_x |1{x >= 0} - Phi(x)| = 1/2 at x = 0
         assert ks_distance(P, Q) == pytest.approx(0.5, abs=1e-3)
-
-    def test_kl_identical(self):
-        g = std_normal_grid()
-        assert kl_divergence(g, g) == pytest.approx(0.0, abs=1e-12)
-
-    def test_kl_gaussians(self):
-        # KL(N(0,1) || N(0.5,1)) = 0.125
-        g0 = std_normal_grid()
-        g1 = GridDensity.from_function(
-            lambda x: np.exp(-0.5 * (x - 0.5) ** 2), -8.0, 8.0, 0.01)
-        assert kl_divergence(g0, g1) == pytest.approx(0.125, abs=1e-4)
-
-    def test_kl_infinite(self):
-        narrow = GridDensity.from_function(
-            lambda x: np.where(np.abs(x) <= 1.0, 1.0, 0.0), -8.0, 8.0, 0.01)
-        wide = GridDensity.from_function(
-            lambda x: np.where(np.abs(x) <= 2.0, 1.0, 0.0), -8.0, 8.0, 0.01)
-        assert kl_divergence(wide, narrow) == math.inf
-
 
 class TestLevyConcentration:
     def test_at_zero_equals_max_atom(self):

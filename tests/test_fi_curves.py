@@ -10,7 +10,7 @@ from sdpi import fi_curves
 from sdpi.errors import DomainError
 from sdpi.fi_curves import (
     _LATTICE_POINTS, _best_split, _interior_lattice,
-    fi_bsc, fi_dmc_envelope, fi_erasure, fi_fixed_marginal_bsc,
+    fi_bsc, fi_dmc_envelope, fi_erasure,
     fi_properties_check, mrs_gerber,
 )
 
@@ -31,8 +31,10 @@ class TestFiErasure:
             fi_erasure(-0.1, 0.3, 2)
         with pytest.raises(DomainError):
             fi_erasure(0.5, 1.3, 2)
-        with pytest.raises(DomainError):
-            fi_erasure(0.5, 0.3, 1)
+        # a size of 2.5 used to give (1 - alpha) min(t, log 2.5)
+        for size in (1, 2.5, 3.0, "3"):
+            with pytest.raises(DomainError):
+                fi_erasure(0.5, 0.3, size)
 
 
 class TestMrsGerber:
@@ -86,27 +88,6 @@ class TestFiBsc:
     @given(st.floats(0.0, LOG2), st.floats(0.0, 0.5))
     def test_below_diagonal(self, t, delta):
         assert fi_bsc(t, delta) <= t + 1e-12
-
-
-class TestFiFixedMarginal:
-    def test_full_entropy_gives_channel_mi(self):
-        p = 0.3
-        hp = binary_entropy(p)
-        expect = binary_entropy(0.3 * 0.9 + 0.7 * 0.1) - binary_entropy(0.1)
-        assert fi_fixed_marginal_bsc(hp, p, 0.1) == pytest.approx(expect, abs=1e-9)
-
-    def test_zero_information(self):
-        assert fi_fixed_marginal_bsc(0.0, 0.3, 0.1) == pytest.approx(0.0, abs=1e-9)
-
-    def test_dominated_by_unconstrained(self):
-        for x in (0.05, 0.2, 0.4):
-            assert fi_fixed_marginal_bsc(x, 0.4, 0.1) <= fi_bsc(x, 0.1) + 1e-9
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            fi_fixed_marginal_bsc(0.5, 0.7, 0.1)
-        with pytest.raises(DomainError):
-            fi_fixed_marginal_bsc(1.0, 0.3, 0.1)  # above h_b(0.3)
 
 
 class TestEnvelope:

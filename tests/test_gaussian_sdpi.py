@@ -2,15 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from sdpi.channels import awgn_capacity
-from sdpi.core_prob import binary_entropy, q_function
+from sdpi.core_prob import q_function
 from sdpi.errors import AccuracyError, DomainError
 from sdpi.gaussian_sdpi import (
-    A0, A1, A2, A5, concentration_radius, diag_achievability,
-    gauss_hermite_input, gd_lower, gd_rate_small_t, gd_subgaussian,
-    gh_upper_achievability, horizontal_constants,
+    A0, A1, A2, A5, _gd_bracket, concentration_radius, diag_achievability,
+    gauss_hermite_input, gd_lower, gh_upper_achievability, horizontal_constants,
     ks_from_capacity_gap, ks_from_mmse_gap, ks_talagrand, t_lower_from_gap,
 )
 
@@ -43,53 +41,18 @@ class TestGdLower:
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(0.05, 3.0), st.floats(0.1, 8.0))
+    @example(0.2, 1.0)
+    @example(0.1, 1.0)
+    @example(0.01, 1.0)
     def test_bracket_is_restriction(self, t, gamma):
-        # evaluating the bracket at any single point never beats the max
-        assert gd_lower(t, gamma) >= 0.0
-
-
-class TestGdRateSmallT:
-    def test_never_exceeds_full_bound(self):
-        for u in (5.0, 10.0, 100.0):
-            assert gd_rate_small_t(u, 1.0) <= gd_lower(1.0 / u, 1.0) + 1e-15
-
-    def test_u100_clips_to_zero(self):
-        # at u = 100 the bracket at x = 1/(2 u log u) is negative: the
-        # entropy term still dominates there, so the restriction yields 0
-        assert gd_rate_small_t(100.0, 1.0) == 0.0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            gd_rate_small_t(1.0, 1.0)
-        with pytest.raises(DomainError):
-            gd_rate_small_t(0.5, 1.0)
-        with pytest.raises(DomainError):
-            gd_rate_small_t(10.0, math.inf)
-
-
-class TestGdSubgaussian:
-    def test_formula_literal(self):
-        # the closed-form bracket is negative in this range; the value is
-        # recorded as-is (see the design notes in the module docstring)
-        val = gd_subgaussian(0.1, 1.0, 1.0)
-        assert val == pytest.approx(-0.0018107774067206612, rel=1e-9)
-
-    def test_matches_assembled_formula(self):
-        t, gamma, s = 0.2, 2.0, 1.5
-        y = t / math.log(1.0 / t)
-        expect = 2.0 * q_function(math.sqrt(2.0 * gamma * s * math.log(1.0 / y))) * (
-            t - binary_entropy(y) - 0.5 * y * math.log1p(gamma / y))
-        assert gd_subgaussian(t, gamma, s) == pytest.approx(expect, rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            gd_subgaussian(0.3, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            gd_subgaussian(0.0, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            gd_subgaussian(0.1, math.inf, 1.0)
-        with pytest.raises(DomainError):
-            gd_subgaussian(0.1, 1.0, math.inf)
+        # evaluating the bracket at any single point never beats the max: a
+        # 7,001-point scan of (0, 1/2], plus the small-t point
+        # x = 1/(2 u log u) at u = 1/t wherever it lies in (0, 1/2]
+        x = np.linspace(0.0, 0.5, 7001)[1:]
+        u = 1.0 / t
+        if u * math.log(u) >= 1.0:
+            x = np.append(x, 1.0 / (2.0 * u * math.log(u)))
+        assert gd_lower(t, gamma) >= _gd_bracket(x, t, gamma).max()
 
 
 class TestDiagAchievability:

@@ -1,34 +1,12 @@
-import math
-
 import numpy as np
 import pytest
 
 from sdpi.channels import GridNoise, NoiseModel
-from sdpi.core_prob import DiscretePMF, GridDensity
+from sdpi.core_prob import GridDensity
 from sdpi.errors import DomainError
 from sdpi.general_sdpi import (
-    StrictVerdict, diag_master_bound, discrete_grid_bound, general_diag_bound,
-    general_diag_report, rho_eps0, rho_horizontal, strict_contraction_check,
+    StrictVerdict, general_diag_bound, general_diag_report, strict_contraction_check,
 )
-
-
-def rademacher():
-    return DiscretePMF(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
-
-
-class TestDiagMaster:
-    def test_eta_zero_no_improvement(self):
-        assert diag_master_bound(1.0, 0.1, 0.05, 2.0, 0.0) == 1.0
-
-    def test_eta_one_full_subtraction(self):
-        val = diag_master_bound(1.0, 0.1, 0.05, 2.0, 1.0)
-        assert val == pytest.approx(0.1 + 0.05 * 2.0, abs=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            diag_master_bound(-1.0, 0.1, 0.05, 2.0, 0.5)
-        with pytest.raises(DomainError):
-            diag_master_bound(1.0, 0.1, 0.05, 2.0, 1.5)
 
 
 class TestGeneralDiagBound:
@@ -90,16 +68,6 @@ class TestGeneralDiagReport:
         assert any("non-contracting" in n for n in rep.notes)
 
 
-class TestDiscreteGridBound:
-    def test_strictly_below_one_for_laplace(self):
-        rho = discrete_grid_bound(NoiseModel.laplace(1.0), 2.0, 1.0, 0.5, 1.0)
-        assert 0.0 < rho < 1.0
-
-    def test_uniform_is_one(self):
-        rho = discrete_grid_bound(NoiseModel.uniform(0.0, 1.0), 2.0, 1.0, 0.5, 1.0)
-        assert rho == 1.0
-
-
 class TestStrictContraction:
     def test_gaussian_strict_inside_support(self):
         g = NoiseModel.gaussian().to_grid(step=0.005)
@@ -122,35 +90,3 @@ class TestStrictContraction:
     def test_verdict_property(self):
         assert StrictVerdict(True, None, 0.01).verdict == "STRICT"
         assert StrictVerdict(False, 1.0, 0.01).verdict == "NOT-STRICT"
-
-
-class TestRhoHorizontal:
-    def test_uniform_eps0_frozen(self):
-        e0 = rho_eps0(NoiseModel.uniform(0.0, 2.0), rademacher())
-        assert e0 == pytest.approx(1.2959233878531654e-20, rel=1e-3)
-
-    def test_gaussian_eps0_underflows(self):
-        assert rho_eps0(NoiseModel.gaussian(), rademacher()) == 0.0
-
-    def test_value_inside_validity(self):
-        noise = NoiseModel.uniform(0.0, 2.0)
-        e0 = rho_eps0(noise, rademacher())
-        val = rho_horizontal(e0 / 10.0, noise, rademacher())
-        assert val == pytest.approx(0.04567287333346014, rel=1e-6)
-        assert val > 0.0
-
-    def test_outside_validity_raises(self):
-        with pytest.raises(DomainError):
-            rho_horizontal(1e-3, NoiseModel.uniform(0.0, 2.0), rademacher())
-
-    def test_diverges_toward_small_eps(self):
-        # monitored along eps = eps0 * 4^{-k}: the bound increases
-        noise = NoiseModel.uniform(0.0, 2.0)
-        e0 = rho_eps0(noise, rademacher())
-        vals = [rho_horizontal(e0 * 4.0 ** -k, noise, rademacher())
-                for k in (1, 3, 5)]
-        assert vals[0] < vals[1] < vals[2]
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            rho_horizontal(0.0, NoiseModel.uniform(0.0, 2.0), rademacher())

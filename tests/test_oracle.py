@@ -233,6 +233,12 @@ class TestMcMutualInfo:
         with pytest.raises(DomainError):
             mc_mutual_info(rademacher(), NoiseModel.gaussian(), 1.0, 10 ** 4)
 
+    @pytest.mark.parametrize("n", [100000.5, 1e5, "100000"])
+    def test_non_integral_samples_rejected(self, n):
+        # numpy used to raise its own TypeError on a float count
+        with pytest.raises(DomainError):
+            mc_mutual_info(rademacher(), NoiseModel.gaussian(), 1.0, n)
+
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -1.0])
     def test_bad_gamma_rejected(self, gamma):
         with pytest.raises(DomainError):
@@ -264,7 +270,8 @@ class TestPairSampler:
     @pytest.mark.parametrize("kw", [
         dict(gamma=math.nan), dict(gamma=math.inf), dict(gamma=-1.0),
         dict(p=0.0), dict(p=0.5), dict(p=math.nan), dict(p=math.inf),
-        dict(n_couplings=-1),
+        dict(n_couplings=-1), dict(n_couplings=2.5), dict(n_couplings=5.0),
+        dict(n_couplings=math.nan),
     ])
     def test_bad_arguments_rejected(self, kw):
         # a nan gamma used to give nan I(W;Y) and a sweep with no violations
