@@ -144,7 +144,10 @@ def deconv_root_residual(noise: NoiseModel, d_tv: float) -> tuple[float, float]:
     """
     if not 0.0 < d_tv < 1.0:
         raise DomainError("d_tv must lie in (0, 1)")
-    step, block = 5e-5, 8192  # a block is a whole number of char_fn blocks
+    # on grid noise each block is one char_fn call on a progression, so one
+    # chirp-z transform (within about 1e-14 of the direct sum, 2.2e-14 at
+    # w = 2,048), not 16 blocks of the direct sum's 512 frequencies
+    step, block = 5e-5, 8192
     n_max = math.ceil((2.0 ** 16 + step) / step)  # the scan stops at w = 2^16
     g_prev = math.inf
     for i0 in range(0, n_max, block):

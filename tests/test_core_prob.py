@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from sdpi import core_prob
 from sdpi.channels import DMCKernel, NoiseModel
 from sdpi.core_prob import (
     LOG2, DiscretePMF, GridDensity, binary_entropy, binary_entropy_inv, bisect,
@@ -20,6 +21,9 @@ from sdpi.errors import DomainError, ShapeError
 
 def std_normal_grid(lo=-8.0, hi=8.0, step=0.01):
     return GridDensity.from_function(lambda x: np.exp(-0.5 * x * x), lo, hi, step)
+
+
+GOLDEN_Q = GridDensity.from_csv((Path(__file__).parent / "golden" / "Q.csv").read_text())
 
 
 class TestBinaryEntropy:
@@ -281,12 +285,100 @@ class TestCharFn:
         std_normal_grid(step=0.05),
     ])
     def test_many_frequencies_match_one_at_a_time(self, P):
-        # more than one 512-frequency block, with a partial last block
-        omegas = np.linspace(-20.0, 20.0, 1300).reshape(2, 650)
+        # more than one 512-frequency block, with a partial last block; the
+        # frequencies are no progression, so a grid P takes the direct sum too
+        omegas = np.sort(np.random.default_rng(3).uniform(-20.0, 20.0, 1300)).reshape(2, 650)
         together = char_fn(P, omegas)
         assert together.shape == omegas.shape
         one_by_one = np.array([char_fn(P, float(w)) for w in omegas.ravel()])
         np.testing.assert_allclose(together.ravel(), one_by_one, rtol=0, atol=1e-15)
+
+
+def direct_cf(P, omega):
+    """Reference: sum_j m_j exp(i w x_j) over P's atoms or trapezoid node masses."""
+    x, m = P.masses()
+    w = np.asarray(omega, dtype=float)
+    rows = [(m * np.exp(1j * b[:, None] * x)).sum(axis=1) for b in np.array_split(w.ravel(), 64)]
+    return np.concatenate(rows).reshape(w.shape)
+
+
+def triangle_grid():
+    """The 601-node triangular density on [-3, 3] at step 0.01."""
+    return GridDensity.from_function(lambda x: np.maximum(1.0 - np.abs(x) / 3.0, 0.0),
+                                     -3.0, 3.0, 0.01)
+
+
+def gaussian_grid(sig):
+    """Criterion 8's Q: a Gaussian of scale sig on [-8 sig, 8 sig] at step 0.01."""
+    return GridDensity.from_function(lambda x: np.exp(-0.5 * (x / sig) ** 2),
+                                     -8 * sig, 8 * sig, 0.01)
+
+
+class TestCharFnChirpZ:
+    """A grid density on a frequency progression takes the chirp-z path,
+    which must match the direct sum within 1e-12."""
+
+    @pytest.fixture
+    def chirp_calls(self, monkeypatch):
+        calls = []
+        chirp_z = core_prob._chirp_z
+
+        def counted(*args):
+            calls.append(args)
+            return chirp_z(*args)
+
+        monkeypatch.setattr(core_prob, "_chirp_z", counted)
+        return calls
+
+    @pytest.mark.parametrize("P, omegas", [
+        # esseen_bound's frequencies: linspace(0, T, n + 1)[1:]
+        (GOLDEN_Q, np.linspace(0.0, 1.77, 4097)[1:]),
+        (gaussian_grid(0.7), np.linspace(0.0, 1.0, 4097)[1:]),
+        (gaussian_grid(1.3), np.linspace(0.0, 1.0, 4097)[1:]),
+        (gaussian_grid(1.3), np.linspace(0.0, 4.0, 4097)[1:]),
+        # deconv_root_residual's scan blocks on a 601-node grid noise
+        (triangle_grid(), 5e-5 * np.arange(0, 8192)),
+        (triangle_grid(), 5e-5 * np.arange(409_600, 409_600 + 8192)),
+        (triangle_grid(), 5e-5 * np.arange(41_000_000, 41_000_000 + 8192)),
+        # GridNoise.cf_decay's frequencies
+        (triangle_grid(), np.arange(0.0, 128.0 + 0.01, 0.01)),
+        # negative frequencies, a descending progression, a 2-d omega
+        (GOLDEN_Q, np.linspace(-30.0, 10.0, 3001)),
+        (GOLDEN_Q, np.linspace(12.0, -3.0, 1001)),
+        (GOLDEN_Q, np.linspace(-5.0, 5.0, 1200).reshape(3, 400)),
+    ])
+    def test_matches_direct_sum(self, P, omegas, chirp_calls):
+        got = char_fn(P, omegas)
+        assert len(chirp_calls) == 1
+        assert got.shape == omegas.shape
+        np.testing.assert_allclose(got, direct_cf(P, omegas), rtol=0, atol=1e-12)
+
+    def test_range_split_by_phase_cap(self, chirp_calls):
+        # T = 20 at n = 20,000: alpha n^2 / 2 = 2,000 radians, many tiles
+        omegas = np.linspace(0.0, 20.0, 20001)[1:]
+        alpha = (omegas[1] - omegas[0]) * GOLDEN_Q.step
+        assert alpha * len(omegas) ** 2 / 2.0 > 10.0 * core_prob._CZ_PHASE
+        got = char_fn(GOLDEN_Q, omegas)
+        assert len(chirp_calls) == 1
+        np.testing.assert_allclose(got, direct_cf(GOLDEN_Q, omegas), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("P, omegas", [
+        # not a progression: a jittered lattice, a nan, an inf
+        (GOLDEN_Q, np.linspace(0.0, 2.0, 500) + 1e-9 * (np.arange(500) % 2)),
+        (GOLDEN_Q, np.array([0.0, 1.0, math.nan])),
+        (GOLDEN_Q, np.array([0.0, 1.0, math.inf])),
+        # a single frequency has no spacing
+        (GOLDEN_Q, np.array([0.7])),
+        (GOLDEN_Q, 0.7),
+        # atoms always take the direct sum
+        (DiscretePMF(np.array([-1.0, 0.3, 2.0]), np.array([0.2, 0.5, 0.3])),
+         np.linspace(0.0, 20.0, 2001)),
+    ])
+    def test_direct_sum_elsewhere(self, P, omegas, chirp_calls):
+        with np.errstate(invalid="ignore"):  # exp(i inf x) is nan
+            got, want = char_fn(P, omegas), direct_cf(P, omegas)
+        assert chirp_calls == []
+        np.testing.assert_array_equal(got, want)
 
 
 def zoom_linspace(f, lo, hi, n, tol):

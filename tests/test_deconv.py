@@ -167,6 +167,24 @@ class TestKsDeconvSolve:
         T = min(max((g0 * g0 / d_tv) ** 0.2, w[k - 1]), w[k])
         assert deconv_root_residual(noise, d_tv) == (T, abs(g0 * g0 - d_tv * T ** 5))
 
+    @pytest.mark.parametrize("d_tv", [1e-2, 1e-6])
+    def test_grid_noise_root_matches_direct_scan(self, d_tv):
+        # reference: the envelope of the direct sum over the nodes of a 601-node
+        # triangular noise, in one array; the scan itself runs on chirp-z blocks
+        g = GridDensity.from_function(lambda x: np.maximum(1.0 - np.abs(x) / 3.0, 0.0),
+                                      -3.0, 3.0, 0.01)
+        step = 5e-5
+        w = np.arange(0.0, 2.5, step)
+        x, m = g.masses()
+        cf = np.concatenate([np.abs((m * np.exp(1j * b[:, None] * x)).sum(axis=1))
+                             for b in np.array_split(w, 100)])
+        env = np.minimum.accumulate(cf)
+        k = int(np.argmax(env ** 2 - d_tv * w ** 5 < 0))
+        assert k > 0
+        T = min(max((env[k - 1] ** 2 / d_tv) ** 0.2, w[k - 1]), w[k])
+        got, _ = deconv_root_residual(NoiseModel.from_grid(g), d_tv)
+        assert abs(got - T) <= step
+
     def test_root_scan_memory_is_bounded(self):
         # the root sits near w = 600, 1.2e7 envelope samples from 0
         tracemalloc.start()
