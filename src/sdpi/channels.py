@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core_prob import (DiscretePMF, GridDensity, char_fn, mi_joint, q_function,
+from .core_prob import (DiscretePMF, GridDensity, char_fn, erf, mi_joint, q_function,
                         uniform_mixture_entropy, zoom_max)
 from .errors import DomainError, ProfileFailureError, ShapeError
 
@@ -216,8 +216,7 @@ class GaussianNoise(NoiseModel):
 
     def _theta(self, d: float) -> float:
         # 1 - 2 Q(d / (2 sigma))
-        from scipy.special import erf
-        return float(erf(d / (2.0 * self.sigma * math.sqrt(2.0))))
+        return erf(d / (2.0 * self.sigma * math.sqrt(2.0)))
 
     def eta_tv_complement(self, A: float) -> float:
         return 2.0 * q_function(A / self.sigma)

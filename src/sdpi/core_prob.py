@@ -377,20 +377,98 @@ def binary_entropy_inv(h: float) -> float:
     return 0.5 * (lo + hi)
 
 
-# scipy.special is bound on first use, so a command that never evaluates Q
-# never imports scipy; q_function runs per gd_lower zoom round and keeps no
-# import statement on that path
-_erfc = None
+# The one error-function rule: Cephes' erf/erfc (ndtr.c, S. L. Moshier), the
+# rational approximations of W. J. Cody, Math. Comp. 23 (1969), with Cephes'
+# coefficients, Horner order and branches, erf odd in x, and e^{-x^2} from
+# libm's exp (math.exp), so each value is the compiled Cephes one bit for bit.
+# It runs as scalar Python; an array goes through the same code element by
+# element, which only gd_lower's once-per-gamma scan does.
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+# Cephes' underflow cut: erfc is 0 (or 2) once a^2 > MAXLOG, where libm's exp
+# would still return a subnormal
+_MAXLOG = 7.09782712893383996843E2
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    """Horner's rule from the leading coefficient."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef: tuple) -> float:
+    """Horner's rule with an implicit leading coefficient 1."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erfc(a: float) -> float:
+    x = abs(a)
+    if not x >= 1.0:  # |a| < 1, or nan
+        return 1.0 - _erf(a)
+    z = -a * a
+    if z < -_MAXLOG:
+        return 2.0 if a < 0 else 0.0
+    z = math.exp(z)
+    if x < 8.0:
+        y = z * _polevl(x, _ERFC_P) / _p1evl(x, _ERFC_Q)
+    else:
+        y = z * _polevl(x, _ERFC_R) / _p1evl(x, _ERFC_S)
+    return 2.0 - y if a < 0 else y
+
+
+def _erf(x: float) -> float:
+    if x < 0.0:  # odd in x
+        return -_erf(-x)
+    if x > 1.0:
+        return 1.0 - _erfc(x)
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
+
+
+def _elementwise(f, x) -> float | np.ndarray:
+    """f on a float, or on each element of an array, through the same scalar code."""
+    if not isinstance(x, float):
+        x = np.asarray(x, dtype=float)
+        if x.ndim:
+            return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return f(float(x))
+
+
+def erf(x) -> float | np.ndarray:
+    """The error function (2/sqrt(pi)) int_0^x e^{-s^2} ds."""
+    return _elementwise(_erf, x)
+
+
+def erfc(x) -> float | np.ndarray:
+    """The complementary error function 1 - erf(x), without its cancellation."""
+    return _elementwise(_erfc, x)
+
+
+_SQRT2 = math.sqrt(2.0)
 
 
 def q_function(x) -> float | np.ndarray:
     """Gaussian complementary CDF Q(x) = P[N(0,1) > x]."""
-    global _erfc
-    if _erfc is None:
-        from scipy.special import erfc as _erfc
-    x = np.asarray(x, dtype=float)
-    out = 0.5 * _erfc(x / math.sqrt(2.0))
-    return out if out.ndim else float(out)
+    if not isinstance(x, float):
+        x = np.asarray(x, dtype=float)
+    return 0.5 * erfc(x / _SQRT2)
 
 
 def v_window(x) -> float | np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import NoiseModel, awgn_capacity, mi_additive
-from .core_prob import DiscretePMF, binary_entropy, bisect_up, gauss_hermite, q_function, zoom_max
+from .core_prob import DiscretePMF, binary_entropy, bisect_up, gauss_hermite, q_function
 from .errors import AccuracyError, DomainError
 
 A0 = 24.0 / math.pi ** 1.5
@@ -34,21 +34,20 @@ A5 = 1.0 + 2.0 / math.e + math.log(2.0)
 # ---------------------------------------------------------------------------
 
 def _gd_bracket(x: np.ndarray, t: float, gamma: float) -> np.ndarray:
-    """2 Q(sqrt(gamma/x)) (t - h_b(x) - (x/2) log(1 + gamma/x)), clipped at 0."""
+    """2 Q(sqrt(gamma/x)) (t - B(x)), clipped at 0, where
+    B(x) = h_b(x) + (x/2) log(1 + gamma/x)."""
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     pos = x > 0
-    amp, hb, c = _gd_terms(x[pos], gamma)
-    out[pos] = np.maximum(amp * (t - hb - c), 0.0)
+    amp, b = _gd_terms(x[pos], gamma)
+    out[pos] = np.maximum(amp * (t - b), 0.0)
     return out
 
 
 def _gd_terms(xp: np.ndarray, gamma: float):
-    """The t-free factors of `_gd_bracket` at x > 0: 2 Q(sqrt(gamma/x)), h_b(x)
-    and (x/2) log(1 + gamma/x)."""
+    """The t-free factors of `_gd_bracket` at x > 0: 2 Q(sqrt(gamma/x)) and B(x)."""
     return (2.0 * q_function(np.sqrt(gamma / xp)),
-            -xp * np.log(xp) - (1 - xp) * np.log1p(-xp),
-            0.5 * xp * np.log1p(gamma / xp))
+            -xp * np.log(xp) - (1 - xp) * np.log1p(-xp) + 0.5 * xp * np.log1p(gamma / xp))
 
 
 # gd_lower's first scan of x over [0, 1/2]
@@ -59,24 +58,92 @@ _GD_X.setflags(write=False)
 @functools.lru_cache(maxsize=8)
 def _gd_scan_terms(gamma: float):
     """`_gd_terms` on `_GD_X`, zero at x = 0, where the bracket is 0."""
-    terms = np.zeros((3, len(_GD_X)))
+    terms = np.zeros((2, len(_GD_X)))
     terms[:, 1:] = _gd_terms(_GD_X[1:], gamma)
     terms.setflags(write=False)
     return terms
 
 
+_SQRT_8PI = math.sqrt(8.0 * math.pi)
+
+
+def _gd_point(x: float, t: float, gamma: float) -> tuple[float, float]:
+    """`_gd_bracket` at one x in [0, 1/2], and the sign of its slope there:
+    phi(u) u / (2 x Q(u)) (t - B(x)) - B'(x) at u = sqrt(gamma/x), with
+    B'(x) = log((1 - x)/x) + (1/2) log1p(gamma/x) - gamma/(2 (x + gamma)),
+    which is (t - B(x)) times the slope of the bracket's log where the bracket
+    is positive.  Where Q(u) underflows (x = 0 among them) the bracket is 0 and
+    rises, and the slope reads +inf."""
+    q = q_function(math.sqrt(gamma / x)) if x > 0.0 else 0.0
+    if q == 0.0:
+        return 0.0, math.inf
+    snr = gamma / x
+    log1p_snr = math.log1p(snr)
+    gap = t - (-x * math.log(x) - (1.0 - x) * math.log1p(-x) + 0.5 * x * log1p_snr)
+    mills = math.exp(-0.5 * snr) * math.sqrt(snr) / (_SQRT_8PI * x * q)
+    db = math.log((1.0 - x) / x) + 0.5 * log1p_snr - gamma / (2.0 * (x + gamma))
+    return max(2.0 * q * gap, 0.0), mills * gap - db
+
+
+# gd_lower's refinement stops at this relative width of its x-bracket, or
+# after this many evaluations
+_GD_XTOL = 1e-10
+_GD_STEPS = 100
+
+
 def gd_lower(t: float, gamma: float) -> float:
-    """Lower bound on the diagonal gap g_d(t) for the AWGN channel."""
+    """Lower bound on the diagonal gap g_d(t) for the AWGN channel.
+
+    The bracket's largest value on `_GD_X`, refined by an Illinois secant
+    (Dowell and Jarratt, BIT 11, 1971) on the slope of `_gd_point` between
+    the best grid point and its neighbour on the side where the bracket rises;
+    a step that leaves that interval bisects it.  Returns the largest value
+    of the bracket seen, so the bracket at one point.
+    """
     if not 0 <= t < math.inf:
         raise DomainError("t must be nonnegative and finite")
     if not 0 < gamma < math.inf:
         raise DomainError("gamma must be positive and finite")
     if t == 0.0:
         return 0.0
-    # the first scan from the cached terms: only t - h_b - c depends on t
-    amp, hb, c = _gd_scan_terms(gamma)
-    return zoom_max(lambda x: _gd_bracket(x, t, gamma), _GD_X,
-                    np.maximum(amp * (t - hb - c), 0.0), 1e-10)
+    # the first scan from the cached terms: only t - B depends on t
+    amp, b = _gd_scan_terms(gamma)
+    vals = amp * (t - b)
+    i = int(np.argmax(vals))
+    x0 = float(_GD_X[i])
+    v0, s0 = _gd_point(x0, t, gamma)
+    best = max(float(vals[i]), v0)
+    j = i + 1 if s0 > 0.0 else i - 1
+    if not 0 <= j < len(_GD_X):
+        return best
+    x1 = float(_GD_X[j])
+    v1, s1 = _gd_point(x1, t, gamma)
+    best = max(best, v1)
+    if not s0 * s1 < 0.0:
+        return best
+    (lo, s_lo), (hi, s_hi) = sorted([(x0, s0), (x1, s1)])
+    kept = 0  # +1 after a step that moved lo, -1 after one that moved hi
+    for _ in range(_GD_STEPS):
+        if hi - lo <= _GD_XTOL * hi:
+            break
+        x = hi - s_hi * (hi - lo) / (s_hi - s_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        v, s = _gd_point(x, t, gamma)
+        best = max(best, v)
+        if s > 0.0:
+            lo, s_lo = x, s
+            if kept > 0:  # hi kept twice running: Illinois halves its slope
+                s_hi *= 0.5
+            kept = 1
+        elif s < 0.0:
+            hi, s_hi = x, s
+            if kept < 0:
+                s_lo *= 0.5
+            kept = -1
+        else:
+            break
+    return best
 
 
 def diag_achievability(a: float, gamma: float) -> tuple[float, float, float]:

@@ -482,11 +482,12 @@ class TestColdStart:
         assert done.stdout == "[]\n[]\n"
 
     def test_sampler_loads_neither_scipy_nor_numpy_polynomial(self):
-        # the horiz suite runs the sampler as the diag suite does, but without
-        # gd_lower, whose scipy.special loads numpy.polynomial itself; the
-        # sampler's output entropy is a trapezoid rule, not a Gauss-Hermite one
+        # the diag suite runs the sampler with gd_lower, whose Q function is
+        # core_prob's own erfc; the sampler's output entropy is a trapezoid
+        # rule, not a Gauss-Hermite one
         done = _fresh_python("import sys, sdpi.verify\n"
                              "assert sdpi.verify.run_suite('horiz', 0)['violations'] == 0\n"
+                             "assert sdpi.verify.run_suite('diag', 0)['violations'] == 0\n"
                              "print([m for m in ('scipy', 'numpy.ma', 'numpy.polynomial')\n"
                              "       if m in sys.modules])")
         assert done.returncode == 0, done.stderr
@@ -495,10 +496,14 @@ class TestColdStart:
     @pytest.mark.parametrize("argv", [
         pytest.param(["fi-curve", "--channel", "bsc:0.1", "--t-grid", "0:0.6:0.01"],
                      id="fi-curve-bsc"),
+        pytest.param(["bounds", "diag", "--gamma", "1.0", "--t-grid", "0.1:1:0.05"],
+                     id="bounds-diag"),
         pytest.param(["bounds", "horiz", "--gamma", "1.0", "--eps-grid", "1e-6:1e-5:1e-6"],
                      id="bounds-horiz"),
         pytest.param(["bounds", "general-diag", "--noise", "laplace:1.0", "--t-grid", "0.1:1:0.1"],
                      id="bounds-general-diag"),
+        pytest.param(["contraction", "--noise", "gaussian", "--what", "eta",
+                      "--t-grid", "0:6:0.1"], id="contraction-eta"),
         pytest.param(["deconv", "--noise", "gaussian", "--p", "P.csv", "--q", "Q.csv"],
                      id="deconv"),
         pytest.param(["check", "strict", "--density", "noise.csv", "--shift-grid=-5:5:0.25"],

@@ -67,6 +67,45 @@ class TestQFunction:
         assert 0.0 < q_function(30.0) < 1e-190
 
 
+def same_bits(a, b) -> bool:
+    """Equal bit for bit, -0.0 apart from 0.0, with nan equal to nan."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+class TestErrorFunction:
+    """The Cephes port against scipy.special, bit for bit."""
+
+    @staticmethod
+    def panel() -> np.ndarray:
+        rng = np.random.default_rng(17)
+        edges = np.array([0.0, 1.0, 8.0])
+        edges = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 9.0)])
+        return np.concatenate([rng.uniform(-10.0, 30.0, 50_000), rng.uniform(-1.5, 1.5, 50_000),
+                               rng.uniform(26.5, 27.3, 20_000), edges, -edges,
+                               [math.inf, -math.inf, math.nan]])
+
+    @pytest.mark.parametrize("name", ["erf", "erfc"])
+    def test_matches_scipy(self, name):
+        from scipy import special
+        x = self.panel()
+        ours, ref = getattr(core_prob, name), getattr(special, name)
+        assert same_bits(ours(x), ref(x))
+        assert same_bits(ours(x.reshape(-1, 3)), ref(x.reshape(-1, 3)))
+        scalars = x[::97].tolist() + x[-21:].tolist()
+        assert all(type(ours(v)) is float for v in scalars)
+        assert same_bits([ours(v) for v in scalars], ref(np.array(scalars)))
+
+    def test_q_function_matches_scipy(self):
+        from scipy import special
+        x = self.panel()
+        assert same_bits(q_function(x), 0.5 * special.erfc(x / math.sqrt(2.0)))
+        assert same_bits([q_function(v) for v in x[::97].tolist()],
+                         0.5 * special.erfc(x[::97] / math.sqrt(2.0)))
+
+
 class TestDiscretePMF:
     def test_unsorted_atoms_rejected(self):
         with pytest.raises(DomainError):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sdpi.core_prob import q_function
+from sdpi import gaussian_sdpi
+from sdpi.core_prob import zoom_max
 from sdpi.errors import AccuracyError, DomainError
 from sdpi.gaussian_sdpi import (
     A0, A1, A2, A5, _gd_bracket, concentration_radius, diag_achievability,
@@ -203,39 +204,41 @@ class TestGhUpperAchievability:
 
 
 class TestGdLowerScanCache:
-    """The per-gamma cached first scan gives the plain scan's value bit for bit."""
+    """gd_lower's secant refinement of its cached first scan against the
+    17-point zoom it replaced."""
 
     @staticmethod
-    def plain_gd_lower(t, gamma):
-        # the whole bracket on every round and np.linspace zoom rounds
-        def bracket(x):
-            out = np.zeros_like(x)
-            pos = x > 0
-            xp = x[pos]
-            hb = -xp * np.log(xp) - (1 - xp) * np.log1p(-xp)
-            val = 2.0 * q_function(np.sqrt(gamma / xp)) * (t - hb - 0.5 * xp * np.log1p(gamma / xp))
-            out[pos] = np.maximum(val, 0.0)
-            return out
-        xs, best, width = np.linspace(0.0, 0.5, 2001), -math.inf, math.inf
-        while True:
-            vals = bracket(xs)
-            best = max(best, float(np.max(vals)))
-            i = int(np.argmax(vals))
-            a, b = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
-            if not 1e-10 < b - a < width:
-                return best
-            xs, width = np.linspace(a, b, 17), b - a
+    def zoom(t, gamma):
+        # the zoom of zoom_max over the bracket, from the first scan on _GD_X;
+        # the cached terms give _gd_bracket(_GD_X, t, gamma) without its Q calls
+        amp, b = gaussian_sdpi._gd_scan_terms(gamma)
+        return zoom_max(lambda x: _gd_bracket(x, t, gamma), gaussian_sdpi._GD_X,
+                        np.maximum(amp * (t - b), 0.0), 1e-10)
 
-    def test_matches_plain_scan(self):
-        rng = np.random.default_rng(8)
-        ts = np.concatenate([rng.uniform(0.0, 1e-3, 400), rng.uniform(1e-3, 2.0, 1600)])
-        gammas = rng.choice([0.1, 0.5, 1.0, 4.0, 30.0], len(ts))
-        for t, gamma in zip(ts.tolist(), gammas.tolist()):
-            got, want = gd_lower(t, gamma), self.plain_gd_lower(t, gamma)
-            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (t, gamma)
+    def test_cached_scan_is_the_bracket(self):
+        for t, gamma in ((0.3, 0.02), (1.2, 1.0), (0.05, 60.0)):
+            amp, b = gaussian_sdpi._gd_scan_terms(gamma)
+            scan = np.maximum(amp * (t - b), 0.0)
+            assert scan.tobytes() == _gd_bracket(gaussian_sdpi._GD_X, t, gamma).tobytes()
+
+    def test_at_least_the_zoom(self):
+        # 80 gammas log-uniform on [0.01, 100], 50 t uniform on [0.005, 2] each,
+        # two pairs where Q underflows at the refinement's lower end, and t
+        # below 1e-3, where both are 0
+        rng = np.random.default_rng(26)
+        pairs = [(t, gamma) for gamma in np.exp(rng.uniform(math.log(0.01), math.log(100.0), 80))
+                 for t in rng.uniform(0.005, 2.0, 50)]
+        pairs += [(0.0314, 4.0), (0.0081, 0.5)]
+        pairs += [(t, 1.0) for t in rng.uniform(0.0, 1e-3, 20)]
+        for t, gamma in pairs:
+            got, zoom = gd_lower(t, gamma), self.zoom(t, gamma)
+            assert got >= (1.0 - 1e-12) * zoom, (t, gamma, got, zoom)
+            assert got > 0.0 or zoom == 0.0, (t, gamma, zoom)
+            assert math.copysign(1.0, got) == 1.0, (t, gamma)
+        assert gd_lower(0.0314, 4.0) == pytest.approx(8.97e-295, rel=1e-3)
+        assert gd_lower(0.0081, 0.5) == pytest.approx(3.576e-162, rel=1e-3)
 
     def test_second_call_hits_cache(self):
-        from sdpi import gaussian_sdpi
         gaussian_sdpi._gd_scan_terms.cache_clear()
         gd_lower(0.3, 2.5)
         assert gaussian_sdpi._gd_scan_terms.cache_info().misses == 1
