@@ -4,15 +4,16 @@ Two channel families: row-stochastic discrete kernels and additive-noise
 channels Y = sqrt(gamma) X + Z, where each noise family is a `NoiseModel`
 subclass that owns the family's rules: its closed forms, its output entropy
 `excess_entropy` and its TV contraction `eta_tv`.  Mutual information is
-I(X;Y) = h(Y) - h(Z), the excess entropy of the input's atoms.  Every family
-but uniform noise takes it from one trapezoid rule on the law's `to_grid`
-lattice, which `mmse_numeric` shares; the piecewise-constant output
-density of uniform noise has an exact sum in `core_prob`.
+I(X;Y) = h(Y) - h(Z), the excess entropy of the input's atoms.  Gaussian and
+Laplace noise take it from one trapezoid rule on the law's `to_grid` lattice,
+which `mmse_numeric` shares; `_LinearNoise` gives it exactly for the
+piecewise-linear densities of grid and uniform noise, and the grid law's theta.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 import numbers
 from dataclasses import dataclass
@@ -20,8 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core_prob import (DiscretePMF, GridDensity, char_fn, erf, mi_joint, q_function,
-                        uniform_mixture_entropy, zoom_max)
+from .core_prob import DiscretePMF, GridDensity, char_fn, erf, mi_joint, q_function
 from .errors import DomainError, ProfileFailureError, ShapeError
 
 
@@ -69,9 +69,9 @@ def _alphabet_size(size) -> int:
     return int(size)
 
 
-# elements of one `NoiseModel._shifted_blocks` chunk, which bounds memory for any
-# number of atoms and any grid
-_SHIFT_BLOCK = 1 << 18
+# elements of one `_shifted_blocks` or `_pieces` chunk, a memory bound for any atoms
+# and grid; GridNoise.eta_tv stops within _ETA_TOL of the sup or after _ETA_EVALS thetas
+_SHIFT_BLOCK, _ETA_TOL, _ETA_EVALS = 1 << 18, 1e-10, 1000
 
 
 class NoiseModel:
@@ -87,8 +87,6 @@ class NoiseModel:
 
     # grid cells added beyond the support on each side by `to_grid`
     _grid_pad = 0
-    # cells of `excess_entropy`'s grid across the support, whatever its width
-    _entropy_cells = 3000
 
     @staticmethod
     def gaussian(sigma: float = 1.0) -> "GaussianNoise":
@@ -189,6 +187,51 @@ class NoiseModel:
                 yield k, j, self.density((mu[k, None] + z[j]) - mu[:, None, None])
 
 
+class _LinearNoise(NoiseModel):
+    """A density linear between the nodes (x, f) = `_nodes()`, 0 outside [x_0, x_n]."""
+
+    def _density(self, x):
+        return np.interp(x, *self._nodes(), left=0.0, right=0.0)
+
+    @property
+    def m1(self) -> float:
+        return float(self._nodes()[1].max())
+
+    def _pieces(self, mu: np.ndarray, rows: np.ndarray):
+        """Yield (h, p0, p1) over blocks of the pieces between the sorted breakpoints
+        mu_k + x_i: their widths, and the end values of each row's mixture of the
+        copies f(y - mu_k), one matrix-vector product per row.  A copy, linear on a
+        piece, is extrapolated to its ends from its quarter points, u(0) = 1.5 u(1/4)
+        - 0.5 u(3/4), so a jump stays on its own side."""
+        x, f = self._nodes()
+        y, size = np.sort((mu[:, None] + x).ravel()), max(1, _SHIFT_BLOCK // len(mu))
+        for s in range(0, len(y) - 1, size):
+            h = np.diff(y[s:s + size + 1])
+            q = y[s:s + len(h)] + 0.25 * h
+            u1 = np.interp(q - mu[:, None], x, f, left=0.0, right=0.0)
+            u3 = np.interp((q + 0.5 * h) - mu[:, None], x, f, left=0.0, right=0.0)
+            d = 0.5 * (u3 - u1)
+            yield h, np.stack([r @ (u1 - d) for r in rows]), np.stack([r @ (u3 + d) for r in rows])
+
+    def excess_entropy(self, mu: np.ndarray, v: np.ndarray):
+        """The base rule, exactly: -int p log p over `_pieces`, less h(Z) as the
+        first atom's copy alone on them, so one atom gives 0.  On a piece from lo
+        to hi, p log p has mean (G(hi) - G(lo))/(hi - lo), G(u) = u^2 log(u)/2 - u^2/4,
+        = m (log(hi) - 1/2) + lo log1p(t)/(2t), t = (hi - lo)/lo, m the mean, in
+        which no two terms cancel, even as hi -> lo and log1p(t)/t -> 1."""
+        mu = np.asarray(mu, dtype=float)
+        rows = np.vstack([np.eye(1, len(mu)), np.atleast_2d(np.asarray(v, dtype=float))])
+        total = np.zeros(len(rows))
+        for h, p0, p1 in self._pieces(mu - mu[0], rows):
+            lo, hi = np.maximum(np.minimum(p0, p1), 0.0), np.maximum(np.maximum(p0, p1), 0.0)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                t = (hi - lo) / lo  # inf where lo = 0 or lo < 1e-308 hi: its term is then 0
+                tail = np.where(t < np.inf, 0.5 * lo * np.where(t > 0.0, np.log1p(t) / t, 1.0), 0.0)
+                mean = np.where(hi > 0.0, 0.5 * (lo + hi) * (np.log(hi) - 0.5) + tail, 0.0)
+            total += [r @ h for r in mean]
+        return total[0] - total[1:] if np.ndim(v) == 2 else float(total[0] - total[1])
+
+
 @dataclass(frozen=True)
 class GaussianNoise(NoiseModel):
     sigma: float
@@ -230,7 +273,7 @@ class GaussianNoise(NoiseModel):
 
 
 @dataclass(frozen=True)
-class UniformNoise(NoiseModel):
+class UniformNoise(_LinearNoise):
     a: float
     b: float
     _grid_pad = 2  # keeps the jumps of the density inside the grid
@@ -238,13 +281,6 @@ class UniformNoise(NoiseModel):
     def __post_init__(self):
         if not -math.inf < self.a < self.b < math.inf:
             raise DomainError("need finite a < b")
-
-    def _density(self, x):
-        return np.where((x >= self.a) & (x <= self.b), 1.0 / (self.b - self.a), 0.0)
-
-    @property
-    def m1(self) -> float:
-        return 1.0 / (self.b - self.a)
 
     def variance(self) -> float:
         return (self.b - self.a) ** 2 / 12.0
@@ -262,8 +298,8 @@ class UniformNoise(NoiseModel):
     def eta_tv_complement(self, A: float) -> float:
         return max(1.0 - 2.0 * A / (self.b - self.a), 0.0)
 
-    def excess_entropy(self, mu: np.ndarray, v: np.ndarray):
-        return uniform_mixture_entropy(mu, v, self.a, self.b) - math.log(self.b - self.a)
+    def _nodes(self):
+        return np.array([self.a, self.b]), np.full(2, 1.0 / (self.b - self.a))
 
     def sample(self, n: int, rng) -> np.ndarray:
         return rng.uniform(self.a, self.b, n)
@@ -320,20 +356,12 @@ class LaplaceNoise(NoiseModel):
 
 # hashed by identity: the density array has no value hash
 @dataclass(frozen=True, eq=False)
-class GridNoise(NoiseModel):
+class GridNoise(_LinearNoise):
     grid_density: GridDensity
 
     def __post_init__(self):
         if not isinstance(self.grid_density, GridDensity):
             raise DomainError("grid noise requires a GridDensity")
-
-    def _density(self, x):
-        g = self.grid_density
-        return np.interp(x, g.grid, g.values, left=0.0, right=0.0)
-
-    @property
-    def m1(self) -> float:
-        return self.grid_density.max_density()
 
     def variance(self) -> float:
         return self.grid_density.var()
@@ -344,28 +372,40 @@ class GridNoise(NoiseModel):
     def support(self) -> tuple[float, float]:
         return (self.grid_density.x_min, self.grid_density.x_max)
 
-    @property
-    def _entropy_cells(self) -> int:
-        # never coarser than the law's own lattice
-        return max(NoiseModel._entropy_cells, len(self.grid_density.values) - 1)
+    def _nodes(self):
+        return self.grid_density.grid, self.grid_density.values
 
     def _theta(self, d: float) -> float:
-        # |f - f_d| on the grid, plus the mass of f_d pushed past x_max
-        g = self.grid_density
-        if d >= g.x_max - g.x_min:
+        # (1/2) int |f - f_d| by pieces: h(|a| + |b|)/2, or h(a^2 + b^2)/(2(|a| + |b|)) across 0
+        if d >= self.grid_density.x_max - self.grid_density.x_min:
             return 1.0
-        x, c = g.grid, g.cdf_values()
-        shifted = np.interp(x, x + d, g.values, left=0.0, right=0.0)
-        inside = np.trapezoid(np.abs(g.values - shifted), dx=g.step)
-        beyond = c[-1] - np.interp(g.x_max - d, x, c)
-        return min(float(0.5 * (inside + beyond)), 1.0)
+        total = 0.0
+        for h, (a,), (b,) in self._pieces(np.array([0.0, d]), np.array([[1.0, -1.0]])):
+            s, across = np.abs(a) + np.abs(b), a * b < 0.0
+            total += h @ np.where(across, (a * a + b * b) / np.where(across, s, 1.0), s)
+        return min(0.25 * float(total), 1.0)
 
     def eta_tv(self, A: float) -> float:
-        """theta of a grid law need not be monotone: a 512-point scan of
-        [0, 2A], refined by `zoom_max`'s 17-point zoom."""
-        theta = np.vectorize(self.theta, otypes=[float])
-        ds = np.linspace(0.0, 2.0 * A, 512)
-        return zoom_max(theta, ds, theta(ds), 1e-8 * max(1.0, A))
+        """An upper bound on sup theta over [0, 2A] (1 once 2A reaches the span): theta
+        is V/2-Lipschitz, V = sum |f_{i+1} - f_i| + f_0 + f_n, so on a cell [a, b] it is at
+        most (theta(a) + theta(b))/2 + (b - a) V/4 (Shubert, SIAM J. Numer. Anal. 9(3), 1972).
+        The cell of the largest bound is halved until that bound, returned capped at 1,
+        is within _ETA_TOL of the best theta, or for _ETA_EVALS thetas."""
+        g = self.grid_density
+        if A >= 0.5 * (g.x_max - g.x_min):
+            return 1.0
+        quarter_v = 0.25 * float(np.abs(np.diff(g.values)).sum() + g.values[0] + g.values[-1])
+        best = self._theta(2.0 * A)
+        cells = [(-0.5 * best - 2.0 * A * quarter_v, 0.0, 2.0 * A, 0.0, best)]
+        for _ in range(_ETA_EVALS):
+            bound, a, b, ta, tb = cells[0]
+            if -bound <= best + _ETA_TOL or best >= 1.0:
+                break
+            m = 0.5 * (a + b)
+            best = max(best, tm := self._theta(m))
+            heapq.heapreplace(cells, (-0.5 * (ta + tm) - (m - a) * quarter_v, a, m, ta, tm))
+            heapq.heappush(cells, (-0.5 * (tm + tb) - (b - m) * quarter_v, m, b, tm, tb))
+        return min(max(-cells[0][0], best), 1.0)
 
     def sample(self, n: int, rng) -> np.ndarray:
         return self.grid_density.quantile(rng.uniform(0.0, 1.0, n))

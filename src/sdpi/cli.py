@@ -185,6 +185,8 @@ def deconv_report(P, Q, noise: NoiseModel, step: float) -> dict:
 
 
 def _cmd_deconv(args):
+    if args.step is not None and not 0 < args.step < math.inf:
+        args.command_parser.error(f"--step must be positive and finite, not {args.step!r}")
     noise = _parse_noise(args.noise)
     P = _load_distribution(args.p_dist)
     Q = _load_distribution(args.q_dist)
@@ -198,6 +200,8 @@ def _cmd_deconv(args):
         step = (grids[0].x_max - grids[0].x_min) / (len(grids[0].values) - 1)
     else:
         step = 0.01 if args.step is None else args.step
+        if (noise.support()[1] - noise.support()[0]) / step > _MAX_GRID_STEPS:
+            raise DomainError(f"--step {step!r} puts over {_MAX_GRID_STEPS} cells on the noise")
     _emit(args, json.dumps(deconv_report(P, Q, noise, step), indent=2, sort_keys=True) + "\n")
     return 0
 
@@ -216,6 +220,8 @@ def _cmd_check_strict(args):
 
 
 def _cmd_verify(args):
+    if args.seed < 0:
+        args.command_parser.error(f"--seed must be nonnegative, not {args.seed}")
     from .verify import run_suite
     report = run_suite(args.suite, args.seed)
     _emit(args, json.dumps(report, indent=2, sort_keys=True, default=float) + "\n")

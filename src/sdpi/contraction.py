@@ -1,8 +1,8 @@
 """Contraction coefficients and the threshold solvers they feed.
 
 theta(delta) is the TV distance between the noise law and its translate;
-eta_tv(A) is its sup over shifts |delta| <= 2A, which each noise family
-computes in its own `eta_tv` and `eta_tv_complement`.  The KL contraction
+eta_tv(A) is its sup over shifts |delta| <= 2A, or for grid noise an upper
+bound on it, from each noise family's `eta_tv` and `eta_tv_complement`.  The KL contraction
 coefficient is never computed exactly: every consumer substitutes the TV
 upper bound, which is sound for all the bounds built on top.
 """
@@ -23,7 +23,7 @@ _ALPHA_REL_TOL = 1e-10
 
 
 def eta_tv_amplitude(noise: NoiseModel, A: float) -> float:
-    """sup of theta(delta) over |delta| <= 2A: the noise family's `eta_tv`."""
+    """sup of theta(delta) over |delta| <= 2A, or an upper bound: the family's `eta_tv`."""
     if not A >= 0:
         raise DomainError("A must be nonnegative")
     return noise.eta_tv(A) if A > 0 else 0.0

@@ -4,8 +4,8 @@ Everything here is a pure function of immutable inputs.  Distributions come
 in two flavors: finitely supported (`DiscretePMF`) and density-on-a-grid
 (`GridDensity`).  All information quantities use natural logarithms.  The
 simplex lattice has one enumerator, `simplex_lattice`.  The output entropy of
-a finite input plus additive noise is `channels.NoiseModel.excess_entropy`;
-only the exact uniform-noise sum, `uniform_mixture_entropy`, lives here.
+a finite input plus additive noise, and the exact rule for piecewise-linear
+noise densities, live with the noise laws in `channels`.
 """
 
 from __future__ import annotations
@@ -281,33 +281,6 @@ class Ccurve:
 # one-dimensional searches
 # ---------------------------------------------------------------------------
 
-# the 17-point zoom stencil 0..16, scaled as np.linspace scales its arange
-_ZOOM = np.arange(17.0)
-
-
-def zoom_max(f, xs: np.ndarray, vals: np.ndarray, tol: float) -> float:
-    """Maximum of f, vectorised over an array of points, given its values vals
-    on the increasing points xs.
-
-    Each round evaluates f on 17 evenly spaced points across the best point's
-    two neighbours, which narrows that bracket 8x.  Stops once the bracket is
-    at most tol wide or no longer shrinks (its ends are then adjacent floats),
-    and returns the largest value seen, so the result is always f at a point.
-    """
-    best, width = -math.inf, math.inf
-    while True:
-        i = int(np.argmax(vals))
-        best = max(best, float(vals[i]))
-        a, b = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
-        if not tol < b - a < width:
-            return best
-        # np.linspace(a, b, 17) without its per-call overhead, bit for bit
-        step = (b - a) / 16
-        xs = (_ZOOM * step if step else _ZOOM / 16 * (b - a)) + a
-        xs[-1], width = b, b - a
-        vals = f(xs)
-
-
 class ThresholdReport(NamedTuple):
     """A solved threshold plus the evidence: iterations and final bracket."""
 
@@ -545,25 +518,6 @@ def mi_joint(q: np.ndarray) -> float:
     mask = (q > 0) & (outer > 0)
     val = float(np.sum(q[mask] * np.log(q[mask] / outer[mask])))
     return max(val, 0.0)
-
-
-def uniform_mixture_entropy(mu: np.ndarray, v: np.ndarray, a: float, b: float):
-    """Differential entropy of sum_k v_k U[mu_k + a, mu_k + b], one value per
-    row of a 2-d v.
-
-    The density is piecewise constant between the sorted interval endpoints,
-    so the entropy is an exact finite sum.
-    """
-    rows = np.atleast_2d(v)
-    width = b - a
-    edges = np.unique(np.concatenate([mu + a, mu + b]))
-    h = np.zeros(len(rows))
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (lo + hi)
-        dens = rows[:, (mid >= mu + a) & (mid <= mu + b)].sum(axis=1) / width
-        pos = dens > 0
-        h[pos] -= (hi - lo) * dens[pos] * np.log(dens[pos])
-    return h if np.ndim(v) == 2 else float(h[0])
 
 
 @functools.lru_cache(maxsize=8)

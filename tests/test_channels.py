@@ -283,7 +283,7 @@ class TestMiAdditive:
     @pytest.mark.parametrize("noise, breaks, tol", [
         (NoiseModel.laplace(0.5), [-19.0, 0.0, 19.0], 5e-6),
         (NoiseModel.laplace(1.0), [-38.0, 0.0, 38.0], 5e-6),
-        (NoiseModel.from_grid(GOLDEN_NOISE), list(GOLDEN_NOISE.grid), 1e-4),
+        (NoiseModel.from_grid(GOLDEN_NOISE), list(GOLDEN_NOISE.grid), 1e-10),
     ])
     def test_generic_noise_matches_adaptive_quadrature(self, noise, breaks, tol, gamma):
         # sum_k w_k KL(p_Z || p_Y(mu_k + .)) by scipy quad between the kinks of
@@ -322,18 +322,15 @@ class TestMiAdditive:
         assert noise.excess_entropy(mu, v) == pytest.approx(ref, rel=1e-5, abs=0.0)
 
     def test_grid_noise_is_scale_invariant(self):
-        # the entropy grid has a fixed number of cells across the support, so the
-        # law scaled by s with the input scaled by s gives the same I(X;Y)
+        # the law scaled by s with the input scaled by s gives the same I(X;Y)
         x = DiscretePMF(np.array([-0.4, 0.1, 0.5]), np.array([0.3, 0.3, 0.4]))
         g = GOLDEN_NOISE
-        mis, nodes = [], set()
+        mis = []
         for s in (1e-3, 1.0, 100.0):
             noise = NoiseModel.from_grid(
                 GridDensity(s * g.x_min, s * g.x_max, s * g.step, g.values / s))
             mis.append(mi_additive(DiscretePMF(s * x.atoms, x.weights), noise, 1.0))
-            nodes.add(len(noise._entropy_grid()[0]))
         assert mis == pytest.approx([mis[1]] * 3, rel=1e-12, abs=0.0)
-        assert len(nodes) == 1
 
     @pytest.mark.parametrize("noise", [NoiseModel.laplace(1.0), NoiseModel.from_grid(GOLDEN_NOISE)])
     def test_single_atom_is_zero(self, noise):

@@ -171,6 +171,28 @@ class TestDeconvCommand:
             assert code == 0, err
         assert outs[None] == outs["0.01"] != outs["0.02"]
 
+    @pytest.mark.parametrize("step", ["0", "-0.01", "nan", "inf"])
+    def test_bad_step_is_usage_error(self, step, capsys):
+        golden = Path(__file__).parent / "golden"
+        code, out, err = run(["deconv", "--p", str(golden / "P.csv"), "--q", str(golden / "P.csv"),
+                              f"--step={step}"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--step" in err
+
+    def test_step_too_fine_for_the_noise_is_domain_error(self, monkeypatch, capsys):
+        # 1e-9 would put 1.8e10 cells on the Gaussian's [-9, 9]; no lattice is built
+        def no_lattice(*args, **kwargs):
+            raise AssertionError("noise lattice built")
+
+        monkeypatch.setattr(cli.NoiseModel, "to_grid", no_lattice)
+        golden = Path(__file__).parent / "golden"
+        code, out, err = run(["deconv", "--p", str(golden / "P.csv"), "--q", str(golden / "P.csv"),
+                              "--step", "1e-9"], capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
     def test_comment_before_pmf_header(self, tmp_path, capsys):
         golden = Path(__file__).parent / "golden"
         p = tmp_path / "p.csv"
@@ -429,6 +451,13 @@ class TestVerifyCommand:
         rep = json.loads(out)
         assert rep["violations"] == 0
         assert rep["seed"] == 0
+
+    @pytest.mark.parametrize("seed", ["-1", "1.5"])
+    def test_bad_seed_is_usage_error(self, seed, capsys):
+        code, out, err = run(["verify", "--suite", "bsc", "--seed", seed], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--seed" in err
 
     @pytest.mark.parametrize("seed, delta", [(0, 0.3), (1, 0.2), (11, 0.1)])
     def test_bsc_suite_meets_its_gate_at_each_crossover(self, seed, delta):

@@ -1,6 +1,9 @@
+import bisect
 import math
+import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +18,43 @@ from sdpi.core_prob import GridDensity, q_function
 from sdpi.errors import DomainError
 
 GOLDEN_NOISE = GridDensity.from_csv((Path(__file__).parent / "golden" / "noise.csv").read_text())
+
+
+def random_grid_density(rng):
+    """5 to 29 nodes of random values, the end values nonzero, on a random step."""
+    n, step = int(rng.integers(5, 30)), float(rng.uniform(0.05, 0.5))
+    v = rng.uniform(0.05, 1.0, n)
+    x0 = float(rng.uniform(-1.0, 1.0))
+    return GridDensity(x0, x0 + step * (n - 1), step, v / np.trapezoid(v, dx=step))
+
+
+def theta_reference(x, f, delta):
+    """(1/2) int |f - f_delta| at 40 digits.  f - f_delta is linear between the
+    merged breakpoints, exact in mpmath, with one-sided limits at each end; its
+    |.| is a trapezoid on each side of the zero between two ends of opposite sign."""
+    with mpmath.workdps(40):
+        return _theta_pieces([mpmath.mpf(float(v)) for v in x],
+                             [mpmath.mpf(float(v)) for v in f], mpmath.mpf(float(delta)))
+
+
+def _theta_pieces(X, F, D):
+    def limit(y, side):
+        if y < X[0] or y > X[-1] or (y == X[0] and side < 0) or (y == X[-1] and side > 0):
+            return mpmath.mpf(0)
+        i = min(bisect.bisect_right(X, y), len(X) - 1) - 1
+        return F[i] + (F[i + 1] - F[i]) * (y - X[i]) / (X[i + 1] - X[i])
+
+    ys = sorted(set(X) | {v + D for v in X})
+    total = mpmath.mpf(0)
+    for lo, hi in zip(ys, ys[1:]):
+        a = limit(lo, 1) - limit(lo - D, 1)
+        b = limit(hi, -1) - limit(hi - D, -1)
+        if a * b >= 0:
+            total += (abs(a) + abs(b)) * (hi - lo) / 2
+        else:
+            root = lo + (hi - lo) * abs(a) / (abs(a) + abs(b))
+            total += abs(a) * (root - lo) / 2 + abs(b) * (hi - root) / 2
+    return total / 2
 
 
 def gaussian_alpha_star(sigma):
@@ -52,16 +92,22 @@ class TestThetaShift:
             direct = 0.5 * np.trapezoid(np.abs(vals - shifted), dx=g.step)
             assert z.theta(d) == pytest.approx(float(direct), abs=2e-3)
 
-    def test_grid_noise_matches_padded_lattice(self):
-        # the shifted copy's mass past the grid's right edge counts: the same
-        # trapezoid TV on the grid zero-padded far enough to hold the whole copy
-        g, z = GOLDEN_NOISE, NoiseModel.from_grid(GOLDEN_NOISE)
-        for d in np.linspace(0.0, 4.0, 401):
-            x = g.x_min + g.step * np.arange(len(g.values) + math.ceil(d / g.step) + 2)
-            v = np.interp(x, g.grid, g.values, left=0.0, right=0.0)
-            shifted = np.interp(x, x + d, v, left=0.0, right=0.0)
-            padded = 0.5 * np.trapezoid(np.abs(v - shifted), dx=g.step)
-            assert z.theta(d) == pytest.approx(float(padded), rel=0, abs=1e-12)
+    def test_grid_noise_matches_piecewise_reference(self):
+        # densities with jumps at both ends, shifts on and off the node step, copies
+        # that run past x_max
+        rng = np.random.default_rng(27)
+        for _ in range(20):
+            g = random_grid_density(rng)
+            z, span = NoiseModel.from_grid(g), g.x_max - g.x_min
+            deltas = [*rng.uniform(0.0, span, 10), *(g.step * rng.integers(1, len(g.values), 5))]
+            for d in deltas:
+                ref = theta_reference(g.grid, g.values, d)
+                assert z.theta(d) == pytest.approx(float(ref), rel=0, abs=1e-12), d
+
+    def test_grid_noise_at_ramp_overlap(self):
+        # at delta = 1.05 the two copies share only their 0.05-wide ramps, which
+        # cross at half height: min(f, f_delta) has mass 1/84
+        assert NoiseModel.from_grid(GOLDEN_NOISE).theta(1.05) == pytest.approx(83 / 84, abs=1e-15)
 
     def test_grid_noise_disjoint_past_span(self):
         z = NoiseModel.from_grid(GOLDEN_NOISE)
@@ -93,15 +139,34 @@ class TestEtaTv:
                 1.0 - 2.0 * q_function(A), abs=2e-3)
 
     def test_grid_noise_matches_dense_scan(self):
-        # theta of the golden noise rises to 1 at its support width delta = 1.05,
-        # a node of the 5e-5 lattice below, and stays there for larger delta
+        # the certified sup lies between theta's maximum on a 5e-5 lattice and
+        # 1e-9 above it; theta of the golden noise is 1 from delta = 1.1 on
         z = NoiseModel.from_grid(GOLDEN_NOISE)
-        deltas = np.linspace(0.0, 4.0, 80001)
+        deltas = np.linspace(0.0, 1.6, 32001)
         theta = np.array([z.theta(d) for d in deltas])
-        for k in range(6, 21):
+        for k in range(1, 9):
             A = 0.1 * k
             dense = theta[deltas <= 2.0 * A + 1e-12].max()
-            assert eta_tv_amplitude(z, A) == pytest.approx(dense, rel=0, abs=1e-9)
+            assert dense <= eta_tv_amplitude(z, A) <= dense + 1e-9, A
+
+    def test_grid_noise_bounds_an_inner_maximum(self):
+        # combs of alternating high and low nodes, whose theta peaks near one step
+        # and dips towards two: over 2A = 2.5 steps the bound is at least every
+        # theta on a lattice, though theta(2A) is below their maximum
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            n, step = int(rng.integers(9, 30)), float(rng.uniform(0.05, 0.5))
+            v = np.where(np.arange(n) % 2 == 0, rng.uniform(0.5, 1.0, n), rng.uniform(0.0, 0.05, n))
+            z = NoiseModel.from_grid(GridDensity(0.0, step * (n - 1), step,
+                                                 v / np.trapezoid(v, dx=step)))
+            dense = max(z.theta(d) for d in np.linspace(0.0, 2.5 * step, 2001))
+            assert eta_tv_amplitude(z, 1.25 * step) >= dense
+
+    def test_grid_noise_past_the_span(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert eta_tv_amplitude(NoiseModel.from_grid(GOLDEN_NOISE), 1e308) == 1.0
+            assert eta_tv_amplitude(NoiseModel.from_grid(GOLDEN_NOISE), np.float64(1e308)) == 1.0
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -13,8 +13,7 @@ from sdpi.core_prob import (
     LOG2, DiscretePMF, GridDensity, binary_entropy, binary_entropy_inv, bisect,
     char_fn, convolve, csv_rows, csv_text, gauss_hermite,
     ks_distance, levy_concentration, mi_joint, q_function, simplex_lattice,
-    tv_after_noise, tv_distance, uniform_mixture_entropy, v_window,
-    xlogx, zoom_max,
+    tv_after_noise, tv_distance, v_window, xlogx,
 )
 from sdpi.errors import DomainError, ShapeError
 
@@ -420,46 +419,7 @@ class TestCharFnChirpZ:
         np.testing.assert_array_equal(got, want)
 
 
-def zoom_linspace(f, lo, hi, n, tol):
-    """`zoom_max` from f on np.linspace(lo, hi, n), as `GridNoise.eta_tv` calls it."""
-    xs = np.linspace(lo, hi, n)
-    return zoom_max(f, xs, f(xs), tol)
-
-
 class TestSearches:
-    @staticmethod
-    def counted(f, calls, limit=100):
-        def g(x):
-            calls.append(np.array(x))
-            assert len(calls) <= limit, "zoom_max did not stop"
-            return f(x)
-        return g
-
-    def test_zoom_max_within_tol(self):
-        calls = []
-        tol = 1e-9
-        best = zoom_linspace(self.counted(lambda x: -(x - 0.3137) ** 2, calls),
-                             0.0, 1.0, 101, tol)
-        xs = np.concatenate(calls)
-        x = xs[np.argmax(-(xs - 0.3137) ** 2)]
-        assert abs(x - 0.3137) <= tol
-        assert best == -(x - 0.3137) ** 2
-        # the scan, then one 17-point call per 8x narrowing of a two-cell bracket
-        rounds = math.ceil(math.log(2 * 0.01 / tol, 8))
-        assert len(calls) <= 1 + rounds
-        assert all(len(c) == 17 for c in calls[1:])
-
-    def test_zoom_max_at_bracket_edge(self):
-        calls = []
-        assert zoom_linspace(self.counted(lambda x: x, calls), 2.0, 3.0, 11, 1e-8) == 3.0
-
-    def test_zoom_max_zero_tol_returns(self):
-        # the bracket stops shrinking at adjacent floats
-        calls = []
-        best = zoom_linspace(self.counted(lambda x: np.cos(x - 0.3), calls), 0.0, 1.0, 11, 0.0)
-        assert best == pytest.approx(1.0, abs=1e-15)
-        assert len(calls) < 30
-
     def test_bisect_smallest_true(self):
         x, it, (lo, hi) = bisect(lambda v: v >= 0.3, 0.0, 1.0, 1e-12)
         assert x == hi and lo < 0.3 <= hi
@@ -531,17 +491,17 @@ class TestMutualInformation:
         assert mi_joint(np.outer([0.2, 0.8], [0.5, 0.25, 0.25])) == 0.0
 
     def test_uniform_mixture_entropy(self):
-        # one component: log(b - a); two disjoint halves: log 2 + log(b - a)
-        assert uniform_mixture_entropy(np.array([0.0]), np.array([1.0]), 0.0, 3.0) \
-            == pytest.approx(math.log(3.0), abs=1e-15)
-        h = uniform_mixture_entropy(np.array([0.0, 5.0]), np.array([0.5, 0.5]), 0.0, 1.0)
+        # h(Y) - h(Z) of uniform noise: 0 for one component, log 2 for two disjoint
+        z = NoiseModel.uniform(0.0, 3.0)
+        assert z.excess_entropy(np.array([0.7]), np.array([1.0])) == 0.0
+        h = NoiseModel.uniform(0.0, 1.0).excess_entropy(np.array([0.0, 5.0]), np.array([0.5, 0.5]))
         assert h == pytest.approx(LOG2, abs=1e-15)
 
     def test_uniform_mixture_entropy_rows(self):
         mu = np.array([0.0, 0.4, 3.0])
         v = np.array([[0.2, 0.5, 0.3], [1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])
-        np.testing.assert_array_equal(uniform_mixture_entropy(mu, v, -0.5, 1.0),
-                                      [uniform_mixture_entropy(mu, r, -0.5, 1.0) for r in v])
+        z = NoiseModel.uniform(-0.5, 1.0)
+        np.testing.assert_array_equal(z.excess_entropy(mu, v), [z.excess_entropy(mu, r) for r in v])
 
 
 H_GAUSS = 0.5 * math.log(2.0 * math.pi * math.e)
@@ -671,33 +631,3 @@ class TestGaussianGrid:
         g = NoiseModel.gaussian().to_grid(0.01)
         assert g.step == pytest.approx(0.01)
         assert g.max_density() == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-4)
-
-
-class TestZoomStencil:
-    """zoom_max's 17-point rounds are np.linspace over the best point's neighbours."""
-
-    @staticmethod
-    def assert_linspace_rounds(f, lo, hi, n, tol):
-        calls = []
-        zoom_linspace(lambda x: calls.append(np.array(x)) or f(x), lo, hi, n, tol)
-        assert calls[0].tobytes() == np.linspace(lo, hi, n).tobytes()
-        for prev, xs in zip(calls, calls[1:]):
-            i = int(np.argmax(f(prev)))
-            a, b = prev[max(i - 1, 0)], prev[min(i + 1, len(prev) - 1)]
-            assert xs.tobytes() == np.linspace(a, b, 17).tobytes(), (a, b)
-        return calls
-
-    def test_random_brackets(self):
-        # tol = 0 runs the zoom down to brackets a few ulps wide
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            lo, hi = np.sort(rng.uniform(-1e3, 1e3, 2) * 10.0 ** rng.integers(-6, 4))
-            peak = rng.uniform(lo, hi)
-            calls = self.assert_linspace_rounds(lambda x: -np.abs(x - peak), lo, hi,
-                                                int(rng.integers(3, 50)), 0.0)
-            assert len(calls) > 2
-
-    def test_bracket_at_zero(self):
-        # a = 0 every round, down to subnormal widths where (b - a) / 16 is 0
-        calls = self.assert_linspace_rounds(lambda x: -x, 0.0, 0.5, 2001, 0.0)
-        assert calls[-1][-1] < 32 * 5e-324

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sdpi import gaussian_sdpi
-from sdpi.core_prob import zoom_max
 from sdpi.errors import AccuracyError, DomainError
 from sdpi.gaussian_sdpi import (
     A0, A1, A2, A5, _gd_bracket, concentration_radius, diag_achievability,
@@ -209,11 +208,21 @@ class TestGdLowerScanCache:
 
     @staticmethod
     def zoom(t, gamma):
-        # the zoom of zoom_max over the bracket, from the first scan on _GD_X;
-        # the cached terms give _gd_bracket(_GD_X, t, gamma) without its Q calls
+        # the largest bracket value of a 17-point zoom from the first scan on
+        # _GD_X: each round scans the best point's two neighbours and narrows
+        # them 8x, down to a width of 1e-10; the cached terms give
+        # _gd_bracket(_GD_X, t, gamma) without its Q calls
         amp, b = gaussian_sdpi._gd_scan_terms(gamma)
-        return zoom_max(lambda x: _gd_bracket(x, t, gamma), gaussian_sdpi._GD_X,
-                        np.maximum(amp * (t - b), 0.0), 1e-10)
+        xs, vals = gaussian_sdpi._GD_X, np.maximum(amp * (t - b), 0.0)
+        best, width = -math.inf, math.inf
+        while True:
+            i = int(np.argmax(vals))
+            best = max(best, float(vals[i]))
+            lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
+            if not 1e-10 < hi - lo < width:
+                return best
+            xs, width = np.linspace(lo, hi, 17), hi - lo
+            vals = _gd_bracket(xs, t, gamma)
 
     def test_cached_scan_is_the_bracket(self):
         for t, gamma in ((0.3, 0.02), (1.2, 1.0), (0.05, 60.0)):

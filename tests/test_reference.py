@@ -1,8 +1,9 @@
 """High-precision references for the additive-noise quadrature: 40-digit
 mpmath and adaptive `scipy.integrate.quad`, each computed without the
-package's trapezoid rule."""
+package's own rules."""
 
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from scipy.integrate import quad
 
 from sdpi.channels import NoiseModel, mmse_numeric
-from sdpi.core_prob import DiscretePMF, q_function
+from sdpi.core_prob import DiscretePMF, GridDensity, q_function
 
 mpmath.mp.dps = 40
 
@@ -25,6 +26,62 @@ def test_gaussian_excess_entropy_two_atoms(d):
     ref = float(mpmath.log(2) - tail)
     got = NoiseModel.gaussian().excess_entropy(np.array([0.0, float(d)]), np.array([0.5, 0.5]))
     assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def entropy_by_pieces(noise, x, mu, w):
+    """-int p log p of sum_k w_k p_Z(y - mu_k) by quad on each piece between
+    the breakpoints mu_k + x_i, where the density is linear."""
+    def integrand(y):
+        p = sum(wk * noise.density(y - m) for wk, m in zip(w, mu))
+        return -p * math.log(p) if p > 0 else 0.0
+
+    cuts = np.unique(np.add.outer(mu, x))
+    return sum(quad(integrand, lo, hi, epsabs=0.0, epsrel=5e-14, limit=200)[0]
+               for lo, hi in zip(cuts, cuts[1:]))
+
+
+def test_grid_noise_excess_entropy_by_pieces():
+    # the golden noise, and random densities with jumps at both ends; 2 to 5 atoms
+    rng = np.random.default_rng(11)
+    laws = [GridDensity.from_csv((Path(__file__).parent / "golden" / "noise.csv").read_text())]
+    for _ in range(3):
+        n, step = int(rng.integers(5, 30)), float(rng.uniform(0.05, 0.5))
+        v = rng.uniform(0.05, 1.0, n)
+        laws.append(GridDensity(0.0, step * (n - 1), step, v / np.trapezoid(v, dx=step)))
+    for g in laws:
+        noise = NoiseModel.from_grid(g)
+        for k in (2, 3, 5):
+            mu = rng.uniform(-1.0, 1.0, k) * (g.x_max - g.x_min)
+            w = rng.dirichlet(np.ones(k))
+            ref = (entropy_by_pieces(noise, g.grid, mu, w)
+                   - entropy_by_pieces(noise, g.grid, mu[:1], [1.0]))
+            assert noise.excess_entropy(mu, w) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def piecewise_constant_entropy(mu, v, a, b):
+    """h(Y) - h(Z) for uniform noise on [a, b] as an exact sum over the pieces
+    between the sorted interval ends, where the density is constant."""
+    edges = np.unique(np.concatenate([mu + a, mu + b]))
+    h = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid = 0.5 * (lo + hi)
+        dens = v[(mid >= mu + a) & (mid <= mu + b)].sum() / (b - a)
+        if dens > 0:
+            h -= (hi - lo) * dens * math.log(dens)
+    return h - math.log(b - a)
+
+
+def test_uniform_noise_matches_piecewise_constant_sum():
+    rng = np.random.default_rng(3)
+    worst = 0.0
+    for _ in range(200):
+        k = int(rng.integers(1, 7))
+        a = float(rng.uniform(-2.0, 1.0))
+        b = a + float(10.0 ** rng.uniform(-1.0, 1.0))
+        mu, v = rng.uniform(-3.0, 3.0, k), rng.dirichlet(np.ones(k))
+        got = NoiseModel.uniform(a, b).excess_entropy(mu, v)
+        worst = max(worst, abs(got - piecewise_constant_entropy(mu, v, a, b)))
+    assert worst <= 1e-14
 
 
 def expected_posterior_variance(atoms, weights, gamma):
