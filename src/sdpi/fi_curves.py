@@ -140,6 +140,22 @@ def _best_split(points: np.ndarray, f: np.ndarray, f_vertices: np.ndarray) -> np
     return coupling / coupling.sum()
 
 
+# a second difference of phi above this on the |X| = 2 lattice line: far beyond
+# the ~1e-14 rounding of `_best_split`'s gaps, which then stay about half of it below 0
+_CONVEX_MARGIN = 1e-10
+
+
+def _convex_on_line(f: np.ndarray, f_vertices: np.ndarray) -> bool:
+    """Whether |X| = 2 and phi is strictly convex on the lattice line (`f` at
+    p_1 = k/n ascending, between e_2 and e_1): then every lattice point is a
+    vertex of the lower hull, no lattice coupling has a positive Lagrangian, and
+    `_best_split` would split to every point only to return the trivial coupling."""
+    if len(f_vertices) != 2:
+        return False
+    line = np.concatenate([f_vertices[1:], f, f_vertices[:1]])
+    return bool(np.all(np.diff(line, 2) > _CONVEX_MARGIN))
+
+
 def _upper_concave_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
     pts = sorted(set(points))
     hull: list[tuple[float, float]] = []
@@ -167,10 +183,19 @@ def fi_dmc_envelope(K: DMCKernel, t_grid, solver_params: dict | None = None) -> 
     upper concave hull of the achieved (I_WX, I_WY) pairs, each re-evaluated
     exactly, anchored at the origin and capped at the lower end of the capacity
     bracket (`dmc_capacity`), is the curve; the meta records both ends.
+
+    No multiplier from 1 on is searched (I(W;Y) <= I(W;X)), nor, for |X| = 2,
+    one where `_convex_on_line` proves phi convex on the lattice (lambda above
+    eta_KL, the slope of F_I at 0): both take the trivial coupling the search
+    would return.  t must be finite and nonnegative.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or not np.all(np.diff(t_grid) > 0):
         raise DomainError("t_grid must be increasing")
+    if not np.all(t_grid >= 0):
+        raise DomainError("t must be nonnegative")
+    if not np.all(np.isfinite(t_grid)):
+        raise DomainError("t must be finite")
     params = {"n_lambdas": 64, "refinements": 96, **(solver_params or {})}
     Km = K.matrix
     resolution, points = _interior_lattice(Km.shape[0])
@@ -180,7 +205,9 @@ def fi_dmc_envelope(K: DMCKernel, t_grid, solver_params: dict | None = None) -> 
         # I(W;Y) <= I(W;X), so from lam = 1 on the trivial coupling is optimal
         if lam >= 1.0:
             return 0.0, 0.0
-        q = _best_split(points, h_y - lam * h_x, h_rows)
+        f = h_y - lam * h_x
+        # above the slope of F_I at 0 (eta_KL) phi is convex: `_best_split`'s trivial answer
+        q = np.full((1, 2), 0.5) if _convex_on_line(f, h_rows) else _best_split(points, f, h_rows)
         return mi_joint(q), mi_joint(q @ Km)
 
     lambdas = np.concatenate([[0.0], np.geomspace(1e-3, 1.0, params["n_lambdas"] - 1)])

@@ -377,6 +377,18 @@ class TestConfigAndErrors:
         assert out == ""
         assert json.loads(err)["error"] == "ShapeError"
 
+    @pytest.mark.parametrize("channel", ["csv", "bsc:0.1"])
+    def test_negative_t_grid_is_domain_error(self, channel, tmp_path, capsys):
+        # the envelope solver rejects t < 0 as the closed forms do
+        f = tmp_path / "K.csv"
+        f.write_text("0.9,0.1\n0.2,0.8\n")
+        spec = f"csv:{f}" if channel == "csv" else channel
+        code, out, err = run(["fi-curve", "--channel", spec, "--t-grid=-0.2:0.2:0.1"], capsys)
+        assert code == 1
+        assert out == ""
+        rep = json.loads(err)
+        assert rep["error"] == "DomainError" and "nonnegative" in rep["message"]
+
     def test_empty_distribution_file_is_shape_error(self, tmp_path, capsys):
         empty = tmp_path / "P.csv"
         empty.write_text("")

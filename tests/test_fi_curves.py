@@ -94,28 +94,28 @@ class TestEnvelope:
     def test_identity_kernel(self):
         ts = np.linspace(0.0, 1.0, 11)
         curve = fi_dmc_envelope(DMCKernel.identity(2), ts,
-                                {"restarts": 8, "n_lambdas": 16})
+                                {"n_lambdas": 16})
         for t, v in zip(ts, curve.values):
             assert v == pytest.approx(min(t, LOG2), abs=2e-3)
 
     def test_erasure_matches_closed_form(self):
         ts = np.linspace(0.0, LOG2, 8)
         curve = fi_dmc_envelope(DMCKernel.erasure(0.3, 2), ts,
-                                {"restarts": 8, "n_lambdas": 16})
+                                {"n_lambdas": 16})
         for t, v in zip(ts, curve.values):
             assert v == pytest.approx(fi_erasure(t, 0.3, 2), abs=2e-3)
 
     def test_bsc_matches_closed_form(self):
         ts = np.linspace(0.0, LOG2, 8)
         curve = fi_dmc_envelope(DMCKernel.bsc(0.1), ts,
-                                {"restarts": 16, "n_lambdas": 32})
+                                {"n_lambdas": 32})
         for t, v in zip(ts, curve.values):
             assert fi_bsc(t, 0.1) - v <= 2e-3
             assert v <= fi_bsc(t, 0.1) + 1e-9  # never exceeds the true curve
 
     def test_meta_fields(self):
         curve = fi_dmc_envelope(DMCKernel.bsc(0.2), np.linspace(0, 0.6, 4),
-                                {"restarts": 4, "n_lambdas": 8})
+                                {"n_lambdas": 8})
         assert curve.meta["capacity"] == pytest.approx(LOG2 - binary_entropy(0.2), abs=1e-15)
         assert 0.0 <= curve.meta["capacity_upper"] - curve.meta["capacity"] <= 1e-12
         assert curve.meta["capacity_steps"] == 0  # the uniform input is optimal
@@ -143,11 +143,11 @@ class TestEnvelope:
         assert fi_dmc_envelope(K, ts, params).points == fi_dmc_envelope(K, ts, params).points
 
     def test_no_search_from_lambda_one(self, monkeypatch):
-        # from lambda = 1 on I(W;Y) <= I(W;X) makes the trivial coupling
-        # optimal; recover each searched lambda from phi = H(PK) - lambda H(P)
-        K = DMCKernel.bsc(0.1)
+        # from lambda = 1 on I(W;Y) <= I(W;X) makes the trivial coupling optimal,
+        # and for BSC(delta) already above eta_KL = (1 - 2 delta)^2, the slope of
+        # F_I at 0, where phi is convex; recover each searched lambda from
+        # phi = H(PK) - lambda H(P)
         points = _interior_lattice(2)[1]
-        h_x, h_y = -xlogx(points).sum(axis=1), -xlogx(points @ K.matrix).sum(axis=1)
         searched = []
 
         def spy(pts, f, f_vertices):
@@ -155,8 +155,13 @@ class TestEnvelope:
             return _best_split(pts, f, f_vertices)
 
         monkeypatch.setattr(fi_curves, "_best_split", spy)
-        fi_dmc_envelope(K, np.linspace(0.0, LOG2, 5), {"n_lambdas": 8, "refinements": 4})
-        assert searched and max(searched) < 0.99
+        for delta in (0.1, 0.3):
+            K = DMCKernel.bsc(delta)
+            h_x, h_y = -xlogx(points).sum(axis=1), -xlogx(points @ K.matrix).sum(axis=1)
+            for params in ({"n_lambdas": 8, "refinements": 4}, None):
+                searched.clear()
+                fi_dmc_envelope(K, np.linspace(0.0, LOG2, 5), params)
+                assert searched and max(searched) < (1.0 - 2.0 * delta) ** 2
 
     @pytest.mark.parametrize("delta, gap", [(0.1, 1.7e-5), (0.3, 9.4e-6)])
     def test_bsc_default_settings_gap(self, delta, gap):
@@ -167,6 +172,15 @@ class TestEnvelope:
         closed = np.array([fi_bsc(t, delta) for t in ts])
         assert np.all(curve.values <= closed + 1e-9)
         assert np.max(closed - curve.values) <= gap
+
+    @pytest.mark.parametrize("t", [-0.1, math.inf])
+    def test_rejects_negative_and_infinite_t(self, t):
+        # t = inf used to give the capacity, t < 0 the value 0
+        grid = [t, 0.0, 0.1] if t < 0 else [0.0, 0.1, t]
+        with pytest.raises(DomainError):
+            fi_dmc_envelope(DMCKernel.bsc(0.1), grid)
+        with pytest.raises(DomainError):
+            fi_dmc_envelope(DMCKernel.bsc(0.1), [0.0, math.nan])
 
     def test_lattice_within_budget(self):
         for nx in (2, 3, 4, 5, 10, 44, 45, 2000):
@@ -316,11 +330,63 @@ class TestSplitRounds:
         assert 0 < counter.children <= 50
 
 
+_SHORTCUT_RNG = np.random.default_rng(28)
+# 2-input kernels for the convexity shortcut: Dirichlet rows from spiky to near-equal,
+# and structured ones whose phi is nearly flat (BSC near 1/2, rows 1e-9 apart)
+_SHORTCUT_KERNELS = {
+    **{f"dirichlet{a}": [_SHORTCUT_RNG.dirichlet(np.full(ny, a), size=2)
+                         for ny in (2, 3, 4, 6) for _ in range(2)]
+       for a in (0.3, 1.0, 5.0, 50.0)},
+    "structured": [DMCKernel.bsc(d).matrix for d in (0.0, 0.01, 0.1, 0.2, 0.45, 0.499)]
+    + [DMCKernel.erasure(a, 2).matrix for a in (0.1, 0.5, 0.9)]
+    + [np.array([[1.0, 0.0], [e, 1.0 - e]]) for e in (0.1, 0.5)]
+    + [np.array([[0.3, 0.7], [0.3 + 1e-9, 0.7 - 1e-9]])],
+}
+
+
+class TestConvexShortcut:
+    def test_lattice_line_is_ascending(self):
+        # `_convex_on_line` reads f between e_2 (p_1 = 0) and e_1 (p_1 = 1)
+        n, pts = _interior_lattice(2)
+        assert np.array_equal(pts[:, 0], np.arange(1, n) / n)
+
+    @pytest.mark.parametrize("family", list(_SHORTCUT_KERNELS))
+    def test_certified_phi_has_the_trivial_split(self, family):
+        # wherever the test certifies phi convex, the search returns the trivial coupling
+        pts = _interior_lattice(2)[1]
+        certified = 0
+        for Km in _SHORTCUT_KERNELS[family]:
+            h_x, h_y, h_rows = (-xlogx(a).sum(axis=1) for a in (pts, pts @ Km, Km))
+            for lam in np.linspace(0.0, 0.999, 80):
+                f = h_y - lam * h_x
+                if fi_curves._convex_on_line(f, h_rows):
+                    certified += 1
+                    assert np.array_equal(_best_split(pts, f, h_rows), np.full((1, 2), 0.5))
+        assert certified > 0
+
+    def test_three_inputs_are_searched(self):
+        pts, f, fv = _phi(DMCKernel.erasure(0.3, 3), 0.99)
+        assert not fi_curves._convex_on_line(f, fv)
+
+    @pytest.mark.parametrize("K", [DMCKernel.bsc(0.1), DMCKernel.erasure(0.3, 2),
+                                   DMCKernel(_SHORTCUT_KERNELS["dirichlet1.0"][0]),
+                                   DMCKernel(_SHORTCUT_KERNELS["dirichlet1.0"][2])],
+                             ids=["bsc", "erasure2", "random2x2", "random2x3"])
+    @pytest.mark.parametrize("params", [{"n_lambdas": 8, "refinements": 4}, None],
+                             ids=["8-4", "defaults"])
+    def test_curve_is_bit_identical_to_the_search(self, K, params, monkeypatch):
+        ts = np.linspace(0.0, 1.0, 21)
+        fast = fi_dmc_envelope(K, ts, params)
+        monkeypatch.setattr(fi_curves, "_convex_on_line", lambda f, f_vertices: False)
+        searched = fi_dmc_envelope(K, ts, params)
+        assert fast.points == searched.points and fast.meta == searched.meta
+
+
 class TestPropertiesCheck:
     def test_valid_curve_passes(self):
         ts = np.linspace(0.0, LOG2, 15)
         curve = fi_dmc_envelope(DMCKernel.bsc(0.1), ts,
-                                {"restarts": 8, "n_lambdas": 16})
+                                {"n_lambdas": 16})
         report = fi_properties_check(curve)
         assert report["passed"], report["failures"]
 
