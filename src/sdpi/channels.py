@@ -4,15 +4,14 @@ Two channel families: row-stochastic discrete kernels and additive-noise
 channels Y = sqrt(gamma) X + Z, where each noise family is a `NoiseModel`
 subclass that owns the family's rules: its closed forms, its output entropy
 `excess_entropy` and its TV contraction `eta_tv`.  Mutual information is
-I(X;Y) = h(Y) - h(Z), the excess entropy of the input's atoms.  Gaussian and
-Laplace noise take it from one trapezoid rule on the law's `to_grid` lattice,
-which `mmse_numeric` shares; `_LinearNoise` gives it exactly for the
-piecewise-linear densities of grid and uniform noise, and the grid law's theta.
+I(X;Y) = h(Y) - h(Z), the excess entropy of the input's atoms, by one piece
+rule: -int p log p over pieces where p_Y is smooth, less h(Z) on the same
+pieces; by Gauss-Legendre for Gaussian and Laplace noise, on the nodes
+`mmse_numeric` reads, and exactly by `_LinearNoise` for grid and uniform noise.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 import numbers
@@ -21,7 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core_prob import DiscretePMF, GridDensity, char_fn, erf, mi_joint, q_function
+from .core_prob import (DiscretePMF, GridDensity, char_fn, erf, gauss_legendre, mi_joint,
+                        q_function)
 from .errors import DomainError, ProfileFailureError, ShapeError
 
 
@@ -69,9 +69,9 @@ def _alphabet_size(size) -> int:
     return int(size)
 
 
-# elements of one `_shifted_blocks` or `_pieces` chunk, a memory bound for any atoms
-# and grid; GridNoise.eta_tv stops within _ETA_TOL of the sup or after _ETA_EVALS thetas
-_SHIFT_BLOCK, _ETA_TOL, _ETA_EVALS = 1 << 18, 1e-10, 1000
+# elements of a `_copies` or `_pieces` chunk (a memory bound), Gauss-Legendre nodes per
+# piece; GridNoise.eta_tv stops within _ETA_TOL of the sup or after _ETA_EVALS thetas
+_SHIFT_BLOCK, _GL_NODES, _ETA_TOL, _ETA_EVALS = 1 << 18, 32, 1e-10, 1000
 
 
 class NoiseModel:
@@ -81,8 +81,9 @@ class NoiseModel:
     `variance`, `support` (tails cut at density 1e-16), `sample(n, rng)` and
     `cf_decay()`, the CF decay profile (label, g, h, g1) with g1 on (0, 1]; a
     family whose |phi| is nonincreasing on [0, inf) takes g = `abs_cf`.
-    The base `eta_tv` and `excess_entropy` hold for any law; a family
-    overrides them where it has a closed form or needs another method.
+    The base `eta_tv` holds for any law; a family overrides it where it has a
+    closed form or needs another method.  `excess_entropy` is one piece rule:
+    `_LinearNoise` (grid, uniform) overrides only its `_plogp`.
     """
 
     # grid cells added beyond the support on each side by `to_grid`
@@ -137,54 +138,41 @@ class NoiseModel:
         return 1.0 - self.eta_tv(A)
 
     def excess_entropy(self, mu: np.ndarray, v: np.ndarray):
-        """h(M + Z) - h(Z) for M ~ sum_k v_k delta_{mu_k}, one value per row of
-        a 2-d v.
-
-        Equal to sum_k v_k D(p_Z || p_Y(mu_k + .)), by the trapezoid rule on
-        `_entropy_grid`, which converges exponentially for an analytic density
-        (Trefethen and Weideman, SIAM Review 56(3), 2014).  As
-        p_Y(mu_k + z) >= v_k p_Z(z), the log ratio is capped at -log v_k, so an
-        atom whose p_Y underflows stays finite; a zero weight's term is 0.
-        Each row's value is the same, bit for bit, whatever the other rows.
-        """
-        _, log_pz, wpz = self._entropy_grid()
-        rows = np.atleast_2d(np.asarray(v, dtype=float))
-        cap = -np.log(np.where(rows > 0, rows, 1.0))
+        """h(M + Z) - h(Z) for M ~ sum_k v_k delta_{mu_k}, one value per row of a
+        2-d v, each row's the same bit for bit whatever the other rows: -int p log p
+        over the pieces of `_plogp`, less h(Z) as the first atom's copy alone on
+        them, so one atom gives exactly 0.  Atoms are measured from the first."""
+        mu = np.asarray(mu, dtype=float)
+        rows = np.vstack([np.eye(1, len(mu)), np.atleast_2d(np.asarray(v, dtype=float))])
         total = np.zeros(len(rows))
-        for k, j, D in self._shifted_blocks(np.asarray(mu, dtype=float)):
-            # one matrix-vector product per row keeps each row's bits its own
-            py = np.stack([row @ D.reshape(len(row), -1) for row in rows])
-            with np.errstate(divide="ignore"):
-                log_ratio = log_pz[j] - np.log(py).reshape(len(rows), *D.shape[1:])
-            integrals = np.minimum(log_ratio, cap[:, k, None]) @ wpz[j]  # (row, atom)
-            total += (rows[:, k] * integrals).sum(axis=1)
-        return total if np.ndim(v) == 2 else float(total[0])
+        for w, plogp in self._plogp(mu - mu[0], rows):
+            total += [r @ w for r in plogp]
+        return total[0] - total[1:] if np.ndim(v) == 2 else float(total[0] - total[1])
 
-    @functools.lru_cache(maxsize=8)
-    def _entropy_grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only (z, log p_Z(z), mass of z) on the nodes of positive mass of
-        `to_grid` at `_entropy_cells` cells across the support.  log p_Z is the
-        law's own, as in `_shifted_blocks`, so one atom gives 0 up to rounding."""
-        lo, hi = self.support()
-        z, wpz = self.to_grid((hi - lo) / self._entropy_cells).masses()
-        pos = wpz > 0
-        grid = z[pos], np.log(self.density(z[pos])), wpz[pos]
-        for a in grid:
-            a.setflags(write=False)
-        return grid
+    def _plogp(self, mu: np.ndarray, rows: np.ndarray):
+        """Yield (w, p log p) on the blocks of `_copies`, p = row @ D one row at a
+        time, and 0 log 0 = 0, so a zero or underflowing p gives no warning."""
+        for w, D in self._copies(mu):
+            p = np.empty((len(rows), D.shape[1]))
+            for r, out in zip(rows, p):
+                np.matmul(r, D, out=out)
+            yield w, p * np.log(np.where(p > 0.0, p, 1.0))
 
-    def _shifted_blocks(self, mu: np.ndarray):
-        """Yield (k, j, D) with D[l, a, b] = p_Z(mu[k][a] + z[j][b] - mu[l]) over
-        slices k of the atoms and j of the `_entropy_grid` nodes: whole grids
-        for as many atoms as _SHIFT_BLOCK elements hold, else node blocks of one
-        atom, so no D has more than max(_SHIFT_BLOCK, len(mu)) elements."""
-        z, _, _ = self._entropy_grid()
-        nodes = min(len(z), max(1, _SHIFT_BLOCK // len(mu)))
-        atoms = max(1, _SHIFT_BLOCK // (len(mu) * nodes))
-        for a in range(0, len(mu), atoms):
-            for b in range(0, len(z), nodes):
-                k, j = slice(a, a + atoms), slice(b, b + nodes)
-                yield k, j, self.density((mu[k, None] + z[j]) - mu[:, None, None])
+    def _copies(self, mu: np.ndarray):
+        """Yield (w, D), D[k, j] = p_Z(y_j - mu_k), in blocks of at most
+        max(_SHIFT_BLOCK, len(mu)) elements, over the nodes y_j and weights w of
+        _GL_NODES-point Gauss-Legendre rules on the pieces between the sorted atoms,
+        their midpoints and each atom plus either end of `support()`.  Each copy is
+        smooth on a piece, and log p_Y's complex singularities, about pi/gap off
+        the axis near a gap's midpoint, sit near piece ends, not over a piece."""
+        (lo, hi), s = self.support(), np.sort(mu)
+        cuts = np.sort(np.concatenate([s, 0.5 * (s[1:] + s[:-1]), s + lo, s + hi]))
+        x, w = gauss_legendre(_GL_NODES)
+        half = 0.5 * (cuts[1:, None] - cuts[:-1, None])
+        y, w = ((cuts[:-1, None] + half) + half * x).ravel(), (half * w).ravel()
+        size = max(1, _SHIFT_BLOCK // len(mu))
+        for j in range(0, len(y), size):
+            yield w[j:j + size], self.density(y[j:j + size] - mu[:, None])
 
 
 class _LinearNoise(NoiseModel):
@@ -213,29 +201,23 @@ class _LinearNoise(NoiseModel):
             d = 0.5 * (u3 - u1)
             yield h, np.stack([r @ (u1 - d) for r in rows]), np.stack([r @ (u3 + d) for r in rows])
 
-    def excess_entropy(self, mu: np.ndarray, v: np.ndarray):
-        """The base rule, exactly: -int p log p over `_pieces`, less h(Z) as the
-        first atom's copy alone on them, so one atom gives 0.  On a piece from lo
-        to hi, p log p has mean (G(hi) - G(lo))/(hi - lo), G(u) = u^2 log(u)/2 - u^2/4,
-        = m (log(hi) - 1/2) + lo log1p(t)/(2t), t = (hi - lo)/lo, m the mean, in
+    def _plogp(self, mu: np.ndarray, rows: np.ndarray):
+        """Exactly: yield (h, mean of p log p) over `_pieces`.  On a piece from lo to
+        hi the mean is (G(hi) - G(lo))/(hi - lo), G(u) = u^2 log(u)/2 - u^2/4, or
+        m (log(hi) - 1/2) + lo log1p(t)/(2t), t = (hi - lo)/lo, m the mean of p, in
         which no two terms cancel, even as hi -> lo and log1p(t)/t -> 1."""
-        mu = np.asarray(mu, dtype=float)
-        rows = np.vstack([np.eye(1, len(mu)), np.atleast_2d(np.asarray(v, dtype=float))])
-        total = np.zeros(len(rows))
-        for h, p0, p1 in self._pieces(mu - mu[0], rows):
+        for h, p0, p1 in self._pieces(mu, rows):
             lo, hi = np.maximum(np.minimum(p0, p1), 0.0), np.maximum(np.maximum(p0, p1), 0.0)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 t = (hi - lo) / lo  # inf where lo = 0 or lo < 1e-308 hi: its term is then 0
                 tail = np.where(t < np.inf, 0.5 * lo * np.where(t > 0.0, np.log1p(t) / t, 1.0), 0.0)
                 mean = np.where(hi > 0.0, 0.5 * (lo + hi) * (np.log(hi) - 0.5) + tail, 0.0)
-            total += [r @ h for r in mean]
-        return total[0] - total[1:] if np.ndim(v) == 2 else float(total[0] - total[1])
+            yield h, mean
 
 
 @dataclass(frozen=True)
 class GaussianNoise(NoiseModel):
     sigma: float
-    _entropy_cells = 180  # step 0.1 sigma over +-9 sigma
 
     def __post_init__(self):
         if not 0 < self.sigma < math.inf:
@@ -318,7 +300,6 @@ class UniformNoise(_LinearNoise):
 @dataclass(frozen=True)
 class LaplaceNoise(NoiseModel):
     b: float
-    _entropy_cells = 38_000  # step 0.002 b over +-38 b
 
     def __post_init__(self):
         if not 0 < self.b < math.inf:
@@ -540,19 +521,13 @@ def mmse_numeric(input: DiscretePMF, gamma: float) -> float:
     """E (X - E[X|Y_gamma])^2 for standard Gaussian noise, unit-variance X."""
     if not 0 <= gamma < math.inf:
         raise DomainError("gamma must be nonnegative and finite")
-    var = input.var()
     if gamma == 0.0:
-        return var
-    atoms, weights = input.atoms, input.weights
-    keep = weights > 0
-    atoms, weights = atoms[keep], weights[keep]
-    noise = NoiseModel.gaussian()
-    _, _, wpz = noise._entropy_grid()
-    second = 0.0  # E (E[X|Y])^2
-    for k, j, D in noise._shifted_blocks(math.sqrt(gamma) * atoms):
-        D2 = D.reshape(len(atoms), -1)
-        num, den = (weights * atoms) @ D2, weights @ D2
-        # E[X | Y = mu_k + z]; where p_Y underflows, so does the pair's mass
-        cond_mean = np.divide(num, den, out=np.zeros_like(num), where=den > 0)
-        second += float(weights[k] @ (cond_mean.reshape(D.shape[1:]) ** 2 @ wpz[j]))
+        return input.var()
+    keep = input.weights > 0
+    atoms, weights = input.atoms[keep], input.weights[keep]
+    second = 0.0  # E (E[X|Y])^2 = int num^2 / p_Y, num = sum_k w_k x_k p_Z(y - mu_k)
+    for w, D in NoiseModel.gaussian()._copies(math.sqrt(gamma) * atoms):
+        num, den = (weights * atoms) @ D, weights @ D
+        # where p_Y underflows, so does num^2 / p_Y
+        second += float(w @ np.divide(num * num, den, out=np.zeros_like(num), where=den > 0))
     return max(float(weights @ atoms ** 2) - second, 0.0)

@@ -533,6 +533,30 @@ def gauss_hermite(m: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+@functools.lru_cache(maxsize=8)
+def gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-node Gauss-Legendre rule on [-1, 1], read-only (nodes, weights), exact
+    to degree 2m - 1, built on first use without numpy.polynomial: the Jacobi
+    matrix's eigenvalues (Golub and Welsch, Math. Comp. 23, 1969) after two Newton
+    steps on P_m, and weights 2/((1 - x^2) P_m'(x)^2) by the three-term recurrence
+    (within 1e-14 relative for m = 32; the eigenvectors' are 8e-14 off), each
+    averaged with its mirror image."""
+    k = np.arange(1.0, m)
+    x = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    for _ in range(2):
+        p, q = x, np.ones_like(x)  # P_n(x), P_{n-1}(x) from n = 1
+        for n in range(1, m):
+            p, q = ((2 * n + 1) * x * p - n * q) / (n + 1), p
+        s = (1.0 - x) * (1.0 + x)
+        dp = m * (q - x * p) / s  # P_m'(x)
+        x = x - p / dp
+    half = 1.0 / (s * dp * dp)
+    nodes, weights = 0.5 * (x - x[::-1]), half + half[::-1]
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 # ---------------------------------------------------------------------------
 # distances and divergences
 # ---------------------------------------------------------------------------

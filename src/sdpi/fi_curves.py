@@ -20,8 +20,8 @@ from .errors import DomainError
 
 
 def fi_erasure(t: float, alpha: float, alphabet_size: int) -> float:
-    if not t >= 0:
-        raise DomainError("t must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise DomainError("t must be finite" if t == math.inf else "t must be nonnegative")
     if not 0.0 <= alpha <= 1.0:
         raise DomainError("alpha must lie in [0, 1]")
     if not (isinstance(alphabet_size, numbers.Integral) and alphabet_size >= 2):
@@ -41,8 +41,8 @@ def mrs_gerber(x: float, delta: float) -> float:
 
 def fi_bsc(t: float, delta: float) -> float:
     """Exact F_I curve of the binary symmetric channel."""
-    if not t >= 0:
-        raise DomainError("t must be nonnegative")
+    if not 0 <= t < math.inf:
+        raise DomainError("t must be finite" if t == math.inf else "t must be nonnegative")
     if not 0.0 <= delta <= 0.5:
         raise DomainError("delta must lie in [0, 1/2]")
     if t == 0.0:

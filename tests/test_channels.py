@@ -306,7 +306,8 @@ class TestMiAdditive:
 
     @pytest.mark.parametrize("b", [0.003, 0.01, 1.0, 30.0])
     def test_laplace_grid_scales_with_b(self, b):
-        # the entropy grid's step is 0.002 b, so the error does not grow as b shrinks
+        # the pieces scale with b (atoms, midpoints, atoms +- 38 b), so the error
+        # does not grow as b shrinks or grows
         mu, v = np.array([0.0, 0.7 * b]), np.array([0.4, 0.6])
         noise = NoiseModel.laplace(b)
 
@@ -319,7 +320,7 @@ class TestMiAdditive:
             pts = sorted({-38.0 * b, 38.0 * b, 0.0, *(m - mu[k] for m in mu)})
             ref += v[k] * sum(quad(integrand, lo, hi, args=(k,), epsabs=0.0, epsrel=1e-12)[0]
                               for lo, hi in zip(pts, pts[1:]))
-        assert noise.excess_entropy(mu, v) == pytest.approx(ref, rel=1e-5, abs=0.0)
+        assert noise.excess_entropy(mu, v) == pytest.approx(ref, rel=1e-11, abs=0.0)
 
     def test_grid_noise_is_scale_invariant(self):
         # the law scaled by s with the input scaled by s gives the same I(X;Y)
@@ -372,8 +373,9 @@ class TestMmse:
         x = standardized(DiscretePMF(np.linspace(-3.0, 3.0, 40),
                                      np.random.default_rng(2).dirichlet(np.ones(40))))
         whole = mmse_numeric(x, 2.0), mi_additive(x, NoiseModel.gaussian(), 2.0)
-        # one atom per block, with its whole grid or 25 nodes at a time
-        for nodes in (len(NoiseModel.gaussian()._entropy_grid()[0]), 25):
+        # one piece's Gauss-Legendre nodes per block, or 25 or 1 at a time, so
+        # that blocks straddle the pieces
+        for nodes in (channels._GL_NODES, 25, 1):
             monkeypatch.setattr(channels, "_SHIFT_BLOCK", 40 * nodes)
             per_atom = mmse_numeric(x, 2.0), mi_additive(x, NoiseModel.gaussian(), 2.0)
             assert per_atom == pytest.approx(whole, rel=1e-14, abs=0.0)

@@ -88,6 +88,14 @@ class TestBoundsCommand:
         assert "eta_tv" in lines[0]
         assert float(lines[2].split(",")[1]) > 0.0
 
+    def test_general_diag_non_contracting(self, capsys):
+        # no contracting amplitude: every bound is 0, and that is not an error
+        code, out, _ = run(["bounds", "general-diag", "--noise", "uniform:0,1e-7"], capsys)
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[1] == "t,gd"
+        assert len(lines) > 2 and all(ln.endswith(",0.0") for ln in lines[2:])
+
 
 class TestContractionCommand:
     def test_theta(self, capsys):
@@ -524,8 +532,8 @@ class TestColdStart:
 
     def test_sampler_loads_neither_scipy_nor_numpy_polynomial(self):
         # the diag suite runs the sampler with gd_lower, whose Q function is
-        # core_prob's own erfc; the sampler's output entropy is a trapezoid
-        # rule, not a Gauss-Hermite one
+        # core_prob's own erfc; the sampler's output entropy is Gauss-Legendre
+        # on a rule that core_prob builds with numpy.linalg
         done = _fresh_python("import sys, sdpi.verify\n"
                              "assert sdpi.verify.run_suite('horiz', 0)['violations'] == 0\n"
                              "assert sdpi.verify.run_suite('diag', 0)['violations'] == 0\n"

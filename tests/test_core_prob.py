@@ -11,7 +11,7 @@ from sdpi import core_prob
 from sdpi.channels import DMCKernel, NoiseModel
 from sdpi.core_prob import (
     LOG2, DiscretePMF, GridDensity, binary_entropy, binary_entropy_inv, bisect,
-    char_fn, convolve, csv_rows, csv_text, gauss_hermite,
+    char_fn, convolve, csv_rows, csv_text, gauss_hermite, gauss_legendre,
     ks_distance, levy_concentration, mi_joint, q_function, simplex_lattice,
     tv_after_noise, tv_distance, v_window, xlogx,
 )
@@ -243,6 +243,26 @@ class TestDistances:
         P = DiscretePMF.point_mass(0.0)
         Q = DiscretePMF.point_mass(1.0)
         assert tv_distance(P, Q) == 1.0
+
+    def test_tv_grid_densities(self):
+        # 1/2 against x/2 on [0, 2]: |P - Q| = |1 - x|/2 is linear on each cell, as
+        # its zero x = 1 is a node, so the trapezoid rule gives (1/2) int |P - Q| = 1/4
+        x = np.linspace(0.0, 2.0, 5)
+        P, Q = GridDensity(0.0, 2.0, 0.5, np.full(5, 0.5)), GridDensity(0.0, 2.0, 0.5, x / 2.0)
+        assert tv_distance(P, Q) == pytest.approx(0.25, abs=1e-15)
+        assert tv_distance(Q, P) == tv_distance(P, Q)
+
+    @pytest.mark.parametrize("Q", [
+        GridDensity(0.0, 2.0, 0.25, np.full(9, 0.5)),   # another step
+        GridDensity(0.5, 2.5, 0.5, np.full(5, 0.5)),    # another origin
+        DiscretePMF(np.array([0.0, 1.0]), np.array([0.5, 0.5])),  # another kind
+    ])
+    def test_tv_rejects_misaligned_or_mixed(self, Q):
+        P = GridDensity(0.0, 2.0, 0.5, np.full(5, 0.5))
+        with pytest.raises(ShapeError):
+            tv_distance(P, Q)
+        with pytest.raises(ShapeError):
+            tv_distance(Q, P)
 
     def test_ks_vs_tv(self):
         P = DiscretePMF(np.array([-1.0, 0.0, 2.0]), np.array([0.3, 0.3, 0.4]))
@@ -515,7 +535,7 @@ def mixture_entropy(mu, v):
 class TestGaussianMixtureEntropy:
     @staticmethod
     def quad_entropy(mu, v):
-        """-int p log p by adaptive quadrature, independent of the trapezoid rule."""
+        """-int p log p by adaptive quadrature, independent of the package's rule."""
         from scipy.integrate import quad
 
         def integrand(y):
@@ -578,6 +598,28 @@ class TestGaussHermite:
     def test_cached_and_read_only(self):
         nodes, weights = gauss_hermite(5)
         assert gauss_hermite(5)[0] is nodes
+        assert not nodes.flags.writeable and not weights.flags.writeable
+
+
+class TestGaussLegendre:
+    def test_matches_numpy(self):
+        # numpy's weights are themselves up to 6e-14 relative off 40-digit values
+        # (see test_reference), so they are matched to that, the nodes to 2 ulp
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(32)
+        nodes, weights = gauss_legendre(32)
+        assert np.max(np.abs(nodes - ref_nodes)) <= 2.0 * np.spacing(1.0)
+        np.testing.assert_allclose(weights, ref_weights, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 32])
+    def test_exact_to_degree_2m_minus_1(self, m):
+        nodes, weights = gauss_legendre(m)
+        for d in range(2 * m):
+            assert weights @ nodes ** d == pytest.approx(2.0 / (d + 1) if d % 2 == 0 else 0.0,
+                                                         rel=1e-14, abs=1e-15)
+
+    def test_cached_and_read_only(self):
+        nodes, weights = gauss_legendre(32)
+        assert gauss_legendre(32)[0] is nodes
         assert not nodes.flags.writeable and not weights.flags.writeable
 
 

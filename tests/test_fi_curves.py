@@ -29,6 +29,9 @@ class TestFiErasure:
     def test_domain(self):
         with pytest.raises(DomainError):
             fi_erasure(-0.1, 0.3, 2)
+        # t = inf used to give (1 - alpha) log |X|
+        with pytest.raises(DomainError, match="t must be finite"):
+            fi_erasure(math.inf, 0.3, 2)
         with pytest.raises(DomainError):
             fi_erasure(0.5, 1.3, 2)
         # a size of 2.5 used to give (1 - alpha) min(t, log 2.5)
@@ -80,6 +83,12 @@ class TestFiBsc:
 
     def test_flat_beyond_log2(self):
         assert fi_bsc(2.0, 0.1) == pytest.approx(fi_bsc(LOG2, 0.1), abs=1e-12)
+
+    @pytest.mark.parametrize("t", [-0.1, math.nan, math.inf])
+    def test_rejects_negative_nan_and_infinite_t(self, t):
+        # t = inf used to give the flat value beyond log 2, 0.368 at delta = 0.1
+        with pytest.raises(DomainError):
+            fi_bsc(t, 0.1)
 
     def test_noisier_channel_smaller(self):
         for t in (0.1, 0.3, 0.6):

@@ -30,6 +30,14 @@ class TestGeneralDiagBound:
         assert per_t[0] > 10
         assert per_t[1:] == [1, 1]
 
+    def test_non_contracting_noise_gives_zero(self):
+        # support 1e-7 wide: eta_tv(A) = 1 for every A of alpha*'s search range, so
+        # there is no amplitude with eta_tv <= 1/3 and the bound is the trivial 0
+        rep = general_diag_report(0.5, NoiseModel.uniform(0.0, 1e-7), 2.0, 1.0)
+        assert rep.points == ((0.5, 0.0),)
+        assert rep.meta == {}
+        assert "non-contracting: no amplitude with eta_tv <= 1/3" in rep.notes
+
     def test_gaussian_positive(self):
         # tiny but strictly positive: the complement path avoids underflow
         val = general_diag_bound(0.5, NoiseModel.gaussian(), 2.0, 1.0)

@@ -11,7 +11,7 @@ import pytest
 from scipy.integrate import quad
 
 from sdpi.channels import NoiseModel, mmse_numeric
-from sdpi.core_prob import DiscretePMF, GridDensity, q_function
+from sdpi.core_prob import DiscretePMF, GridDensity, gauss_legendre, q_function
 
 mpmath.mp.dps = 40
 
@@ -26,6 +26,54 @@ def test_gaussian_excess_entropy_two_atoms(d):
     ref = float(mpmath.log(2) - tail)
     got = NoiseModel.gaussian().excess_entropy(np.array([0.0, float(d)]), np.array([0.5, 0.5]))
     assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def laplace_excess_entropy(mu, v, b):
+    """h(Y) - h(Z) for Laplace(b) noise at 40 digits.  Between consecutive atoms
+    lo < hi, p_Y = (L e^{-(y - lo)/b} + R e^{-(hi - y)/b})/(2b), L and R the
+    weights of the atoms at or below lo and at or above hi discounted to it; its
+    -int p log p is by quad there, and in closed form, -(C/2)(log(C/(2b)) - 1),
+    on each tail p_Y = C e^{-|y - end|/b}/(2b) beyond the extreme atoms."""
+    b = mpmath.mpf(b)
+    mu, v = zip(*sorted(zip(map(mpmath.mpf, mu), map(mpmath.mpf, v))))
+
+    def mass(at, side):
+        return sum(w * mpmath.exp(-abs(at - m) / b) for w, m in zip(v, mu) if side(m))
+
+    h = 0
+    for lo, hi in zip(mu, mu[1:]):
+        L, R = mass(lo, lambda m: m <= lo), mass(hi, lambda m: m >= hi)
+
+        def plogp(y):
+            p = (L * mpmath.exp(-(y - lo) / b) + R * mpmath.exp(-(hi - y) / b)) / (2 * b)
+            return p * mpmath.log(p)
+
+        h -= mpmath.quad(plogp, [lo, (lo + hi) / 2, hi])
+    for end in (mu[0], mu[-1]):
+        C = mass(end, lambda m: True)
+        h -= C / 2 * (mpmath.log(C / (2 * b)) - 1)
+    return float(h - 1 - mpmath.log(2 * b))
+
+
+def test_laplace_excess_entropy():
+    # 2 to 6 atoms spread over up to 40 b, b from 1e-2 to 10; p_Y has a kink at
+    # every atom
+    rng = np.random.default_rng(0)
+    for _ in range(12):
+        k, b = int(rng.integers(2, 7)), float(10.0 ** rng.uniform(-2.0, 1.0))
+        mu, v = b * rng.uniform(0.0, 40.0, k), rng.dirichlet(np.ones(k))
+        got = NoiseModel.laplace(b).excess_entropy(mu, v)
+        assert got == pytest.approx(laplace_excess_entropy(mu, v, b), rel=1e-13, abs=0.0)
+
+
+def test_gauss_legendre_weights():
+    # 2/((1 - x^2) P_32'(x)^2) at 40-digit roots of P_32, from the float nodes
+    nodes, weights = gauss_legendre(32)
+    for x, w in zip(nodes, weights):
+        r = mpmath.findroot(lambda t: mpmath.legendre(32, t), mpmath.mpf(float(x)))
+        assert abs(x - r) <= 2 * np.spacing(1.0)
+        ref = 2 / ((1 - r * r) * mpmath.diff(lambda t: mpmath.legendre(32, t), r) ** 2)
+        assert w == pytest.approx(float(ref), rel=1e-14, abs=0.0)
 
 
 def entropy_by_pieces(noise, x, mu, w):
