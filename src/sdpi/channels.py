@@ -16,12 +16,11 @@ import heapq
 import math
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .core_prob import (DiscretePMF, GridDensity, char_fn, erf, gauss_legendre, mi_joint,
-                        q_function)
+from .core_prob import (DiscretePMF, GridDensity, ThresholdReport, char_fn, erf,
+                        gauss_legendre, mi_joint, q_function)
 from .errors import DomainError, ProfileFailureError, ShapeError
 
 
@@ -78,9 +77,9 @@ class NoiseModel:
     """Additive noise law: one frozen subclass per family, built by the factories.
 
     Besides the methods below, a family has `m1` (sup of the density),
-    `variance`, `support` (tails cut at density 1e-16), `sample(n, rng)` and
-    `cf_decay()`, the CF decay profile (label, g, h, g1) with g1 on (0, 1]; a
-    family whose |phi| is nonincreasing on [0, inf) takes g = `abs_cf`.
+    `support` (tails cut at density 1e-16), `sample(n, rng)` and `cf_decay()`,
+    the CF decay profile (label, g, h, g1) with g1 on (0, 1]; a family whose
+    |phi| is nonincreasing on [0, inf) takes g = `abs_cf`.
     The base `eta_tv` holds for any law; a family overrides it where it has a
     closed form or needs another method.  `excess_entropy` is one piece rule:
     `_LinearNoise` (grid, uniform) overrides only its `_plogp`.
@@ -230,9 +229,6 @@ class GaussianNoise(NoiseModel):
     def m1(self) -> float:
         return 1.0 / (self.sigma * math.sqrt(2 * math.pi))
 
-    def variance(self) -> float:
-        return self.sigma ** 2
-
     def _abs_cf(self, omega):
         return np.exp(-0.5 * (self.sigma * omega) ** 2)
 
@@ -263,9 +259,6 @@ class UniformNoise(_LinearNoise):
     def __post_init__(self):
         if not -math.inf < self.a < self.b < math.inf:
             raise DomainError("need finite a < b")
-
-    def variance(self) -> float:
-        return (self.b - self.a) ** 2 / 12.0
 
     def _abs_cf(self, omega):
         u = 0.5 * (self.b - self.a) * omega
@@ -312,9 +305,6 @@ class LaplaceNoise(NoiseModel):
     def m1(self) -> float:
         return 1.0 / (2.0 * self.b)
 
-    def variance(self) -> float:
-        return 2.0 * self.b ** 2
-
     def _abs_cf(self, omega):
         return 1.0 / (1.0 + (self.b * omega) ** 2)
 
@@ -343,9 +333,6 @@ class GridNoise(_LinearNoise):
     def __post_init__(self):
         if not isinstance(self.grid_density, GridDensity):
             raise DomainError("grid noise requires a GridDensity")
-
-    def variance(self) -> float:
-        return self.grid_density.var()
 
     def _abs_cf(self, omega):
         return np.abs(char_fn(self.grid_density, omega))
@@ -438,16 +425,9 @@ _CAPACITY_GAP = 1e-12
 _CAPACITY_STEPS = 100
 
 
-class CapacityBracket(NamedTuple):
-    """lower <= C <= upper, found in `steps` Newton steps."""
-
-    lower: float
-    upper: float
-    steps: int
-
-
-def dmc_capacity(K: DMCKernel) -> CapacityBracket:
-    """Certified capacity bracket [I(p), max_x D(K_x || pK)].
+def dmc_capacity(K: DMCKernel) -> ThresholdReport:
+    """Certified capacity bracket [I(p), max_x D(K_x || pK)], as the record
+    (lower end, Newton steps, bracket).
 
     Every input pmf p gives I(p) <= C <= max_x D(K_x || pK) (Arimoto 1972;
     Blahut 1972), so the bracket is sound whatever method found p.  p follows
@@ -483,7 +463,8 @@ def dmc_capacity(K: DMCKernel) -> CapacityBracket:
         p = p + s * dp
         p /= p.sum()
     # crossed ends are rounding: drop the lower end, as the curve is capped at it
-    return CapacityBracket(min(lower, upper), upper, steps)
+    lower = min(lower, upper)
+    return ThresholdReport(lower, steps, (lower, upper))
 
 
 # ---------------------------------------------------------------------------

@@ -70,10 +70,10 @@ def _parse_channel(spec: str):
         size = _spec_number(spec, size, int) if size else 2
         DMCKernel.erasure(alpha, size)
         return lambda ts: [fi_erasure(t, alpha, size) for t in ts]
-    if kind == "identity":
+    if kind == "identity":  # the erasure channel at alpha = 0
         size = _spec_number(spec, arg, int)
         DMCKernel.identity(size)
-        return lambda ts: [min(t, math.log(size)) for t in ts]
+        return lambda ts: [fi_erasure(t, 0.0, size) for t in ts]
     if kind == "csv":
         K = DMCKernel(csv_rows(Path(arg).read_text(), None, None))
         return lambda ts: fi_dmc_envelope(K, ts).values

@@ -83,10 +83,6 @@ class DiscretePMF(_Moments):
         np.add.at(weights, idx, w)
         return DiscretePMF(atoms, weights)
 
-    @staticmethod
-    def point_mass(a: float) -> "DiscretePMF":
-        return DiscretePMF(np.array([a]), np.array([1.0]))
-
     def cdf(self, x) -> np.ndarray:
         """Right-continuous CDF evaluated at x (scalar or array)."""
         x = np.asarray(x, dtype=float)
@@ -103,9 +99,6 @@ class DiscretePMF(_Moments):
         """The atoms and their left limits, where the CDF takes all its values."""
         return np.concatenate([self.atoms,
                                self.atoms - 1e-12 * np.maximum(1.0, np.abs(self.atoms))])
-
-    def to_csv(self) -> str:
-        return csv_text("atom,weight", self.atoms, self.weights)
 
     @staticmethod
     def from_csv(text: str) -> "DiscretePMF":
@@ -191,9 +184,6 @@ class GridDensity(_Moments):
         # make strictly increasing for interp
         c = np.maximum.accumulate(c + 1e-15 * np.arange(len(c)))
         return np.interp(u, c, self.grid)
-
-    def to_csv(self) -> str:
-        return csv_text("x,value", self.grid, self.values)
 
     @staticmethod
     def from_csv(text: str) -> "GridDensity":
@@ -282,7 +272,7 @@ class Ccurve:
 # ---------------------------------------------------------------------------
 
 class ThresholdReport(NamedTuple):
-    """A solved threshold plus the evidence: iterations and final bracket."""
+    """A solver's value plus the evidence: iterations and final bracket."""
 
     value: float
     iterations: int

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 
 import numpy as np
 
-from .channels import DMCKernel, dmc_capacity
+from .channels import DMCKernel, _alphabet_size, dmc_capacity
 from .core_prob import (LOG2, Ccurve, binary_entropy, binary_entropy_inv, mi_joint,
                         simplex_lattice, xlogx)
 from .errors import DomainError
@@ -24,9 +23,7 @@ def fi_erasure(t: float, alpha: float, alphabet_size: int) -> float:
         raise DomainError("t must be finite" if t == math.inf else "t must be nonnegative")
     if not 0.0 <= alpha <= 1.0:
         raise DomainError("alpha must lie in [0, 1]")
-    if not (isinstance(alphabet_size, numbers.Integral) and alphabet_size >= 2):
-        raise DomainError("alphabet_size must be an integer >= 2")
-    return (1.0 - alpha) * min(t, math.log(alphabet_size))
+    return (1.0 - alpha) * min(t, math.log(_alphabet_size(alphabet_size)))
 
 
 def mrs_gerber(x: float, delta: float) -> float:
@@ -233,8 +230,9 @@ def fi_dmc_envelope(K: DMCKernel, t_grid, solver_params: dict | None = None) -> 
     cap = dmc_capacity(K)
     hx, hy = np.array(_upper_concave_hull(pairs)).T
     vals = np.interp(t_grid, hx, hy, left=0.0, right=hy[-1])
-    vals = np.maximum(np.minimum(vals, np.minimum(t_grid, cap.lower)), 0.0)
-    meta = {"capacity": cap.lower, "capacity_upper": cap.upper, "capacity_steps": cap.steps,
+    vals = np.maximum(np.minimum(vals, np.minimum(t_grid, cap.value)), 0.0)
+    meta = {"capacity": cap.value, "capacity_upper": cap.bracket[1],
+            "capacity_steps": cap.iterations,
             "lattice_resolution": resolution,
             "n_lambdas": len(solved), "no_improve_restarts": 0}
     return Ccurve(tuple(zip(t_grid.tolist(), vals.tolist())), meta)

@@ -20,7 +20,7 @@ from math import comb
 
 import numpy as np
 
-from .channels import DMCKernel, GaussianNoise, NoiseModel
+from .channels import DMCKernel, NoiseModel
 from .core_prob import DiscretePMF, bisect, mi_joint, simplex_lattice, xlogx
 from .errors import BudgetError, DomainError
 
@@ -316,8 +316,9 @@ def sdpi_pair_sampler(noise: NoiseModel, gamma: float, p: float,
                       n_couplings: int, seed: int = 0,
                       diag_bound=None, horiz_bound=None,
                       capacity: float | None = None) -> SweepResult:
-    """Random couplings (2 to 4 values of W, 2 to 6 atoms of X) with the
-    budget met with equality, for any noise family.
+    """Random couplings (2 to 4 values of W, 2 to 6 atoms of X) of the channel
+    Y = X + Z with the budget E|X|^p = gamma met with equality, for any noise
+    family: for p = 2 and Gaussian Z, the AWGN channel at snr gamma.
 
     Computes (I(W;X), I(W;Y)) per coupling and counts violations against the
     supplied diagonal bound curve (t -> g_d(t)) and, when `capacity` is set,
@@ -330,9 +331,6 @@ def sdpi_pair_sampler(noise: NoiseModel, gamma: float, p: float,
         raise DomainError("p must be >= 1 and finite")
     if not (isinstance(n_couplings, numbers.Integral) and n_couplings >= 0):
         raise DomainError("n_couplings must be a nonnegative integer")
-    # the paper's conventions: AWGN (E|X|^p = 1, the channel applies
-    # sqrt(gamma)) for Gaussian noise, Y = X + Z with E|X|^p = gamma otherwise
-    budget, gain = (1.0, math.sqrt(gamma)) if isinstance(noise, GaussianNoise) else (gamma, 1.0)
     rng = np.random.default_rng(seed)
     samples = np.empty((n_couplings, 2))
     violations = []
@@ -348,8 +346,7 @@ def sdpi_pair_sampler(noise: NoiseModel, gamma: float, p: float,
         moment = float(px @ np.abs(atoms) ** p)
         i_wx = mi_joint(pw[:, None] * rows)
         # I(W;Y) = h(Y) - sum_w p_w h(Y | W = w), with h(Z) taken off each term
-        e = noise.excess_entropy(gain * atoms * (budget / moment) ** (1.0 / p),
-                                 np.vstack([px, rows]))
+        e = noise.excess_entropy(atoms * (gamma / moment) ** (1.0 / p), np.vstack([px, rows]))
         i_wy = max(float(e[0] - pw @ e[1:]), 0.0)
         samples[i] = (i_wx, i_wy)
         if diag_bound is not None and i_wx > 0:

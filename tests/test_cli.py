@@ -14,7 +14,7 @@ import pytest
 import sdpi
 from sdpi import cli, verify
 from sdpi.cli import _parse_grid, main
-from sdpi.core_prob import GridDensity
+from sdpi.core_prob import GridDensity, csv_text
 from sdpi.errors import ProfileFailureError
 from sdpi.fi_curves import fi_bsc
 
@@ -23,6 +23,10 @@ def run(argv, capsys):
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def grid_csv(g: GridDensity) -> str:
+    return csv_text("x,value", g.grid, g.values)
 
 
 class TestFiCurveCommand:
@@ -121,7 +125,7 @@ class TestDeconvCommand:
         q = tmp_path / "q.csv"
         g = GridDensity.from_function(
             lambda x: np.exp(-0.5 * x * x), -8.0, 8.0, 0.01)
-        q.write_text(g.to_csv())
+        q.write_text(grid_csv(g))
         code, out, _ = run(["deconv", "--noise", "gaussian",
                             "--p", str(p), "--q", str(q)], capsys)
         assert code == 0
@@ -145,8 +149,8 @@ class TestDeconvCommand:
         # a Q on a 0.005 grid is read with the noise on the same grid
         golden = Path(__file__).parent / "golden"
         q = tmp_path / "q.csv"
-        q.write_text(GridDensity.from_function(
-            lambda x: np.exp(-0.5 * x * x), -6.0, 6.0, 0.005).to_csv())
+        q.write_text(grid_csv(GridDensity.from_function(
+            lambda x: np.exp(-0.5 * x * x), -6.0, 6.0, 0.005)))
         code, out, err = run(["deconv", "--p", str(golden / "P.csv"), "--q", str(q)], capsys)
         assert code == 0, err
         assert 0.0 < json.loads(out)["d_tv_conv"] < 1.0
@@ -154,8 +158,8 @@ class TestDeconvCommand:
     def test_grid_p_sets_noise_step(self, tmp_path, capsys):
         # a P on a 0.005 grid with a discrete Q is read with the noise on P's grid
         p = tmp_path / "p.csv"
-        p.write_text(GridDensity.from_function(
-            lambda x: np.exp(-0.5 * x * x), -6.0, 6.0, 0.005).to_csv())
+        p.write_text(grid_csv(GridDensity.from_function(
+            lambda x: np.exp(-0.5 * x * x), -6.0, 6.0, 0.005)))
         q = tmp_path / "q.csv"
         q.write_text("atom,weight\n-1.0,0.5\n1.0,0.5\n")
         code, out, err = run(["deconv", "--p", str(p), "--q", str(q)], capsys)
@@ -214,8 +218,8 @@ class TestDeconvCommand:
         # a triangle's CF has no positive floor; the step matches Q's 0.01
         golden = Path(__file__).parent / "golden"
         noise = tmp_path / "tri.csv"
-        noise.write_text(GridDensity.from_function(
-            lambda x: np.maximum(1.0 - np.abs(x), 0.0), -1.0, 1.0, 0.01).to_csv())
+        noise.write_text(grid_csv(GridDensity.from_function(
+            lambda x: np.maximum(1.0 - np.abs(x), 0.0), -1.0, 1.0, 0.01)))
         code, out, err = run(["deconv", "--noise", f"grid:{noise}", "--p", str(golden / "P.csv"),
                               "--q", str(golden / "Q.csv")], capsys)
         assert code == 0, err
@@ -251,7 +255,7 @@ class TestCheckCommand:
     def test_uniform_not_strict(self, tmp_path, capsys):
         f = tmp_path / "unif.csv"
         from sdpi.channels import NoiseModel
-        f.write_text(NoiseModel.uniform(0.0, 1.0).to_grid(step=0.005).to_csv())
+        f.write_text(grid_csv(NoiseModel.uniform(0.0, 1.0).to_grid(step=0.005)))
         code, out, _ = run(["check", "strict", "--density", str(f),
                             "--shift-grid=-2:2:0.05"], capsys)
         assert code == 0
@@ -262,7 +266,7 @@ class TestCheckCommand:
     def test_gaussian_strict(self, tmp_path, capsys):
         f = tmp_path / "gauss.csv"
         from sdpi.channels import NoiseModel
-        f.write_text(NoiseModel.gaussian().to_grid(step=0.01).to_csv())
+        f.write_text(grid_csv(NoiseModel.gaussian().to_grid(step=0.01)))
         code, out, _ = run(["check", "strict", "--density", str(f),
                             "--shift-grid=-5:5:0.25"], capsys)
         rep = json.loads(out)
@@ -385,9 +389,9 @@ class TestConfigAndErrors:
         assert out == ""
         assert json.loads(err)["error"] == "ShapeError"
 
-    @pytest.mark.parametrize("channel", ["csv", "bsc:0.1"])
+    @pytest.mark.parametrize("channel", ["csv", "bsc:0.1", "identity:3", "erasure:0.3"])
     def test_negative_t_grid_is_domain_error(self, channel, tmp_path, capsys):
-        # the envelope solver rejects t < 0 as the closed forms do
+        # the envelope solver and every closed form reject t < 0
         f = tmp_path / "K.csv"
         f.write_text("0.9,0.1\n0.2,0.8\n")
         spec = f"csv:{f}" if channel == "csv" else channel
@@ -514,10 +518,12 @@ class TestColdStart:
     so each check runs in a fresh interpreter."""
 
     def test_import_loads_neither_scipy_nor_numpy_ma(self):
-        # nor numpy.polynomial: the Gauss-Hermite rule is built on first use
-        done = _fresh_python("import sys, sdpi.cli\n"
-                             "print([m for m in ('scipy', 'numpy.ma', 'numpy.polynomial')\n"
-                             "       if m in sys.modules])")
+        # nor numpy.polynomial, as the Gauss-Hermite rule is built on first use, nor
+        # numpy.fft, loaded by char_fn's chirp-z path on a grid density; sdpi.verify
+        # imports sdpi.cli and the sampler and brute-force oracle
+        done = _fresh_python("import sys, sdpi.cli, sdpi.verify\n"
+                             "print([m for m in ('scipy', 'numpy.ma', 'numpy.polynomial',\n"
+                             "                   'numpy.fft') if m in sys.modules])")
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
 
@@ -531,14 +537,14 @@ class TestColdStart:
         assert done.stdout == "[]\n[]\n"
 
     def test_sampler_loads_neither_scipy_nor_numpy_polynomial(self):
-        # the diag suite runs the sampler with gd_lower, whose Q function is
-        # core_prob's own erfc; the sampler's output entropy is Gauss-Legendre
-        # on a rule that core_prob builds with numpy.linalg
+        # nor numpy.ma or numpy.fft: the diag suite runs the sampler with gd_lower,
+        # whose Q function is core_prob's own erfc; the sampler's output entropy
+        # is Gauss-Legendre on a rule that core_prob builds with numpy.linalg
         done = _fresh_python("import sys, sdpi.verify\n"
                              "assert sdpi.verify.run_suite('horiz', 0)['violations'] == 0\n"
                              "assert sdpi.verify.run_suite('diag', 0)['violations'] == 0\n"
-                             "print([m for m in ('scipy', 'numpy.ma', 'numpy.polynomial')\n"
-                             "       if m in sys.modules])")
+                             "print([m for m in ('scipy', 'numpy.ma', 'numpy.polynomial',\n"
+                             "                   'numpy.fft') if m in sys.modules])")
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
 
@@ -560,13 +566,16 @@ class TestColdStart:
         pytest.param(["verify", "--suite", "bsc", "--seed", "11"], id="verify-bsc"),
     ])
     def test_readme_command_runs_without_scipy(self, argv):
+        # nor numpy.polynomial, which only the Gauss-Hermite rule loads, on first
+        # use; the bsc suite's brute-force polish is numpy Newton steps
         done = _fresh_python("import runpy, sys\n"
                              f"sys.argv = ['sdpi', *{argv!r}]\n"
                              "try:\n"
                              "    runpy.run_module('sdpi.cli', run_name='__main__')\n"
                              "except SystemExit as e:\n"
-                             "    print(e.code, 'scipy' in sys.modules, file=sys.stderr)\n")
-        assert done.stderr.splitlines()[-1] == "0 False", done.stderr
+                             "    print(e.code, [m for m in ('scipy', 'numpy.polynomial')\n"
+                             "                   if m in sys.modules], file=sys.stderr)\n")
+        assert done.stderr.splitlines()[-1] == "0 []", done.stderr
         assert done.stdout
 
 

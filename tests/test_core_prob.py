@@ -137,14 +137,12 @@ class TestDiscretePMF:
 
     def test_csv_roundtrip(self):
         P = DiscretePMF(np.array([-0.5, 0.25, 2.0]), np.array([0.2, 0.3, 0.5]))
-        text = P.to_csv()
-        assert text.splitlines()[0] == "atom,weight"
-        Q = DiscretePMF.from_csv(text)
+        Q = DiscretePMF.from_csv(csv_text("atom,weight", P.atoms, P.weights))
         assert np.array_equal(P.atoms, Q.atoms)
         assert np.array_equal(P.weights, Q.weights)
 
     def test_point_mass(self):
-        P = DiscretePMF.point_mass(0.3)
+        P = DiscretePMF(np.array([0.3]), np.array([1.0]))
         assert P.var() == 0.0
         assert P.cdf(0.3) == 1.0
         assert P.cdf(0.29) == 0.0
@@ -170,7 +168,7 @@ class TestGridDensity:
 
     def test_csv_roundtrip(self):
         g = std_normal_grid(-2, 2, 0.1)
-        h = GridDensity.from_csv(g.to_csv())
+        h = GridDensity.from_csv(csv_text("x,value", g.grid, g.values))
         assert np.allclose(g.values, h.values)
         assert h.step == pytest.approx(g.step)
 
@@ -196,7 +194,7 @@ class TestGridDensity:
 
     def test_csv_plain_floats(self):
         g = std_normal_grid(-1, 1, 0.5)
-        for line in g.to_csv().splitlines()[1:]:
+        for line in csv_text("x,value", g.grid, g.values).splitlines()[1:]:
             for cell in line.split(","):
                 float(cell)
                 assert "(" not in cell
@@ -240,8 +238,8 @@ class TestDistances:
         assert tv_distance(P, Q) == pytest.approx(0.25, abs=1e-12)
 
     def test_tv_disjoint(self):
-        P = DiscretePMF.point_mass(0.0)
-        Q = DiscretePMF.point_mass(1.0)
+        P = DiscretePMF(np.array([0.0]), np.array([1.0]))
+        Q = DiscretePMF(np.array([1.0]), np.array([1.0]))
         assert tv_distance(P, Q) == 1.0
 
     def test_tv_grid_densities(self):
@@ -270,7 +268,7 @@ class TestDistances:
         assert ks_distance(P, Q) <= tv_distance(P, Q) + 1e-12
 
     def test_ks_mixed_kinds(self):
-        P = DiscretePMF.point_mass(0.0)
+        P = DiscretePMF(np.array([0.0]), np.array([1.0]))
         Q = std_normal_grid()
         # sup_x |1{x >= 0} - Phi(x)| = 1/2 at x = 0
         assert ks_distance(P, Q) == pytest.approx(0.5, abs=1e-3)
@@ -631,7 +629,8 @@ class TestTvAfterNoise:
         assert tv_after_noise(P, P, self.Z) == pytest.approx(0.0, abs=1e-12)
 
     def test_far_apart_inputs_near_one(self):
-        P, Q = DiscretePMF.point_mass(-10.0), DiscretePMF.point_mass(10.0)
+        P = DiscretePMF(np.array([-10.0]), np.array([1.0]))
+        Q = DiscretePMF(np.array([10.0]), np.array([1.0]))
         assert tv_after_noise(P, Q, self.Z) == pytest.approx(1.0, abs=1e-9)
 
     def test_contracts_tv(self):

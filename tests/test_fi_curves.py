@@ -35,9 +35,13 @@ class TestFiErasure:
         with pytest.raises(DomainError):
             fi_erasure(0.5, 1.3, 2)
         # a size of 2.5 used to give (1 - alpha) min(t, log 2.5)
-        for size in (1, 2.5, 3.0, "3"):
+        for size in (0, 2.5, 3.0, "3"):
             with pytest.raises(DomainError):
                 fi_erasure(0.5, 0.3, size)
+
+    def test_one_letter_alphabet_is_zero(self):
+        # the kernels' rule: a one-letter alphabet carries no information
+        assert fi_erasure(0.5, 0.3, 1) == 0.0
 
 
 class TestMrsGerber:

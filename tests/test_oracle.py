@@ -279,6 +279,15 @@ class TestPairSampler:
         with pytest.raises(DomainError):
             sdpi_pair_sampler(NoiseModel.gaussian(), **args)
 
+    @pytest.mark.parametrize("family", [NoiseModel.gaussian, NoiseModel.laplace])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_scale_invariant(self, family, p):
+        # Y = X + Z with E|X|^p = gamma: scaling Z by 1/2 and the budget by 1/2^p
+        # scales Y by 1/2, which changes neither I(W;X) nor I(W;Y)
+        a = sdpi_pair_sampler(family(0.5), 2.0, p, n_couplings=20, seed=7)
+        b = sdpi_pair_sampler(family(1.0), 2.0 / 0.5 ** p, p, n_couplings=20, seed=7)
+        np.testing.assert_allclose(a.samples, b.samples, rtol=0.0, atol=1e-12)
+
     def test_reproducible(self):
         kw = dict(gamma=1.0, p=2.0, n_couplings=50, seed=123)
         a = sdpi_pair_sampler(NoiseModel.gaussian(), **kw)
