@@ -3,7 +3,8 @@
 Everything here is a pure function of immutable inputs.  Distributions come
 in two flavors: finitely supported (`DiscretePMF`) and density-on-a-grid
 (`GridDensity`).  All information quantities use natural logarithms.  The
-simplex lattice has one enumerator, `simplex_lattice`.  The output entropy of
+simplex lattice has one enumerator, `simplex_lattice` (the brute-force oracle
+walks the W-orbits of its couplings instead).  The output entropy of
 a finite input plus additive noise, and the exact rule for piecewise-linear
 noise densities, live with the noise laws in `channels`.
 """
@@ -460,30 +461,20 @@ def v_hat(omega) -> float | np.ndarray:
 # the simplex lattice
 # ---------------------------------------------------------------------------
 
-def simplex_lattice(n: int, parts: int):
-    """Yield the compositions of n into `parts` nonnegative parts (the 1/n simplex
-    lattice scaled by n) as int32 batches in lexicographic order, one batch per
-    value of the first parts - 4 parts, so no batch has more than C(n + 3, 3) rows."""
-    # the heads, each with its remainder: the compositions of n into parts - 3 parts
-    comps = (np.vstack(list(simplex_lattice(n, parts - 3))) if parts > 4
-             else np.full((1, 1), n, dtype=np.int32))
-    width = parts + 1 - comps.shape[1]
-    # the leading parts of the compositions of n into `width` parts, the rows of
-    # width - 1 parts summing to at most n in lexicographic order, grown a column at
-    # a time; those of r <= n are the rows summing to at most r, with the slack
-    # r - sum last
+def simplex_lattice(n: int, parts: int) -> np.ndarray:
+    """The compositions of n into `parts` nonnegative parts (the 1/n simplex
+    lattice scaled by n), one int32 row each, in lexicographic order."""
+    # the rows of the first parts - 1 parts summing to at most n, grown a column
+    # at a time; the last part is the slack n - sum
     lead = np.zeros((1, 0), dtype=np.int32)
     used = np.zeros(1, dtype=np.int32)
-    for _ in range(width - 1):
+    for _ in range(parts - 1):
         counts = n + 1 - used
         start = np.repeat(np.cumsum(counts, dtype=np.int32) - counts, counts)
         part = np.arange(len(start), dtype=np.int32) - start
         lead = np.column_stack([np.repeat(lead, counts, axis=0), part])
         used = np.repeat(used, counts) + part
-    tails = {r: np.column_stack([lead[used <= r], r - used[used <= r]])
-             for r in set(comps[:, -1].tolist())}
-    for head, r in zip(comps[:, :-1], comps[:, -1].tolist()):
-        yield np.hstack([np.broadcast_to(head, (len(tails[r]), len(head))), tails[r]])
+    return np.column_stack([lead, n - used])
 
 
 # ---------------------------------------------------------------------------

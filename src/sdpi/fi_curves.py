@@ -68,7 +68,7 @@ def _interior_lattice(nx: int) -> tuple[int, np.ndarray]:
     if n < 2:
         points = np.zeros((0, nx))
     else:
-        k = np.vstack(list(simplex_lattice(n, nx)))
+        k = simplex_lattice(n, nx)
         points = k[k.max(axis=1) < n] / n
         if n % nx:
             points = np.vstack([points, np.full(nx, 1.0 / nx)])

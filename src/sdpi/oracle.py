@@ -1,13 +1,13 @@
 """Independent brute-force ground truth.
 
 Nothing here shares a code path with the closed forms it validates beyond
-the primitives in core_prob (`xlogx`, `mi_joint`, `bisect`, the lattice
-enumerator `simplex_lattice`) and the noise laws' own `density`, `sample` and
-`excess_entropy` (the output entropy h(Y) - h(Z) of a finite input, which
-`mi_additive` reads too): the methods are the oracle's own
-(lattice search polished by Newton steps on the exact derivatives of mutual
-information, Monte Carlo, random couplings), so that agreement is evidence,
-not circularity.
+the primitives in core_prob (`xlogx`, `mi_joint`, `bisect`) and the noise
+laws' own `density`, `sample` and `excess_entropy` (the output entropy
+h(Y) - h(Z) of a finite input, which `mi_additive` reads too): the methods
+are the oracle's own (lattice search over the W-orbits of the couplings,
+polished by Newton steps on the exact derivatives of mutual information,
+Monte Carlo, random couplings), so that agreement is evidence, not
+circularity.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from math import comb
 import numpy as np
 
 from .channels import DMCKernel, NoiseModel
-from .core_prob import DiscretePMF, bisect, mi_joint, simplex_lattice, xlogx
+from .core_prob import DiscretePMF, bisect, mi_joint, xlogx
 from .errors import BudgetError, DomainError
 
 
@@ -29,8 +29,53 @@ from .errors import BudgetError, DomainError
 # exhaustive coupling search on the simplex lattice
 # ---------------------------------------------------------------------------
 
-# the largest coupling lattice fi_bruteforce_dmc enumerates
+# the largest coupling lattice fi_bruteforce_dmc enumerates, counted in
+# compositions (each W-orbit is one or more of them); the orbits come in blocks
+# of at most _BLOCK couplings
 _MAX_POINTS = 3e7
+_BLOCK = 2 ** 14
+
+
+def _orbits(n: int, nx: int, w_size: int):
+    """Yield the W-orbits of the couplings on the 1/n lattice, each exactly once,
+    as (w_size, k) blocks of base-(n + 1) count-row indices, k <= _BLOCK.
+
+    A coupling is w_size count rows in [0, n]^nx whose entries sum to n, and
+    relabelling W permutes its rows.  Order the rows by total, then by index:
+    an orbit is a nondecreasing tuple of positions in that order.  The rows of
+    total <= r fill positions [0, end[r]), end[r] = C(r + nx, nx), so with
+    budget r left for the k last rows, the next row is a position in
+    [last, end[r // k]) (the smallest of k rows has at most r // k), the last
+    one in [max(last, end[r - 1]), end[r]).  Every range is nonempty and every
+    partial tuple has a completion, so nothing is filtered: each column reads
+    its candidates off the ranges, one window of _BLOCK at a time at every
+    depth, so no array grows with the lattice."""
+    end = np.array([comb(r + nx, nx) for r in range(n + 1)])
+    below = np.concatenate([[0], end[:-1]])  # the rows of total < r
+    total = np.indices((n + 1,) * nx).sum(axis=0).ravel()
+    order = np.argsort(total, kind="stable")[:end[n]]  # position -> index
+    total = total[order]
+
+    def grow(heads, r):
+        k = w_size - len(heads)
+        if k == 0:
+            yield order[heads]
+            return
+        last = heads[-1] if len(heads) else np.zeros_like(r)
+        if k > 1:
+            lo, hi = last, end[r // k]
+        else:
+            lo, hi = np.maximum(last, below[r]), end[r]
+        counts = hi - lo
+        cum = np.cumsum(counts)
+        for start in range(0, cum[-1], _BLOCK):
+            # candidates start.. of the flattened ranges, head by head
+            g = np.arange(start, min(start + _BLOCK, cum[-1]))
+            i = np.searchsorted(cum, g, side="right")
+            pos = lo[i] + g - (cum[i] - counts[i])
+            yield from grow(np.vstack([heads[:, i], pos]), r[i] - total[pos])
+
+    yield from grow(np.zeros((0, 1), dtype=np.intp), np.array([n]))
 
 
 @functools.lru_cache(maxsize=8)
@@ -44,7 +89,9 @@ def _bruteforce_envelope(matrix: bytes, shape: tuple[int, int], w_size: int,
     I(W;X) = sum_w [r_X(c_w) - s(c_w)] - r_X(m), r_X(c) = sum_x xlogx(c/n),
     and I(W;Y) likewise with r_Y(c) = sum_y xlogx((c/n)K); s(c) = xlogx(|c|/n).
     So the logarithms are taken once, on a table over all (n+1)^|X| rows
-    indexed in base n + 1, and m's index is the sum of the c_w's."""
+    indexed in base n + 1, and m's index is the sum of the c_w's.  Both sums
+    are symmetric in the rows, so the walk takes one coupling per W-orbit
+    (`_orbits`), its rows in the enumerator's order."""
     Km = np.frombuffer(matrix).reshape(shape)
     nx, ny = shape
     cells = w_size * nx
@@ -52,7 +99,6 @@ def _bruteforce_envelope(matrix: bytes, shape: tuple[int, int], w_size: int,
     total = comb(n + cells - 1, cells - 1)
     if total > _MAX_POINTS:
         raise BudgetError(f"{total} lattice points exceed the budget {_MAX_POINTS:g}")
-    place = (n + 1) ** np.arange(nx - 1, -1, -1)
     rows = np.indices((n + 1,) * nx).reshape(nx, -1).T  # the count row of each index
     r_x, r_y = xlogx(rows / n).sum(axis=1), xlogx(rows / n @ Km).sum(axis=1)
     s = xlogx(rows.sum(axis=1) / n)
@@ -61,9 +107,7 @@ def _bruteforce_envelope(matrix: bytes, shape: tuple[int, int], w_size: int,
     n_bins = int(math.log(min(nx, w_size) + 1) / bin_w) + 2
     bin_vals = np.full(n_bins, -np.inf)
     bin_rows = np.zeros((n_bins, cells))
-    for batch in simplex_lattice(n, cells):
-        c = batch.T.reshape(w_size, nx, -1)
-        idx = sum(p * c[:, x] for x, p in enumerate(place))  # (w_size, batch)
+    for idx in _orbits(n, nx, w_size):  # (w_size, block)
         # rows added one by one: numpy's reduce over a short axis 0 is ~10x slower
         m = sum(idx)
         i_wx = np.maximum(sum(g_x[idx]) - r_x[m], 0.0)
@@ -74,7 +118,7 @@ def _bruteforce_envelope(matrix: bytes, shape: tuple[int, int], w_size: int,
         bins = np.clip(bins, 0, n_bins - 1)
         np.maximum.at(bin_vals, bins, i_wy)
         hit = i_wy >= bin_vals[bins]
-        bin_rows[bins[hit]] = batch[hit] / n
+        bin_rows[bins[hit]] = rows[idx[:, hit].T].reshape(-1, cells) / n
     return bin_w, np.maximum.accumulate(bin_vals), bin_vals, bin_rows
 
 

@@ -466,14 +466,11 @@ class TestSimplexLattice:
             assert got == ref
 
     @pytest.mark.parametrize("n, parts", [(0, 5), (3, 1), (8, 4), (7, 5), (6, 7), (5, 9), (40, 6)])
-    def test_one_bounded_int32_batch_per_head(self, n, parts):
-        batches, k = list(simplex_lattice(n, parts)), max(parts - 4, 0)
-        assert all(b.dtype == np.int32 for b in batches)
-        assert max(len(b) for b in batches) <= math.comb(n + 3, 3)
-        # the heads (the first k parts) are constant in a batch and distinct across batches
-        heads = [tuple(b[0, :k]) for b in batches]
-        assert all((b[:, :k] == h).all() for b, h in zip(batches, heads))
-        assert len(set(heads)) == len(batches) == math.comb(n + k, k)
+    def test_one_int32_array(self, n, parts):
+        k = simplex_lattice(n, parts)
+        assert isinstance(k, np.ndarray) and k.dtype == np.int32
+        assert k.shape == (math.comb(n + parts - 1, parts - 1), parts)
+        assert (k.sum(axis=1) == n).all()
 
 
 class TestMutualInformation:

@@ -26,10 +26,31 @@ class TestBruteForce:
         """The n of every lattice enumeration the oracle starts, from an empty cache."""
         oracle._bruteforce_envelope.cache_clear()
         seen = []
-        real_lattice = oracle.simplex_lattice
-        monkeypatch.setattr(oracle, "simplex_lattice",
-                            lambda n, parts: seen.append(n) or real_lattice(n, parts))
+        real_orbits = oracle._orbits
+        monkeypatch.setattr(oracle, "_orbits",
+                            lambda n, nx, w_size: seen.append(n) or real_orbits(n, nx, w_size))
         return seen
+
+    @pytest.mark.parametrize("n, nx, w_size", [
+        (0, 2, 3), (7, 1, 2), (9, 2, 1), (12, 2, 2), (10, 2, 3), (8, 3, 2), (6, 3, 3), (4, 3, 4),
+    ])
+    def test_orbits_each_once(self, n, nx, w_size, monkeypatch):
+        # every multiset of w_size count rows whose entries sum to n, exactly once,
+        # in windows of at most _BLOCK
+        monkeypatch.setattr(oracle, "_BLOCK", 7)
+        rows = {i: r for i, r in enumerate(itertools.product(range(n + 1), repeat=nx))
+                if sum(r) <= n}  # by base-(n + 1) index
+        blocks = list(oracle._orbits(n, nx, w_size))
+        assert all(b.shape[1] <= 7 for b in blocks)
+        got = [tuple(t) for block in blocks for t in block.T.tolist()]
+        for t in got:
+            assert sum(sum(rows[i]) for i in t) == n
+            # nondecreasing in the enumerator's order: by total, then by index
+            keys = [(sum(rows[i]), i) for i in t]
+            assert keys == sorted(keys)
+        ref = [c for c in itertools.combinations_with_replacement(sorted(rows), w_size)
+               if sum(sum(rows[i]) for i in c) == n]
+        assert sorted(tuple(sorted(t)) for t in got) == ref
 
     def test_t_zero(self):
         assert fi_bruteforce_dmc(DMCKernel.bsc(0.1), 0.0) <= 1e-12
@@ -117,6 +138,8 @@ class TestBruteForce:
         (DMCKernel.bsc(0.2), 2, 12),
         (DMCKernel(np.random.default_rng(3).dirichlet(np.ones(3), size=2)), 3, 8),
         (DMCKernel(np.random.default_rng(4).dirichlet(np.ones(2), size=3)), 2, 8),
+        (DMCKernel(np.random.default_rng(5).dirichlet(np.ones(3), size=3)), 3, 6),
+        (DMCKernel(np.random.default_rng(6).dirichlet(np.ones(3), size=3)), 4, 5),
     ])
     def test_table_walk_matches_joint_mi(self, K, w_size, n):
         # every lattice coupling evaluated with mi_joint, binned by the same ceiling rule
@@ -193,6 +216,15 @@ class TestBruteForce:
                 got.append(fi_bruteforce_dmc(K, t, w_size, 30))
                 assert got[-1] >= self._stair(K, t, w_size, 30)
         assert np.all(np.array(got) >= np.array(self._SLSQP_PANEL) - 1e-6)
+
+    @pytest.mark.filterwarnings("error")
+    def test_three_inputs_at_four_w_values(self):
+        # 13.0 M compositions, 582,846 W-orbits: a walk over the compositions
+        # ran for minutes, the one over the orbits for a fraction of a second
+        K = DMCKernel(np.random.default_rng(31).dirichlet(np.ones(3), size=3))
+        for t in (0.05, 0.3, 0.8):
+            val = fi_bruteforce_dmc(K, t, w_size=4, resolution=16)
+            assert self._stair(K, t, 4, 16) <= val <= min(t, math.log(3))
 
     def test_envelope_cache_is_bounded(self, enumerations):
         cap = 8
