@@ -13,6 +13,7 @@ pieces; by Gauss-Legendre for Gaussian and Laplace noise, on the nodes
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -71,6 +72,17 @@ def _alphabet_size(size) -> int:
 # elements of a `_copies` or `_pieces` chunk (a memory bound), Gauss-Legendre nodes per
 # piece; GridNoise.eta_tv stops within _ETA_TOL of the sup or after _ETA_EVALS thetas
 _SHIFT_BLOCK, _GL_NODES, _ETA_TOL, _ETA_EVALS = 1 << 18, 32, 1e-10, 1000
+
+
+def _blocks(n_batch: int, n_atoms: int, n_nodes: int):
+    """Yield (batch slice, node slices) over a batch of inputs of n_atoms atoms and
+    n_nodes nodes each, at most max(_SHIFT_BLOCK, n_atoms) copy values a block.  The
+    node slices do not depend on n_batch, so neither do an input's bits."""
+    size = max(1, _SHIFT_BLOCK // n_atoms)
+    step = max(1, _SHIFT_BLOCK // (n_atoms * min(size, n_nodes)))
+    nodes = [slice(j, j + size) for j in range(0, n_nodes, size)]
+    for b in range(0, n_batch, step):
+        yield slice(b, b + step), nodes
 
 
 class NoiseModel:
@@ -137,41 +149,57 @@ class NoiseModel:
         return 1.0 - self.eta_tv(A)
 
     def excess_entropy(self, mu: np.ndarray, v: np.ndarray):
-        """h(M + Z) - h(Z) for M ~ sum_k v_k delta_{mu_k}, one value per row of a
-        2-d v, each row's the same bit for bit whatever the other rows: -int p log p
-        over the pieces of `_plogp`, less h(Z) as the first atom's copy alone on
-        them, so one atom gives exactly 0.  Atoms are measured from the first."""
-        mu = np.asarray(mu, dtype=float)
-        rows = np.vstack([np.eye(1, len(mu)), np.atleast_2d(np.asarray(v, dtype=float))])
-        total = np.zeros(len(rows))
-        for w, plogp in self._plogp(mu - mu[0], rows):
-            total += [r @ w for r in plogp]
-        return total[0] - total[1:] if np.ndim(v) == 2 else float(total[0] - total[1])
+        """h(M + Z) - h(Z) for M ~ sum_k v_k delta_{mu_k}: -int p log p over the
+        pieces of `_plogp`, less h(Z) as the first atom's copy alone on them, so one
+        atom gives exactly 0.  Atoms are measured from the first.
+
+        A 1-d mu is one input: a float for a 1-d v, one value per row of a 2-d v.
+        A 2-d mu (batch, atoms) is a batch of inputs with v (batch, rows, atoms):
+        one value per row of each input.  Each value is the same bit for bit
+        whatever the other rows and inputs in the call."""
+        mu, v = np.asarray(mu, dtype=float), np.asarray(v, dtype=float)
+        batch, rows = (mu, v) if mu.ndim == 2 else (mu[None], np.atleast_2d(v)[None])
+        copy = np.broadcast_to(np.eye(1, batch.shape[1]), (len(batch), 1, batch.shape[1]))
+        rows = np.concatenate([copy, rows], axis=1)
+        total = np.empty(rows.shape[:2])
+        blocks = self._plogp(batch - batch[:, :1], rows)
+        for b, group in itertools.groupby(blocks, key=lambda block: block[0]):
+            # the node blocks' sums added pairwise: a running sum over many short
+            # blocks loses digits
+            total[b] = np.stack([np.einsum("brj,bj->br", plogp, w) for _, w, plogp in group],
+                                axis=-1).sum(axis=-1)
+        e = total[:, :1] - total[:, 1:]
+        if mu.ndim == 2:
+            return e
+        return e[0] if v.ndim == 2 else float(e[0, 0])
 
     def _plogp(self, mu: np.ndarray, rows: np.ndarray):
-        """Yield (w, p log p) on the blocks of `_copies`, p = row @ D one row at a
-        time, and 0 log 0 = 0, so a zero or underflowing p gives no warning."""
-        for w, D in self._copies(mu):
-            p = np.empty((len(rows), D.shape[1]))
-            for r, out in zip(rows, p):
-                np.matmul(r, D, out=out)
-            yield w, p * np.log(np.where(p > 0.0, p, 1.0))
+        """Yield (batch slice, w, p log p) on the blocks of `_copies`, p[b, r] =
+        rows[b, r] @ D[b] by einsum, which (unlike BLAS) sums each entry in one
+        order whatever the block's shape, and 0 log 0 = 0, so a zero or underflowing
+        p gives no warning."""
+        for b, w, D in self._copies(mu):
+            p = np.einsum("brk,bkj->brj", rows[b], D)
+            yield b, w, p * np.log(np.where(p > 0.0, p, 1.0))
 
     def _copies(self, mu: np.ndarray):
-        """Yield (w, D), D[k, j] = p_Z(y_j - mu_k), in blocks of at most
-        max(_SHIFT_BLOCK, len(mu)) elements, over the nodes y_j and weights w of
-        _GL_NODES-point Gauss-Legendre rules on the pieces between the sorted atoms,
-        their midpoints and each atom plus either end of `support()`.  Each copy is
-        smooth on a piece, and log p_Y's complex singularities, about pi/gap off
-        the axis near a gap's midpoint, sit near piece ends, not over a piece."""
-        (lo, hi), s = self.support(), np.sort(mu)
-        cuts = np.sort(np.concatenate([s, 0.5 * (s[1:] + s[:-1]), s + lo, s + hi]))
-        x, w = gauss_legendre(_GL_NODES)
-        half = 0.5 * (cuts[1:, None] - cuts[:-1, None])
-        y, w = ((cuts[:-1, None] + half) + half * x).ravel(), (half * w).ravel()
-        size = max(1, _SHIFT_BLOCK // len(mu))
-        for j in range(0, len(y), size):
-            yield w[j:j + size], self.density(y[j:j + size] - mu[:, None])
+        """Yield (batch slice, w, D) for a batch of inputs mu (batch, atoms), D[b, k, j]
+        = p_Z(y[b, j] - mu[b, k]), in the blocks of `_blocks`, over the nodes y and
+        weights w of _GL_NODES-point Gauss-Legendre rules on the pieces between an
+        input's sorted atoms, their midpoints and each atom plus either end of
+        `support()`.  Each copy is smooth on a piece, and log p_Y's complex
+        singularities, about pi/gap off the axis near a gap's midpoint, sit near
+        piece ends, not over a piece."""
+        (lo, hi), (x, wx) = self.support(), gauss_legendre(_GL_NODES)
+        for b, nodes in _blocks(*mu.shape, (4 * mu.shape[1] - 2) * _GL_NODES):
+            s = np.sort(mu[b], axis=1)
+            cuts = np.sort(np.concatenate([s, 0.5 * (s[:, 1:] + s[:, :-1]), s + lo, s + hi],
+                                          axis=1), axis=1)
+            half = 0.5 * (cuts[:, 1:, None] - cuts[:, :-1, None])
+            y = ((cuts[:, :-1, None] + half) + half * x).reshape(len(s), -1)
+            w = (half * wx).reshape(len(s), -1)
+            for j in nodes:
+                yield b, w[:, j], self.density(y[:, None, j] - mu[b, :, None])
 
 
 class _LinearNoise(NoiseModel):
@@ -185,33 +213,37 @@ class _LinearNoise(NoiseModel):
         return float(self._nodes()[1].max())
 
     def _pieces(self, mu: np.ndarray, rows: np.ndarray):
-        """Yield (h, p0, p1) over blocks of the pieces between the sorted breakpoints
-        mu_k + x_i: their widths, and the end values of each row's mixture of the
-        copies f(y - mu_k), one matrix-vector product per row.  A copy, linear on a
-        piece, is extrapolated to its ends from its quarter points, u(0) = 1.5 u(1/4)
-        - 0.5 u(3/4), so a jump stays on its own side."""
+        """Yield (batch slice, h, p0, p1) for a batch of inputs mu (batch, atoms), in
+        the blocks of `_blocks`, over the pieces between an input's sorted breakpoints
+        mu_k + x_i: their widths, and the end values of each of its rows' mixture of
+        the copies f(y - mu_k).  A copy, linear on a piece, is extrapolated to its
+        ends from its quarter points, u(0) = 1.5 u(1/4) - 0.5 u(3/4), so a jump stays
+        on its own side."""
         x, f = self._nodes()
-        y, size = np.sort((mu[:, None] + x).ravel()), max(1, _SHIFT_BLOCK // len(mu))
-        for s in range(0, len(y) - 1, size):
-            h = np.diff(y[s:s + size + 1])
-            q = y[s:s + len(h)] + 0.25 * h
-            u1 = np.interp(q - mu[:, None], x, f, left=0.0, right=0.0)
-            u3 = np.interp((q + 0.5 * h) - mu[:, None], x, f, left=0.0, right=0.0)
-            d = 0.5 * (u3 - u1)
-            yield h, np.stack([r @ (u1 - d) for r in rows]), np.stack([r @ (u3 + d) for r in rows])
+        for b, pieces in _blocks(*mu.shape, mu.shape[1] * len(x) - 1):
+            y = np.sort((mu[b, :, None] + x).reshape(len(mu[b]), -1), axis=1)
+            for j in pieces:
+                ends = y[:, j.start:j.stop + 1]
+                h = np.diff(ends, axis=1)
+                q = ends[:, :-1] + 0.25 * h
+                u1 = np.interp(q[:, None] - mu[b, :, None], x, f, left=0.0, right=0.0)
+                u3 = np.interp((q + 0.5 * h)[:, None] - mu[b, :, None], x, f, left=0.0, right=0.0)
+                d = 0.5 * (u3 - u1)
+                yield (b, h, np.einsum("brk,bkj->brj", rows[b], u1 - d),
+                       np.einsum("brk,bkj->brj", rows[b], u3 + d))
 
     def _plogp(self, mu: np.ndarray, rows: np.ndarray):
-        """Exactly: yield (h, mean of p log p) over `_pieces`.  On a piece from lo to
-        hi the mean is (G(hi) - G(lo))/(hi - lo), G(u) = u^2 log(u)/2 - u^2/4, or
-        m (log(hi) - 1/2) + lo log1p(t)/(2t), t = (hi - lo)/lo, m the mean of p, in
+        """Exactly: yield (batch slice, h, mean of p log p) over `_pieces`.  On a piece
+        from lo to hi the mean is (G(hi) - G(lo))/(hi - lo), G(u) = u^2 log(u)/2 - u^2/4,
+        or m (log(hi) - 1/2) + lo log1p(t)/(2t), t = (hi - lo)/lo, m the mean of p, in
         which no two terms cancel, even as hi -> lo and log1p(t)/t -> 1."""
-        for h, p0, p1 in self._pieces(mu, rows):
+        for b, h, p0, p1 in self._pieces(mu, rows):
             lo, hi = np.maximum(np.minimum(p0, p1), 0.0), np.maximum(np.maximum(p0, p1), 0.0)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 t = (hi - lo) / lo  # inf where lo = 0 or lo < 1e-308 hi: its term is then 0
                 tail = np.where(t < np.inf, 0.5 * lo * np.where(t > 0.0, np.log1p(t) / t, 1.0), 0.0)
                 mean = np.where(hi > 0.0, 0.5 * (lo + hi) * (np.log(hi) - 0.5) + tail, 0.0)
-            yield h, mean
+            yield b, h, mean
 
 
 @dataclass(frozen=True)
@@ -348,9 +380,10 @@ class GridNoise(_LinearNoise):
         if d >= self.grid_density.x_max - self.grid_density.x_min:
             return 1.0
         total = 0.0
-        for h, (a,), (b,) in self._pieces(np.array([0.0, d]), np.array([[1.0, -1.0]])):
+        for _, h, p0, p1 in self._pieces(np.array([[0.0, d]]), np.array([[[1.0, -1.0]]])):
+            a, b = p0[0, 0], p1[0, 0]
             s, across = np.abs(a) + np.abs(b), a * b < 0.0
-            total += h @ np.where(across, (a * a + b * b) / np.where(across, s, 1.0), s)
+            total += h[0] @ np.where(across, (a * a + b * b) / np.where(across, s, 1.0), s)
         return min(0.25 * float(total), 1.0)
 
     def eta_tv(self, A: float) -> float:
@@ -507,7 +540,7 @@ def mmse_numeric(input: DiscretePMF, gamma: float) -> float:
     keep = input.weights > 0
     atoms, weights = input.atoms[keep], input.weights[keep]
     second = 0.0  # E (E[X|Y])^2 = int num^2 / p_Y, num = sum_k w_k x_k p_Z(y - mu_k)
-    for w, D in NoiseModel.gaussian()._copies(math.sqrt(gamma) * atoms):
+    for _, (w,), (D,) in NoiseModel.gaussian()._copies(math.sqrt(gamma) * atoms[None]):
         num, den = (weights * atoms) @ D, weights @ D
         # where p_Y underflows, so does num^2 / p_Y
         second += float(w @ np.divide(num * num, den, out=np.zeros_like(num), where=den > 0))

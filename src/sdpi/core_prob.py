@@ -489,16 +489,17 @@ def xlogx(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def mi_joint(q: np.ndarray) -> float:
-    """Mutual information between the row and column index of a joint pmf."""
-    qw = q.sum(axis=1)
-    qx = q.sum(axis=0)
-    outer = np.outer(qw, qx)
+def mi_joint(q: np.ndarray):
+    """Mutual information between the row and column index of a joint pmf q, a
+    float for a 2-d q; for a stack of joints (..., rows, columns), one value per
+    joint, each the same bit for bit whatever the others (zero rows and columns
+    change nothing but the order of the final sum)."""
+    outer = q.sum(axis=-1, keepdims=True) * q.sum(axis=-2, keepdims=True)
     # a subnormal row weight times a column weight can underflow to 0; the term
-    # of such an entry is below 1e-320
-    mask = (q > 0) & (outer > 0)
-    val = float(np.sum(q[mask] * np.log(q[mask] / outer[mask])))
-    return max(val, 0.0)
+    # of such an entry is below 1e-320.  A skipped entry reads log 1 = 0
+    ratio = np.divide(q, outer, out=np.ones_like(q), where=(q > 0) & (outer > 0))
+    val = (q * np.log(ratio)).sum(axis=(-2, -1))
+    return float(max(val, 0.0)) if q.ndim == 2 else np.maximum(val, 0.0)
 
 
 @functools.lru_cache(maxsize=8)

@@ -347,6 +347,9 @@ def mc_mutual_info(input: DiscretePMF, noise: NoiseModel, gamma: float,
 _DIAG_TOLERANCE = 3e-4
 _EPS_MAX = 1e-3
 _HORIZ_TOLERANCE = 1e-6
+# couplings drawn, then evaluated together, at a time; at most _MAX_W values of W
+# and _MAX_ATOMS atoms of X
+_WINDOW, _MAX_W, _MAX_ATOMS = 128, 4, 6
 
 
 @dataclass(frozen=True)
@@ -354,6 +357,29 @@ class SweepResult:
     samples: np.ndarray  # columns: I_WX, I_WY
     violation_count: int
     violations: tuple = field(default_factory=tuple)
+    # checks that ran: couplings with I_WX > 0 against the diagonal bound, and
+    # couplings within _EPS_MAX of capacity where the horizontal bound is a number
+    diag_checks: int = 0
+    horiz_checks: int = 0
+
+
+def _draw(rng, n: int):
+    """n couplings, drawn one after another in a fixed order of rng calls: the
+    atom counts, and the atoms of X, p_W and the rows p_{X|W=w}, zero-padded to
+    _MAX_ATOMS atoms and _MAX_W values of W."""
+    ks = np.empty(n, dtype=int)
+    atoms, pw = np.zeros((n, _MAX_ATOMS)), np.zeros((n, _MAX_W))
+    rows = np.zeros((n, _MAX_W, _MAX_ATOMS))
+    for i in range(n):
+        nw = int(rng.integers(2, _MAX_W + 1))
+        k = int(rng.integers(2, _MAX_ATOMS + 1))
+        a = np.sort(rng.standard_normal(k))
+        while (a[1:] - a[:-1] < 1e-6).any():
+            a = np.sort(rng.standard_normal(k))
+        ks[i], atoms[i, :k] = k, a
+        pw[i, :nw] = rng.dirichlet(np.ones(nw))
+        rows[i, :nw, :k] = rng.dirichlet(np.ones(k), size=nw)
+    return ks, atoms, pw, rows
 
 
 def sdpi_pair_sampler(noise: NoiseModel, gamma: float, p: float,
@@ -367,7 +393,14 @@ def sdpi_pair_sampler(noise: NoiseModel, gamma: float, p: float,
     Computes (I(W;X), I(W;Y)) per coupling and counts violations against the
     supplied diagonal bound curve (t -> g_d(t)) and, when `capacity` is set,
     the horizontal curve (eps -> minimal I(W;X); may return None or nan when
-    the bound is not applicable at that eps).
+    the bound is not applicable at that eps), and the checks of each kind that
+    ran.
+
+    The couplings come in windows of _WINDOW: a window is drawn first, then
+    evaluated at once, with one `mi_joint` call for its I(W;X) and one
+    `excess_entropy` call per atom count for its I(W;Y); then the bounds are
+    called coupling by coupling.  So memory does not grow with n_couplings,
+    apart from the (n_couplings, 2) samples.
     """
     if not 0 <= gamma < math.inf:
         raise DomainError("gamma must be nonnegative and finite")
@@ -378,29 +411,34 @@ def sdpi_pair_sampler(noise: NoiseModel, gamma: float, p: float,
     rng = np.random.default_rng(seed)
     samples = np.empty((n_couplings, 2))
     violations = []
-    for i in range(n_couplings):
-        nw = int(rng.integers(2, 5))
-        k = int(rng.integers(2, 7))
-        atoms = np.sort(rng.standard_normal(k))
-        while np.any(np.diff(atoms) < 1e-6):
-            atoms = np.sort(rng.standard_normal(k))
-        pw = rng.dirichlet(np.ones(nw))
-        rows = rng.dirichlet(np.ones(k), size=nw)
-        px = pw @ rows
-        moment = float(px @ np.abs(atoms) ** p)
-        i_wx = mi_joint(pw[:, None] * rows)
-        # I(W;Y) = h(Y) - sum_w p_w h(Y | W = w), with h(Z) taken off each term
-        e = noise.excess_entropy(atoms * (gamma / moment) ** (1.0 / p), np.vstack([px, rows]))
-        i_wy = max(float(e[0] - pw @ e[1:]), 0.0)
-        samples[i] = (i_wx, i_wy)
-        if diag_bound is not None and i_wx > 0:
-            gd = diag_bound(i_wx)
-            if i_wy > i_wx - gd + _DIAG_TOLERANCE:
-                violations.append(("diag", i, i_wx, i_wy))
-        if horiz_bound is not None and capacity is not None:
-            eps = capacity - i_wy
-            if 0 < eps <= _EPS_MAX:
+    diag_checks = horiz_checks = 0
+    for start in range(0, n_couplings, _WINDOW):
+        ks, atoms, pw, rows = _draw(rng, min(_WINDOW, n_couplings - start))
+        joint = pw[:, :, None] * rows
+        px = joint.sum(axis=1)
+        moment = (px * np.abs(atoms) ** p).sum(axis=1)
+        # the float power of each coupling alone: numpy's array power rounds some
+        # values differently
+        mu = atoms * np.array([(gamma / m) ** (1.0 / p) for m in moment.tolist()])[:, None]
+        window = samples[start:start + len(ks)]
+        window[:, 0] = mi_joint(joint)
+        for k in sorted(set(ks.tolist())):
+            at = ks == k
+            # I(W;Y) = h(Y) - sum_w p_w h(Y | W = w), with h(Z) taken off each term;
+            # a padded W value is a zero row, and its p_w is 0
+            e = noise.excess_entropy(mu[at, :k], np.concatenate(
+                [px[at, None, :k], rows[at, :, :k]], axis=1))
+            window[at, 1] = np.maximum(e[:, 0] - (pw[at] * e[:, 1:]).sum(axis=1), 0.0)
+        for i, (i_wx, i_wy) in enumerate(window.tolist(), start):
+            if diag_bound is not None and i_wx > 0:
+                diag_checks += 1
+                if i_wy > i_wx - diag_bound(i_wx) + _DIAG_TOLERANCE:
+                    violations.append(("diag", i, i_wx, i_wy))
+            eps = math.inf if capacity is None else capacity - i_wy
+            if horiz_bound is not None and 0 < eps <= _EPS_MAX:
                 t_min = horiz_bound(eps)
-                if t_min is not None and i_wx < t_min - _HORIZ_TOLERANCE:
-                    violations.append(("horiz", i, i_wx, i_wy))
-    return SweepResult(samples, len(violations), tuple(violations))
+                if t_min is not None and not math.isnan(t_min):
+                    horiz_checks += 1
+                    if i_wx < t_min - _HORIZ_TOLERANCE:
+                        violations.append(("horiz", i, i_wx, i_wy))
+    return SweepResult(samples, len(violations), tuple(violations), diag_checks, horiz_checks)

@@ -4,7 +4,8 @@ These are scaled-down versions of the full test-suite sweeps: small enough
 to run in seconds to a couple of minutes, strict enough to catch a broken
 bound; `deconv` and `horiz` check the CLI's own `deconv_report` and
 `t_lower_or_nan`.  Every suite returns a JSON-serializable report with a
-`violations` count; the CLI exits nonzero when it is positive.
+`violations` count; the CLI exits nonzero when it is positive.  `diag` and
+`horiz` also report how many of their checks ran as `checks`.
 """
 
 from __future__ import annotations
@@ -37,10 +38,12 @@ def _suite_bsc(seed: int) -> dict:
 
 
 def _sampler_suite(name: str, seed: int, **bounds) -> dict:
-    """500 random couplings of the AWGN channel at gamma = 1 against `bounds`."""
+    """500 random couplings of the AWGN channel at gamma = 1 against `bounds`, and
+    how many checks ran (each suite passes one bound)."""
     res = sdpi_pair_sampler(NoiseModel.gaussian(), gamma=1.0, p=2.0, n_couplings=500,
                             seed=seed, **bounds)
     return {"suite": name, "gamma": 1.0, "n_couplings": 500,
+            "checks": res.diag_checks + res.horiz_checks,
             "violations": res.violation_count,
             "details": [v[:2] for v in res.violations]}
 

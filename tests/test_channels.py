@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -357,6 +358,94 @@ class TestMiAdditive:
         assert whole.shape == (3,)
         for row, val in zip(v, whole):
             assert val == noise.excess_entropy(mu, row)
+
+
+# a grid law of 5,001 nodes: two atoms give 10,001 pieces, more than numpy buffers at once
+FINE_GRID = GridDensity.from_function(lambda x: np.exp(-0.5 * x * x), -4.0, 4.0, 0.0016)
+BATCH_NOISES = [NoiseModel.gaussian(1.3), NoiseModel.laplace(0.8), NoiseModel.uniform(-1.0, 2.0),
+                NoiseModel.from_grid(GOLDEN_NOISE), NoiseModel.from_grid(FINE_GRID)]
+
+
+class TestBatchedEntropy:
+    """`excess_entropy` on a batch of inputs, as the sampler calls it, against one
+    call per input and per row, bit for bit."""
+
+    @staticmethod
+    def batch(k, n=9, rows=3, seed=0):
+        """n inputs of k sorted atoms with `rows` weight rows each: row 0 of input 1
+        has a zero weight, and the last row of input 2 is all zero (a padded W value)."""
+        rng = np.random.default_rng(seed)
+        mu = np.sort(rng.normal(scale=2.0, size=(n, k)), axis=1)
+        v = rng.dirichlet(np.ones(k), size=(n, rows)) if k > 1 else np.ones((n, rows, 1))
+        if k > 1:
+            v[1, 0, 0] = 0.0
+            v[1, 0] /= v[1, 0].sum()
+        v[2, -1] = 0.0
+        return mu, v
+
+    @pytest.mark.parametrize("noise", BATCH_NOISES)
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_batch_matches_single_inputs(self, noise, k):
+        mu, v = self.batch(k)
+        whole = noise.excess_entropy(mu, v)
+        assert whole.shape == v.shape[:2]
+        for b in range(len(mu)):
+            np.testing.assert_array_equal(whole[b], noise.excess_entropy(mu[b], v[b]))
+            for r in range(v.shape[1]):
+                assert whole[b, r] == noise.excess_entropy(mu[b], v[b, r])
+        np.testing.assert_array_equal(noise.excess_entropy(mu[4:5], v[4:5]), whole[4:5])
+        if k == 1:
+            # one atom gives exactly 0 (input 2's last row is the zero one)
+            assert np.all(np.delete(whole.ravel(), 2 * v.shape[1] + 2) == 0.0)
+
+    @pytest.mark.parametrize("noise", BATCH_NOISES)
+    def test_small_blocks_split_batch_and_nodes(self, noise, monkeypatch):
+        # blocks of 80 nodes of one input: every input is cut into node blocks,
+        # and the batch into one block per input; the values stay the same bit for bit
+        from sdpi import channels
+        mu, v = self.batch(4, n=7)
+        whole = noise.excess_entropy(mu, v)
+        monkeypatch.setattr(channels, "_SHIFT_BLOCK", 2 * 4 * 40)
+        small = noise.excess_entropy(mu, v)
+        for b in range(len(mu)):
+            np.testing.assert_array_equal(small[b], noise.excess_entropy(mu[b], v[b]))
+        # only the order of the sums over the nodes changed
+        np.testing.assert_allclose(small, whole, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("noise", [NoiseModel.gaussian(), NoiseModel.from_grid(GOLDEN_NOISE)])
+    def test_large_batch_stays_in_blocks(self, noise):
+        # aim 3: 2,000 inputs of 6 atoms in one call go in blocks of at most
+        # _SHIFT_BLOCK copy values, many inputs a block, so the peak grows with the
+        # batch by its inputs and results alone (about 0.7 kB an input), not by its
+        # copies; an input's bits are its own
+        from sdpi import channels
+        mu, v = self.batch(6, n=2000, rows=5)
+        whole = noise.excess_entropy(mu, v)
+        for b in range(0, 2000, 97):
+            np.testing.assert_array_equal(whole[b], noise.excess_entropy(mu[b], v[b]))
+        blocks = 0
+        if isinstance(noise, GridNoise):
+            for b, h, p0, _ in noise._pieces(mu, v):
+                assert h.size * mu.shape[1] <= channels._SHIFT_BLOCK
+                assert p0.shape == (len(mu[b]), 5, h.shape[1])
+                blocks += 1
+        else:
+            for b, w, D in noise._copies(mu):
+                assert D.size <= channels._SHIFT_BLOCK
+                assert D.shape == (len(mu[b]), 6, w.shape[1])
+                blocks += 1
+        assert blocks > 1
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                noise.excess_entropy(mu[:n], v[:n])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # 400 inputs fill a block of either law
+        assert peak(2000) - peak(400) <= 1600 * 1024
 
 
 class TestAwgnCapacity:

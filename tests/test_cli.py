@@ -489,6 +489,12 @@ class TestVerifyCommand:
         rep = verify.run_suite("bsc", seed)
         assert (rep["delta"], rep["violations"]) == (delta, 0)
 
+    def test_sampler_suites_report_their_checks(self):
+        # every coupling has I(W;X) > 0, so the diag suite runs all 500 checks; at
+        # seed 0 no coupling comes within 1e-3 of capacity, so horiz runs none
+        assert verify.run_suite("diag", 0)["checks"] == 500
+        assert verify.run_suite("horiz", 0)["checks"] == 0
+
     def test_deconv_suite_checks_the_printed_report(self, monkeypatch):
         # the suite runs `sdpi deconv`'s own report, so a bound broken there shows
         monkeypatch.setattr(cli, "esseen_bound", lambda *args: 0.0)

@@ -495,6 +495,29 @@ class TestMutualInformation:
         closed = binary_entropy(p * (1 - delta) + (1 - p) * delta) - binary_entropy(delta)
         assert mi_joint(w[:, None] * K.matrix) == pytest.approx(closed, abs=1e-14)
 
+    def test_mi_joint_stack_matches_single_joints(self):
+        # the sampler's stack: joints of 2-4 rows and 2-6 columns zero-padded to
+        # 4 x 6, some with empty cells; each value is the same bit for bit as the
+        # padded joint's alone, and within rounding of the unpadded joint's
+        rng = np.random.default_rng(12)
+        q = np.zeros((60, 4, 6))
+        shapes = []
+        for i in range(60):
+            nw, k = int(rng.integers(2, 5)), int(rng.integers(2, 7))
+            j = rng.dirichlet(np.ones(nw))[:, None] * rng.dirichlet(np.ones(k), size=nw)
+            if i % 3 == 0:
+                j[0, 0] = 0.0
+            q[i, :nw, :k] = j / j.sum()
+            shapes.append((nw, k))
+        whole = mi_joint(q)
+        assert whole.shape == (60,)
+        for qi, val, (nw, k) in zip(q, whole, shapes):
+            single = mi_joint(qi)
+            assert type(single) is float
+            assert val == single
+            assert single == pytest.approx(mi_joint(qi[:nw, :k]), rel=0.0, abs=1e-15)
+        np.testing.assert_array_equal(mi_joint(q.reshape(6, 10, 4, 6)), whole.reshape(6, 10))
+
     def test_mi_joint_subnormal_row_weights(self):
         # the outer product of the marginals underflows to 0 in the first row
         with warnings.catch_warnings():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -336,3 +337,72 @@ class TestPairSampler:
         res = sdpi_pair_sampler(noise, gamma=1.0, p=2.0, n_couplings=10, seed=0)
         i_wx, i_wy = res.samples[:, 0], res.samples[:, 1]
         assert np.all(i_wy <= i_wx + 1e-6)
+
+    @pytest.mark.parametrize("noise, gamma, p, n, seed", [
+        (NoiseModel.gaussian(), 1.0, 2.0, 300, 0),
+        (NoiseModel.gaussian(), 0.5, 2.0, 300, 1),
+        (NoiseModel.gaussian(), 4.0, 2.0, 40, 2024),
+        (NoiseModel.laplace(1.0), 1.0, 1.0, 40, 3),
+        (NoiseModel.uniform(0.0, 1.0), 1.0, 2.0, 40, 4),
+        (NoiseModel.from_grid(GridDensity.from_csv(
+            (Path(__file__).parent / "golden" / "noise.csv").read_text())), 2.0, 3.0, 40, 5),
+    ])
+    def test_matches_per_coupling_loop(self, noise, gamma, p, n, seed):
+        # the windows evaluated at once give the bits of one coupling at a time:
+        # the same rng calls in the same order, the joint zero-padded to 4 x 6 for
+        # I(W;X), and the rows zero-padded to 4 values of W for I(W;Y); 300
+        # couplings span three windows
+        rng = np.random.default_rng(seed)
+        want = []
+        for _ in range(n):
+            nw = int(rng.integers(2, 5))
+            k = int(rng.integers(2, 7))
+            atoms = np.sort(rng.standard_normal(k))
+            while np.any(np.diff(atoms) < 1e-6):
+                atoms = np.sort(rng.standard_normal(k))
+            pw, rows = np.zeros(4), np.zeros((4, k))
+            pw[:nw] = rng.dirichlet(np.ones(nw))
+            rows[:nw] = rng.dirichlet(np.ones(k), size=nw)
+            joint = np.zeros((4, 6))
+            joint[:, :k] = pw[:, None] * rows
+            px = joint.sum(axis=0)
+            moment = float((px * np.abs(np.pad(atoms, (0, 6 - k))) ** p).sum())
+            mu = atoms * (gamma / moment) ** (1.0 / p)
+            e = noise.excess_entropy(mu, np.vstack([px[:k], rows]))
+            want.append((mi_joint(joint), max(e[0] - (pw * e[1:]).sum(), 0.0)))
+        got = sdpi_pair_sampler(noise, gamma, p, n_couplings=n, seed=seed).samples
+        np.testing.assert_array_equal(got, want)
+
+    def test_memory_does_not_grow_with_the_sweep(self, monkeypatch):
+        # aim 3: beyond the samples, 16 bytes a coupling, the peak stays the same.
+        # A window's peak depends on how many of its couplings share an atom count,
+        # so both sweeps replay one drawn window (the last, partial one is a prefix)
+        window = oracle._draw(np.random.default_rng(8), oracle._WINDOW)
+        monkeypatch.setattr(oracle, "_draw", lambda rng, n: tuple(a[:n] for a in window))
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                sdpi_pair_sampler(NoiseModel.gaussian(), 1.0, 2.0, n, seed=0,
+                                  diag_bound=lambda t: 0.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2_000)  # a first sweep fills the caches it reads
+        small, large = peak(2_000), peak(20_000)
+        # slack: the interpreter's own small allocations, measured at about 10 kB
+        assert large - small <= 16 * 18_000 + 64 * 1024
+
+    def test_counts_the_checks_that_ran(self):
+        kw = dict(gamma=1.0, p=2.0, n_couplings=200, seed=6)
+        res = sdpi_pair_sampler(NoiseModel.gaussian(), diag_bound=lambda t: 0.0, **kw)
+        assert (res.diag_checks, res.horiz_checks) == (200, 0)
+        # a capacity just above the largest I(W;Y) brings couplings within _EPS_MAX
+        # of it; a check runs where the horizontal bound is a number, not nan or None
+        cap = float(res.samples[:, 1].max()) + 0.5 * oracle._EPS_MAX
+        near = int(np.sum(cap - res.samples[:, 1] <= oracle._EPS_MAX))
+        for bound, checks in ((lambda e: 0.0, near), (lambda e: math.nan, 0), (lambda e: None, 0)):
+            res = sdpi_pair_sampler(NoiseModel.gaussian(), horiz_bound=bound, capacity=cap, **kw)
+            assert (res.diag_checks, res.horiz_checks, res.violation_count) == (0, checks, 0)
+        assert near >= 1
