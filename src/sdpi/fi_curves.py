@@ -172,11 +172,45 @@ def _upper_concave_hull(points: list[tuple[float, float]]) -> list[tuple[float, 
     return out
 
 
+def _solve_in_runs(solve, lambdas) -> list:
+    """`solve(lam)` at every multiplier of the increasing `lambdas`, in bisection
+    order over their indices: both ends first, then the middle of each index
+    interval whose end pairs differ.  An interval whose end pairs are equal gives
+    that pair to every multiplier inside it, unsolved.
+
+    Exact: for a fixed coupling the Lagrangian is affine in lambda, so its max
+    over couplings M(lambda) is convex, and a coupling attaining M at both ends
+    of an interval attains it throughout; any other maximiser there lies on the
+    same line, so it has the same (I_WX, I_WY)."""
+    pairs = [None] * len(lambdas)
+    for i in {0, len(lambdas) - 1}:
+        pairs[i] = solve(lambdas[i])
+    # a stack, not a recursive closure: that would be a reference cycle holding
+    # `solve` and the lattice entropies until the garbage collector runs
+    todo = [(0, len(lambdas) - 1)]
+    while todo:
+        lo, hi = todo.pop()
+        if hi - lo < 2:
+            continue
+        if pairs[lo] == pairs[hi]:
+            pairs[lo + 1:hi] = [pairs[lo]] * (hi - lo - 1)
+        else:
+            mid = (lo + hi) // 2
+            pairs[mid] = solve(lambdas[mid])
+            todo += [(mid, hi), (lo, mid)]
+    return pairs
+
+
 def fi_dmc_envelope(K: DMCKernel, t_grid, solver_params: dict | None = None) -> Ccurve:
     """Certified lower bound on the concavified F_I curve of a kernel.
 
     The Lagrangians I(W;Y) - lambda I(W;X) at `n_lambdas` (64) multipliers and
-    up to `refinements` (96) bisections are maximized by `_best_split`; the
+    up to `refinements` (96) bisections are maximized by `_best_split`.  The
+    first pass takes its multipliers (0 and a geometric grid up to 1) in
+    bisection order, and one inside a run of equal (I_WX, I_WY) pairs takes the
+    run's pair without a search (`_solve_in_runs`: exact, as the maximum
+    Lagrangian is convex in lambda); `n_lambdas` in the meta still counts
+    every multiplier.  The
     upper concave hull of the achieved (I_WX, I_WY) pairs, each re-evaluated
     exactly, anchored at the origin and capped at the lower end of the capacity
     bracket (`dmc_capacity`), is the curve; the meta records both ends.
@@ -208,7 +242,7 @@ def fi_dmc_envelope(K: DMCKernel, t_grid, solver_params: dict | None = None) -> 
         return mi_joint(q), mi_joint(q @ Km)
 
     lambdas = np.concatenate([[0.0], np.geomspace(1e-3, 1.0, params["n_lambdas"] - 1)])
-    solved = [(lam, solve(lam)) for lam in lambdas]
+    solved = list(zip(lambdas, _solve_in_runs(solve, lambdas)))
     # adaptive refinement: bisect multipliers whose tangent points are far
     # apart in I_WX, otherwise the hull sags between them
     for _ in range(params["refinements"]):
@@ -246,33 +280,35 @@ def fi_properties_check(curve: Ccurve) -> dict:
     each failure naming the check and the offending pair.
     """
     tol = 1e-6
-    ts = curve.arguments
-    vs = curve.values
-    if len(ts) < 3:
+    if len(curve.points) < 3:
         raise DomainError("need at least 3 curve points")
+    ts, vs = curve.arguments, curve.values
     failures = []
-    i0 = int(np.argmin(np.abs(ts)))
-    if abs(ts[i0]) < tol and abs(vs[i0]) > tol:
-        failures.append(("zero_at_zero", (float(ts[i0]), float(vs[i0]))))
-    for i in range(len(ts) - 1):
-        if vs[i + 1] < vs[i] - tol:
-            failures.append(("nondecreasing", (float(ts[i]), float(ts[i + 1]))))
-    for t, v in zip(ts, vs):
+    t0, v0 = min(curve.points, key=lambda p: abs(p[0]))
+    if abs(t0) < tol and abs(v0) > tol:
+        failures.append(("zero_at_zero", (t0, v0)))
+    for (t, v), (t_next, v_next) in zip(curve.points, curve.points[1:]):
+        if v_next < v - tol:
+            failures.append(("nondecreasing", (t, t_next)))
+    for t, v in curve.points:
         if v > t + tol:
-            failures.append(("below_diagonal", (float(t), float(v))))
+            failures.append(("below_diagonal", (t, v)))
     ratio_prev = None
-    for t, v in zip(ts, vs):
+    for t, v in curve.points:
         if t <= tol:
             continue
         r = v / t
         if ratio_prev is not None and r > ratio_prev + tol:
-            failures.append(("ratio_nonincreasing", (float(t), float(r))))
+            failures.append(("ratio_nonincreasing", (t, r)))
         ratio_prev = r
-    # subadditivity on grid pairs whose sum lands back on the grid
-    lookup = {round(t, 9): v for t, v in zip(ts, vs)}
-    for i in range(len(ts)):
-        for j in range(i, len(ts)):
-            key = round(ts[i] + ts[j], 9)
-            if key in lookup and lookup[key] > vs[i] + vs[j] + tol:
-                failures.append(("subadditive", (float(ts[i]), float(ts[j]))))
+    # subadditivity on grid pairs (i <= j, row-major) whose sum lands back on the
+    # grid, keys rounded to 9 decimals; the keys are nondecreasing, and where two
+    # grid points share one the last stands for it
+    keys = np.round(ts, 9)
+    i, j = np.triu_indices(len(ts))
+    sums = np.round(ts[i] + ts[j], 9)
+    at = np.maximum(np.searchsorted(keys, sums, side="right") - 1, 0)
+    bad = (keys[at] == sums) & (vs[at] > vs[i] + vs[j] + tol)
+    failures += [("subadditive", (curve.points[a][0], curve.points[b][0]))
+                 for a, b in zip(i[bad].tolist(), j[bad].tolist())]
     return {"passed": not failures, "failures": failures}

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -395,7 +396,126 @@ class TestConvexShortcut:
         assert fast.points == searched.points and fast.meta == searched.meta
 
 
+_RUN_RNG = np.random.default_rng(33)
+# Dirichlet rows from spiky to near-equal, with the structured kernels beside them
+_RUN_KERNELS = {
+    **{f"dirichlet{a}-{nx}x3": DMCKernel(_RUN_RNG.dirichlet(np.full(3, a), size=nx))
+       for a in (0.3, 1.0, 3.0) for nx in (2, 3, 4)},
+    "bsc0.1": DMCKernel.bsc(0.1), "erasure2": DMCKernel.erasure(0.3, 2),
+    "erasure3": DMCKernel.erasure(0.3, 3), "identity3": DMCKernel.identity(3),
+    "K2": DMCKernel(np.loadtxt(Path(__file__).parent / "golden" / "K2.csv", delimiter=",")),
+}
+
+
+def _full_first_pass(solve, lambdas) -> list:
+    """The first pass without runs: every multiplier searched."""
+    return [solve(lam) for lam in lambdas]
+
+
+class TestFirstPassRuns:
+    @pytest.mark.parametrize("name", list(_RUN_KERNELS))
+    @pytest.mark.parametrize("params", [{"n_lambdas": 8, "refinements": 4}, None],
+                             ids=["8-4", "defaults"])
+    def test_matches_a_full_first_pass(self, name, params, monkeypatch):
+        ts = np.round(np.arange(0.0, 1.0 + 1e-9, 0.05), 10)
+        runs = fi_dmc_envelope(_RUN_KERNELS[name], ts, params)
+        monkeypatch.setattr(fi_curves, "_solve_in_runs", _full_first_pass)
+        full = fi_dmc_envelope(_RUN_KERNELS[name], ts, params)
+        assert runs.points == full.points and runs.meta == full.meta
+
+    def test_bsc_runs_fewer_splits(self, monkeypatch):
+        ts = np.linspace(0.0, 1.0, 21)
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return _best_split(*args)
+
+        monkeypatch.setattr(fi_curves, "_best_split", counting)
+        fi_dmc_envelope(DMCKernel.bsc(0.1), ts)
+        runs = len(calls)
+        calls.clear()
+        monkeypatch.setattr(fi_curves, "_solve_in_runs", _full_first_pass)
+        fi_dmc_envelope(DMCKernel.bsc(0.1), ts)
+        assert 0 < runs < len(calls)
+
+    def test_equal_ends_fill_the_run(self):
+        solved = []
+
+        def solve(lam):
+            solved.append(lam)
+            return (0.0, 0.0) if lam >= 4 else (1.0, float(lam >= 2))
+
+        assert fi_curves._solve_in_runs(solve, list(range(9))) == (
+            [(1.0, 0.0)] * 2 + [(1.0, 1.0)] * 2 + [(0.0, 0.0)] * 5)
+        assert sorted(solved) == [0, 1, 2, 3, 4, 8]
+        solved.clear()
+        assert fi_curves._solve_in_runs(solve, [0.0]) == [(1.0, 0.0)] and solved == [0.0]
+
+
+def _properties_check_loop(curve) -> dict:
+    """`fi_properties_check` as a loop over numpy scalars, the reference."""
+    tol = 1e-6
+    ts = curve.arguments
+    vs = curve.values
+    if len(ts) < 3:
+        raise DomainError("need at least 3 curve points")
+    failures = []
+    i0 = int(np.argmin(np.abs(ts)))
+    if abs(ts[i0]) < tol and abs(vs[i0]) > tol:
+        failures.append(("zero_at_zero", (float(ts[i0]), float(vs[i0]))))
+    for i in range(len(ts) - 1):
+        if vs[i + 1] < vs[i] - tol:
+            failures.append(("nondecreasing", (float(ts[i]), float(ts[i + 1]))))
+    for t, v in zip(ts, vs):
+        if v > t + tol:
+            failures.append(("below_diagonal", (float(t), float(v))))
+    ratio_prev = None
+    for t, v in zip(ts, vs):
+        if t <= tol:
+            continue
+        r = v / t
+        if ratio_prev is not None and r > ratio_prev + tol:
+            failures.append(("ratio_nonincreasing", (float(t), float(r))))
+        ratio_prev = r
+    lookup = {round(t, 9): v for t, v in zip(ts, vs)}
+    for i in range(len(ts)):
+        for j in range(i, len(ts)):
+            key = round(ts[i] + ts[j], 9)
+            if key in lookup and lookup[key] > vs[i] + vs[j] + tol:
+                failures.append(("subadditive", (float(ts[i]), float(ts[j]))))
+    return {"passed": not failures, "failures": failures}
+
+
 class TestPropertiesCheck:
+    def test_matches_the_loop(self):
+        from sdpi.core_prob import Ccurve
+        grid = np.round(np.arange(0.0, 1.0 + 1e-9, 0.05), 10)
+        passing = [fi_dmc_envelope(K, ts, {"n_lambdas": 8, "refinements": 4})
+                   for K in (DMCKernel.bsc(0.1), DMCKernel.erasure(0.3, 3), _RUN_KERNELS["K2"],
+                             _RUN_KERNELS["dirichlet1.0-3x3"])
+                   for ts in (grid, np.linspace(0.0, LOG2, 15))]
+        failing = {
+            "zero_at_zero": ((0.0, 0.1), (0.5, 0.3), (1.0, 0.4)),
+            "nondecreasing": ((0.0, 0.0), (0.5, 0.4), (1.0, 0.2)),
+            "below_diagonal": ((0.0, 0.0), (0.1, 0.3), (0.2, 0.3)),
+            "ratio_nonincreasing": ((0.0, 0.0), (0.3, 0.1), (0.7, 0.5)),
+            # failing pairs (1, 1), (1, 2), (1, 3), (2, 2): row-major, not column-major
+            "subadditive": ((0.0, 0.0), (0.1, 0.01), (0.2, 0.05), (0.3, 0.2), (0.4, 0.3)),
+            # 0.1 and 0.1 + 1e-11 share the key 0.1, the later point standing for it
+            "shared key": ((0.0, 0.0), (0.1, 0.05), (0.1 + 1e-11, 0.08), (0.2, 0.3)),
+            "negative": ((-0.2, 0.0), (-0.1, 0.0), (0.0, 0.0), (0.1, 0.2)),
+        }
+        kinds = set()
+        for curve in passing + [Ccurve(p) for p in failing.values()]:
+            report = fi_properties_check(curve)
+            assert report == _properties_check_loop(curve)
+            assert [type(x) for f in report["failures"] for x in f[1]] == (
+                [float] * 2 * len(report["failures"]))
+            kinds |= {f[0] for f in report["failures"]}
+        assert all(fi_properties_check(curve)["passed"] for curve in passing)
+        assert kinds == set(failing) - {"shared key", "negative"}
+
     def test_valid_curve_passes(self):
         ts = np.linspace(0.0, LOG2, 15)
         curve = fi_dmc_envelope(DMCKernel.bsc(0.1), ts,
