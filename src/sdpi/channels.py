@@ -69,8 +69,10 @@ def _alphabet_size(size) -> int:
     return int(size)
 
 
-# elements of a `_copies` or `_pieces` chunk (a memory bound), Gauss-Legendre nodes per
-# piece; GridNoise.eta_tv stops within _ETA_TOL of the sup or after _ETA_EVALS thetas
+# elements of a `_copies` or `_pieces` chunk (a memory bound: 2 MiB an array, and a
+# block's temporaries peak at 15.6 MiB by tracemalloc for 400 six-atom inputs of 5 rows
+# on tests/golden/noise.csv's law, 13.2 MiB for Gaussian noise), Gauss-Legendre nodes
+# per piece; GridNoise.eta_tv stops within _ETA_TOL of the sup or after _ETA_EVALS thetas
 _SHIFT_BLOCK, _GL_NODES, _ETA_TOL, _ETA_EVALS = 1 << 18, 32, 1e-10, 1000
 
 
@@ -227,10 +229,19 @@ class _LinearNoise(NoiseModel):
                 h = np.diff(ends, axis=1)
                 q = ends[:, :-1] + 0.25 * h
                 u1 = np.interp(q[:, None] - mu[b, :, None], x, f, left=0.0, right=0.0)
-                u3 = np.interp((q + 0.5 * h)[:, None] - mu[b, :, None], x, f, left=0.0, right=0.0)
-                d = 0.5 * (u3 - u1)
-                yield (b, h, np.einsum("brk,bkj->brj", rows[b], u1 - d),
-                       np.einsum("brk,bkj->brj", rows[b], u3 + d))
+                q += 0.5 * h
+                u3 = np.interp(q[:, None] - mu[b, :, None], x, f, left=0.0, right=0.0)
+                d = u3 - u1
+                d *= 0.5
+                u1 -= d
+                u3 += d
+                # in place, freed before the yield: a block holds a few arrays at a time
+                del q, d
+                p0 = np.einsum("brk,bkj->brj", rows[b], u1)
+                del u1
+                p1 = np.einsum("brk,bkj->brj", rows[b], u3)
+                del u3
+                yield b, h, p0, p1
 
     def _plogp(self, mu: np.ndarray, rows: np.ndarray):
         """Exactly: yield (batch slice, h, mean of p log p) over `_pieces`.  On a piece
@@ -238,11 +249,16 @@ class _LinearNoise(NoiseModel):
         or m (log(hi) - 1/2) + lo log1p(t)/(2t), t = (hi - lo)/lo, m the mean of p, in
         which no two terms cancel, even as hi -> lo and log1p(t)/t -> 1."""
         for b, h, p0, p1 in self._pieces(mu, rows):
-            lo, hi = np.maximum(np.minimum(p0, p1), 0.0), np.maximum(np.maximum(p0, p1), 0.0)
+            # hi and t overwrite the block's p0 and p1, which `_pieces` does not reuse
+            lo = np.maximum(np.minimum(p0, p1), 0.0)
+            hi = np.maximum(np.maximum(p0, p1, out=p0), 0.0, out=p0)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                t = (hi - lo) / lo  # inf where lo = 0 or lo < 1e-308 hi: its term is then 0
+                # inf where lo = 0 or lo < 1e-308 hi: its term is then 0
+                t = np.divide(np.subtract(hi, lo, out=p1), lo, out=p1)
                 tail = np.where(t < np.inf, 0.5 * lo * np.where(t > 0.0, np.log1p(t) / t, 1.0), 0.0)
+                del t, p1
                 mean = np.where(hi > 0.0, 0.5 * (lo + hi) * (np.log(hi) - 0.5) + tail, 0.0)
+            del lo, hi, p0, tail
             yield b, h, mean
 
 

@@ -88,51 +88,63 @@ def _best_split(points: np.ndarray, f: np.ndarray, f_vertices: np.ndarray) -> np
     vertex it replaces; no later chord falls below by more than that depth.
 
     Each round splits every live simplex at once.  The points are kept sorted
-    by simplex, so a simplex is a segment of `coords` and `gap` starting at
-    `starts`, with its vertices in `verts`.  A split simplex loses its lowest
+    by simplex, so simplex i is the segment of `coords` and `gap` where `seg`
+    is i, starting at `starts[i]`, with its vertices in `verts[i]`.  A round
+    reads the next `seg` and `starts` off the children's stably sorted keys,
+    looks for the first top point only in the segment that beats `best`, and
+    ends the loop when no simplex splits.  A split simplex loses its lowest
     point, so the loop ends within len(points) rounds.
     """
     nx = len(f_vertices)
     best, coupling = 0.0, np.full((1, nx), 1.0 / nx)
     coords, gap = points, f - points @ f_vertices
+    seg = np.zeros(len(points), dtype=np.intp)
     starts, verts = np.zeros(min(len(points), 1), dtype=np.intp), np.eye(nx)[None]
     while len(starts):
-        seg = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(gap)))
         tops, lows = np.maximum.reduceat(gap, starts), np.minimum.reduceat(gap, starts)
-        # the first point of each segment reaching its max and its min, as argmax/argmin
-        pos = np.arange(len(gap))
-        top = np.minimum.reduceat(np.where(gap == tops[seg], pos, len(gap)), starts)
-        low = np.minimum.reduceat(np.where(gap == lows[seg], pos, len(gap)), starts)
         k = int(np.argmax(tops))
         if tops[k] > best:
-            best, coupling = tops[k], coords[top[k]][:, None] * verts[k]
+            lo, hi = starts[k], starts[k + 1] if k + 1 < len(starts) else len(gap)
+            best, coupling = tops[k], coords[lo + np.argmax(gap[lo:hi])][:, None] * verts[k]
         depth = -lows
         # a facet of the envelope (nothing below the chord beyond rounding), or pruned
         split = (depth > 1e-13) & (tops + depth > best)
-        c, verts, depth = coords[low[split]], verts[split], depth[split]
+        if not split.any():
+            break
+        # the first point of each segment reaching its min, as argmin
+        low = np.minimum.reduceat(np.where(gap == lows[seg], np.arange(len(gap)), len(gap)),
+                                  starts)[split]
+        c, verts, depth = coords[low], verts[split], depth[split]
         parent = np.cumsum(split) - 1
         rest = split[seg]
         rest[low] = False
-        coords, gap, seg = coords[rest], gap[rest], parent[seg[rest]]
+        keep = np.flatnonzero(rest)
+        coords, gap, seg = coords[keep], gap[keep], parent[seg[keep]]
         # a point joins the child replacing the vertex j that minimises b_j / c_j;
         # there b'_j = b_j / c_j, b'_k = b_k - c_k b'_j, and the chord drops by b'_j depth
         cp = c[seg]
-        ratio = np.where(cp > 0, coords / np.where(cp > 0, cp, 1.0), np.inf)
+        ratio = np.full(coords.shape, np.inf)
+        np.divide(coords, cp, out=ratio, where=cp > 0)
         child = np.argmin(ratio, axis=1)
-        share = ratio[np.arange(len(child)), child]
-        coords = coords - share[:, None] * cp
-        coords[np.arange(len(child)), child] = share
-        gap = gap + share * depth[seg]
+        at_child = np.arange(0, ratio.size, nx) + child  # flat index of (i, child[i])
+        share = np.take(ratio, at_child)
+        coords -= share[:, None] * cp
+        np.put(coords, at_child, share)
+        gap += share * depth[seg]
         # the children, keyed parent * nx + j, are the next round's segments; child j
         # has the parent's vertices with vertex j moved to the split point c @ verts
         key = seg * nx + child
         order = np.argsort(key, kind="stable")
-        coords, gap = coords[order], gap[order]
-        keys, starts = np.unique(key[order], return_index=True)
-        p, j = np.divmod(keys, nx)
+        coords, gap, key = coords[order], gap[order], key[order]
+        # each run of equal sorted keys is one child: its first index is its start
+        first = np.empty(len(key), dtype=bool)
+        first[:1] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        starts, seg = np.flatnonzero(first), np.cumsum(first) - 1
+        p, j = np.divmod(key[starts], nx)
         apex = np.matmul(c[:, None], verts)[:, 0]
         verts = verts[p]
-        verts[np.arange(len(keys)), j] = apex[p]
+        verts[np.arange(len(starts)), j] = apex[p]
     coupling = np.maximum(coupling, 0.0)
     return coupling / coupling.sum()
 

@@ -271,9 +271,52 @@ def _depth_first_split(points, f, f_vertices):
     return coupling / coupling.sum()
 
 
+def _parent_split(points, f, f_vertices):
+    """`_best_split` as it was before its rounds were streamlined: segment ids
+    rebuilt from `starts` by np.repeat, first top and low points of every segment
+    by where/reduceat, child keys by np.unique, and a last round that splits nothing."""
+    nx = len(f_vertices)
+    best, coupling = 0.0, np.full((1, nx), 1.0 / nx)
+    coords, gap = points, f - points @ f_vertices
+    starts, verts = np.zeros(min(len(points), 1), dtype=np.intp), np.eye(nx)[None]
+    while len(starts):
+        seg = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(gap)))
+        tops, lows = np.maximum.reduceat(gap, starts), np.minimum.reduceat(gap, starts)
+        pos = np.arange(len(gap))
+        top = np.minimum.reduceat(np.where(gap == tops[seg], pos, len(gap)), starts)
+        low = np.minimum.reduceat(np.where(gap == lows[seg], pos, len(gap)), starts)
+        k = int(np.argmax(tops))
+        if tops[k] > best:
+            best, coupling = tops[k], coords[top[k]][:, None] * verts[k]
+        depth = -lows
+        split = (depth > 1e-13) & (tops + depth > best)
+        c, verts, depth = coords[low[split]], verts[split], depth[split]
+        parent = np.cumsum(split) - 1
+        rest = split[seg]
+        rest[low] = False
+        coords, gap, seg = coords[rest], gap[rest], parent[seg[rest]]
+        cp = c[seg]
+        ratio = np.where(cp > 0, coords / np.where(cp > 0, cp, 1.0), np.inf)
+        child = np.argmin(ratio, axis=1)
+        share = ratio[np.arange(len(child)), child]
+        coords = coords - share[:, None] * cp
+        coords[np.arange(len(child)), child] = share
+        gap = gap + share * depth[seg]
+        key = seg * nx + child
+        order = np.argsort(key, kind="stable")
+        coords, gap = coords[order], gap[order]
+        keys, starts = np.unique(key[order], return_index=True)
+        p, j = np.divmod(keys, nx)
+        apex = np.matmul(c[:, None], verts)[:, 0]
+        verts = verts[p]
+        verts[np.arange(len(keys)), j] = apex[p]
+    coupling = np.maximum(coupling, 0.0)
+    return coupling / coupling.sum()
+
+
 class _CountingNumpy:
-    """numpy for `fi_curves`, counting `_best_split`'s rounds (one argsort
-    each) and the child simplices they make (the keys of one unique each)."""
+    """numpy for `fi_curves`, counting `_best_split`'s splitting rounds (one
+    argsort each) and the child simplices they make (the keys of one divmod each)."""
 
     def __init__(self):
         self.rounds = self.children = 0
@@ -285,16 +328,21 @@ class _CountingNumpy:
         self.rounds += 1
         return np.argsort(*args, **kwargs)
 
-    def unique(self, *args, **kwargs):
-        out = np.unique(*args, **kwargs)
-        self.children += len(out[0])
-        return out
+    def divmod(self, keys, *args, **kwargs):
+        self.children += len(keys)
+        return np.divmod(keys, *args, **kwargs)
 
 
 def _phi(K: DMCKernel, lam: float):
     Km = K.matrix
     pts = _interior_lattice(Km.shape[0])[1]
     return pts, -xlogx(pts @ Km).sum(axis=1) + lam * xlogx(pts).sum(axis=1), -xlogx(Km).sum(axis=1)
+
+
+def _flat_phi():
+    """BSC(0.1)'s lattice with phi within 1e-13 below the chord everywhere: a facet."""
+    pts, _, fv = _phi(DMCKernel.bsc(0.1), 0.5)
+    return pts, pts @ fv - 5e-14 * np.random.default_rng(0).uniform(size=len(pts)), fv
 
 
 _ROUND_KERNELS = [DMCKernel.bsc(0.1), DMCKernel.erasure(0.3, 2), DMCKernel.erasure(0.3, 3)] + [
@@ -324,11 +372,9 @@ class TestSplitRounds:
 
     def test_flat_phi_is_not_split(self, monkeypatch):
         # every point within 1e-13 below the chord: a facet, gap 0, no child simplex
-        pts, _, fv = _phi(DMCKernel.bsc(0.1), 0.5)
-        f = pts @ fv - 5e-14 * np.random.default_rng(0).uniform(size=len(pts))
         counter = _CountingNumpy()
         monkeypatch.setattr(fi_curves, "np", counter)
-        q = _best_split(pts, f, fv)
+        q = _best_split(*_flat_phi())
         assert counter.children == 0
         assert np.array_equal(q, np.full((1, 2), 0.5))
 
@@ -451,6 +497,32 @@ class TestFirstPassRuns:
         assert sorted(solved) == [0, 1, 2, 3, 4, 8]
         solved.clear()
         assert fi_curves._solve_in_runs(solve, [0.0]) == [(1.0, 0.0)] and solved == [0.0]
+
+
+def _tied_phi(nx: int):
+    """phi on the nx-input lattice with gaps to a chord in steps of 1/8: many
+    points share a segment's top or its lowest gap, and simplices share a top."""
+    pts = _interior_lattice(nx)[1]
+    fv = np.arange(nx, dtype=float)
+    wave = np.round(8 * np.sin(13.0 * pts[:, 0] + 5.0 * pts[:, -1])) / 8
+    return pts, pts @ fv + wave, fv
+
+
+class TestSplitBitIdentity:
+    """`_best_split` against `_parent_split`, the loop before its rounds were
+    streamlined, array for array."""
+
+    @pytest.mark.parametrize("name", [n for n in _RUN_KERNELS if n != "erasure2"])
+    def test_matches_the_parent_split(self, name):
+        for lam in (0.0, 1e-3, 1e-2, 0.1, 0.3, 0.6, 0.9):
+            args = _phi(_RUN_KERNELS[name], lam)
+            assert np.array_equal(_best_split(*args), _parent_split(*args)), lam
+
+    @pytest.mark.parametrize("args", [_flat_phi(), (np.zeros((0, 3)), np.zeros(0), np.zeros(3))]
+                             + [_tied_phi(nx) for nx in (2, 3, 4)],
+                             ids=["flat", "empty", "tied2", "tied3", "tied4"])
+    def test_edge_cases(self, args):
+        assert np.array_equal(_best_split(*args), _parent_split(*args))
 
 
 def _properties_check_loop(curve) -> dict:
