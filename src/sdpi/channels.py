@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_prob import (DiscretePMF, GridDensity, ThresholdReport, char_fn, erf,
-                        gauss_legendre, mi_joint, q_function)
+                        gauss_legendre, mi_joint, q_function, xlogx)
 from .errors import DomainError, ProfileFailureError, ShapeError
 
 
@@ -178,11 +178,9 @@ class NoiseModel:
     def _plogp(self, mu: np.ndarray, rows: np.ndarray):
         """Yield (batch slice, w, p log p) on the blocks of `_copies`, p[b, r] =
         rows[b, r] @ D[b] by einsum, which (unlike BLAS) sums each entry in one
-        order whatever the block's shape, and 0 log 0 = 0, so a zero or underflowing
-        p gives no warning."""
+        order whatever the block's shape, with `xlogx`'s 0 log 0 = 0."""
         for b, w, D in self._copies(mu):
-            p = np.einsum("brk,bkj->brj", rows[b], D)
-            yield b, w, p * np.log(np.where(p > 0.0, p, 1.0))
+            yield b, w, xlogx(np.einsum("brk,bkj->brj", rows[b], D))
 
     def _copies(self, mu: np.ndarray):
         """Yield (batch slice, w, D) for a batch of inputs mu (batch, atoms), D[b, k, j]

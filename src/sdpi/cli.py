@@ -53,6 +53,13 @@ def _spec_number(spec: str, text: str, cast=float):
             f"malformed spec {spec!r}: cannot read {text!r} as {cast.__name__}") from None
 
 
+def _spec_file(spec: str, path: str) -> str:
+    """The text of the file a spec names, or a DomainError naming the spec when the path is empty."""
+    if not path:
+        raise DomainError(f"malformed spec {spec!r}: empty file path")
+    return Path(path).read_text()
+
+
 def _parse_channel(spec: str):
     """The F_I curve of a channel spec, as a function of the t array.
 
@@ -75,7 +82,7 @@ def _parse_channel(spec: str):
         DMCKernel.identity(size)
         return lambda ts: [fi_erasure(t, 0.0, size) for t in ts]
     if kind == "csv":
-        K = DMCKernel(csv_rows(Path(arg).read_text(), None, None))
+        K = DMCKernel(csv_rows(_spec_file(spec, arg), None, None))
         return lambda ts: fi_dmc_envelope(K, ts).values
     raise DomainError(f"unknown channel {spec!r}")
 
@@ -90,7 +97,7 @@ def _parse_noise(spec: str) -> NoiseModel:
     if kind == "laplace":
         return NoiseModel.laplace(_spec_number(spec, arg) if arg else 1.0)
     if kind == "grid":
-        return NoiseModel.from_grid(GridDensity.from_csv(Path(arg).read_text()))
+        return NoiseModel.from_grid(GridDensity.from_csv(_spec_file(spec, arg)))
     raise DomainError(f"unknown noise {spec!r}")
 
 
@@ -300,9 +307,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             # config values become the command's defaults: argparse converts
-            # them with each option's declared type and command-line flags win
-            args.command_parser.set_defaults(**{
-                k: v for k, v in _read_config(args.config).items() if hasattr(args, k)})
+            # them with each option's declared type and command-line flags win;
+            # only the command's own options take a value, not argparse's
+            # bookkeeping attributes such as func
+            sp = args.command_parser
+            options = {a.dest for a in sp._actions if a.option_strings} - {"help"}
+            sp.set_defaults(**{
+                k: v for k, v in _read_config(args.config).items() if k in options})
             args = parser.parse_args(argv)
         return args.func(args)
     except SystemExit as e:

@@ -482,11 +482,9 @@ def simplex_lattice(n: int, parts: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def xlogx(v: np.ndarray) -> np.ndarray:
-    """Elementwise v log v with the convention 0 log 0 = 0."""
-    out = np.zeros_like(v)
-    mask = v > 0
-    out[mask] = v[mask] * np.log(v[mask])
-    return out
+    """Elementwise v log v for v >= 0 with the convention 0 log 0 = 0, so a zero
+    or underflowing v gives no warning."""
+    return v * np.log(np.where(v > 0, v, 1.0))
 
 
 def mi_joint(q: np.ndarray):

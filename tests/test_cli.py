@@ -92,6 +92,13 @@ class TestBoundsCommand:
         assert "eta_tv" in lines[0]
         assert float(lines[2].split(",")[1]) > 0.0
 
+    def test_general_diag_grid_noise_default_t_grid(self, capsys):
+        # the golden runs 0.1:0.5:0.1; the default grid reaches t = 1
+        noise = Path(__file__).parent / "golden" / "noise.csv"
+        code, out, err = run(["bounds", "general-diag", "--noise", f"grid:{noise}"], capsys)
+        assert code == 0, err
+        assert len(out.strip().splitlines()) == 12
+
     def test_general_diag_non_contracting(self, capsys):
         # no contracting amplitude: every bound is 0, and that is not an error
         code, out, _ = run(["bounds", "general-diag", "--noise", "uniform:0,1e-7"], capsys)
@@ -292,7 +299,9 @@ class TestConfigAndErrors:
 
     def test_config_keys_of_other_commands_ignored(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("gamma = 4.0\nseed = 3\neps-grid = 1:2:1\nchannel = bsc:0.2\n")
+        # func and command_parser are attributes build_parser sets, not options
+        cfg.write_text("gamma = 4.0\nseed = 3\neps-grid = 1:2:1\nchannel = bsc:0.2\n"
+                       "func = 1\ncommand_parser = x\n")
         argv = ["bounds", "diag", "--t-grid", "0.2:0.4:0.2"]
         code, out, err = run(argv + ["--config", str(cfg)], capsys)
         assert code == 0, err
@@ -372,6 +381,8 @@ class TestConfigAndErrors:
         ["fi-curve", "--channel", "bsc:", "--t-grid", "0:1:0.5"],
         ["contraction", "--noise", "uniform:1"],
         ["contraction", "--noise", "laplace:abc"],
+        ["fi-curve", "--channel", "csv:", "--t-grid", "0:1:0.5"],
+        ["contraction", "--noise", "grid:"],
     ])
     def test_malformed_spec_is_domain_error(self, argv, capsys):
         code, out, err = run(argv, capsys)
@@ -488,6 +499,10 @@ class TestVerifyCommand:
         # the three seeds draw every crossover, so the suite's 9 cases all run
         rep = verify.run_suite("bsc", seed)
         assert (rep["delta"], rep["violations"]) == (delta, 0)
+
+    @pytest.mark.parametrize("suite", ["diag", "horiz", "deconv"])
+    def test_suite_has_no_violations(self, suite):
+        assert verify.run_suite(suite, 0)["violations"] == 0
 
     def test_sampler_suites_report_their_checks(self):
         # every coupling has I(W;X) > 0, so the diag suite runs all 500 checks; at

