@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 
 import numpy as np
 
 from .channels import DMCKernel, _alphabet_size, dmc_capacity
+from .contraction import eta_kl_dmc
 from .core_prob import (LOG2, Ccurve, binary_entropy, binary_entropy_inv, mi_joint,
                         simplex_lattice, xlogx)
 from .errors import DomainError
@@ -76,6 +78,13 @@ def _interior_lattice(nx: int) -> tuple[int, np.ndarray]:
     return n, points
 
 
+def _trivial_coupling(nx: int) -> np.ndarray:
+    """The joint pmf of a constant W with a uniform X: `_best_split`'s answer when
+    no coupling has a positive Lagrangian."""
+    coupling = np.full((1, nx), 1.0 / nx)
+    return coupling / coupling.sum()
+
+
 def _best_split(points: np.ndarray, f: np.ndarray, f_vertices: np.ndarray) -> np.ndarray:
     """Joint pmf on W x X maximising I(W;Y) - lam I(W;X): the largest gap between
     phi = H(PK) - lam H(P) (`f` at `points`, `f_vertices` at the vertices) and
@@ -96,7 +105,7 @@ def _best_split(points: np.ndarray, f: np.ndarray, f_vertices: np.ndarray) -> np
     point, so the loop ends within len(points) rounds.
     """
     nx = len(f_vertices)
-    best, coupling = 0.0, np.full((1, nx), 1.0 / nx)
+    best, coupling = 0.0, None
     coords, gap = points, f - points @ f_vertices
     seg = np.zeros(len(points), dtype=np.intp)
     starts, verts = np.zeros(min(len(points), 1), dtype=np.intp), np.eye(nx)[None]
@@ -145,24 +154,10 @@ def _best_split(points: np.ndarray, f: np.ndarray, f_vertices: np.ndarray) -> np
         apex = np.matmul(c[:, None], verts)[:, 0]
         verts = verts[p]
         verts[np.arange(len(starts)), j] = apex[p]
+    if coupling is None:
+        return _trivial_coupling(nx)
     coupling = np.maximum(coupling, 0.0)
     return coupling / coupling.sum()
-
-
-# a second difference of phi above this on the |X| = 2 lattice line: far beyond
-# the ~1e-14 rounding of `_best_split`'s gaps, which then stay about half of it below 0
-_CONVEX_MARGIN = 1e-10
-
-
-def _convex_on_line(f: np.ndarray, f_vertices: np.ndarray) -> bool:
-    """Whether |X| = 2 and phi is strictly convex on the lattice line (`f` at
-    p_1 = k/n ascending, between e_2 and e_1): then every lattice point is a
-    vertex of the lower hull, no lattice coupling has a positive Lagrangian, and
-    `_best_split` would split to every point only to return the trivial coupling."""
-    if len(f_vertices) != 2:
-        return False
-    line = np.concatenate([f_vertices[1:], f, f_vertices[:1]])
-    return bool(np.all(np.diff(line, 2) > _CONVEX_MARGIN))
 
 
 def _upper_concave_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -216,8 +211,9 @@ def _solve_in_runs(solve, lambdas) -> list:
 def fi_dmc_envelope(K: DMCKernel, t_grid, solver_params: dict | None = None) -> Ccurve:
     """Certified lower bound on the concavified F_I curve of a kernel.
 
-    The Lagrangians I(W;Y) - lambda I(W;X) at `n_lambdas` (64) multipliers and
-    up to `refinements` (96) bisections are maximized by `_best_split`.  The
+    The Lagrangians I(W;Y) - lambda I(W;X) at `n_lambdas` (64, an integer >= 1)
+    multipliers and up to `refinements` (96, an integer >= 0) bisections are
+    maximized by `_best_split`; other `solver_params` keys are ignored.  The
     first pass takes its multipliers (0 and a geometric grid up to 1) in
     bisection order, and one inside a run of equal (I_WX, I_WY) pairs takes the
     run's pair without a search (`_solve_in_runs`: exact, as the maximum
@@ -227,10 +223,14 @@ def fi_dmc_envelope(K: DMCKernel, t_grid, solver_params: dict | None = None) -> 
     exactly, anchored at the origin and capped at the lower end of the capacity
     bracket (`dmc_capacity`), is the curve; the meta records both ends.
 
-    No multiplier from 1 on is searched (I(W;Y) <= I(W;X)), nor, for |X| = 2,
-    one where `_convex_on_line` proves phi convex on the lattice (lambda above
-    eta_KL, the slope of F_I at 0): both take the trivial coupling the search
-    would return.  t must be finite and nonnegative.
+    No multiplier from 1 on is searched (I(W;Y) <= I(W;X)), nor one above the
+    upper end of `eta_kl_dmc`'s bracket: phi = H(PK) - lambda H(P) has second
+    derivative lambda sum v^2/P - sum (vK)^2/PK along v, so it is strictly
+    convex on the simplex exactly when lambda > eta_KL, the slope of F_I at 0.
+    Then every lattice point is a vertex of the lower hull, and both take the
+    trivial coupling the search would return.  The bracket is computed once
+    per kernel, and not at all for one with no interior lattice point.  t must
+    be finite and nonnegative.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or not np.all(np.diff(t_grid) > 0):
@@ -240,24 +240,33 @@ def fi_dmc_envelope(K: DMCKernel, t_grid, solver_params: dict | None = None) -> 
     if not np.all(np.isfinite(t_grid)):
         raise DomainError("t must be finite")
     params = {"n_lambdas": 64, "refinements": 96, **(solver_params or {})}
+    n_lambdas, refinements = params["n_lambdas"], params["refinements"]
+    if not (isinstance(n_lambdas, numbers.Integral) and n_lambdas >= 1):
+        raise DomainError(f"n_lambdas must be an integer >= 1, not {n_lambdas!r}")
+    if not (isinstance(refinements, numbers.Integral) and refinements >= 0):
+        raise DomainError(f"refinements must be an integer >= 0, not {refinements!r}")
     Km = K.matrix
-    resolution, points = _interior_lattice(Km.shape[0])
+    nx = Km.shape[0]
+    resolution, points = _interior_lattice(nx)
     h_x, h_y, h_rows = (-xlogx(a).sum(axis=1) for a in (points, points @ Km, Km))
+    eta_upper = eta_kl_dmc(K).bracket[1] if len(points) else math.inf
 
     def solve(lam: float) -> tuple[float, float]:
         # I(W;Y) <= I(W;X), so from lam = 1 on the trivial coupling is optimal
         if lam >= 1.0:
             return 0.0, 0.0
-        f = h_y - lam * h_x
-        # above the slope of F_I at 0 (eta_KL) phi is convex: `_best_split`'s trivial answer
-        q = np.full((1, 2), 0.5) if _convex_on_line(f, h_rows) else _best_split(points, f, h_rows)
+        # above eta_KL phi is strictly convex: `_best_split`'s trivial answer
+        if lam > eta_upper:
+            q = _trivial_coupling(nx)
+        else:
+            q = _best_split(points, h_y - lam * h_x, h_rows)
         return mi_joint(q), mi_joint(q @ Km)
 
-    lambdas = np.concatenate([[0.0], np.geomspace(1e-3, 1.0, params["n_lambdas"] - 1)])
+    lambdas = np.concatenate([[0.0], np.geomspace(1e-3, 1.0, n_lambdas - 1)])
     solved = list(zip(lambdas, _solve_in_runs(solve, lambdas)))
     # adaptive refinement: bisect multipliers whose tangent points are far
     # apart in I_WX, otherwise the hull sags between them
-    for _ in range(params["refinements"]):
+    for _ in range(refinements):
         solved.sort(key=lambda s: s[0])
         # a persistent gap on a vanishing multiplier interval is a genuine
         # discontinuity of the tangent map; stop splitting it

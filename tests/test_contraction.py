@@ -10,11 +10,12 @@ from scipy.special import ndtri
 
 from sdpi.channels import DMCKernel, NoiseModel
 from sdpi.contraction import (
-    a2_star, alpha_star, dobrushin_dmc, eta_tv_amplitude,
+    a2_star, alpha_star, eta_kl_dmc, eta_tv_amplitude,
     eta_tv_complement,
 )
-from sdpi.core_prob import GridDensity, q_function
+from sdpi.core_prob import GridDensity, q_function, simplex_lattice
 from sdpi.errors import DomainError
+from test_channels import SUBNORMAL_KERNEL
 
 GOLDEN_NOISE = GridDensity.from_csv((Path(__file__).parent / "golden" / "noise.csv").read_text())
 
@@ -199,15 +200,101 @@ class TestEtaTvComplement:
             assert eta_tv_complement(z, A) == 1.0 - eta_tv_amplitude(z, A)
 
 
-class TestDobrushin:
-    def test_bsc(self):
-        assert dobrushin_dmc(DMCKernel.bsc(0.1)) == pytest.approx(0.8, abs=1e-12)
+def eta_kl_reference(m: np.ndarray, n: int = 400_001) -> float:
+    """max over row pairs of g(a) = a (1 - a) sum_y e_y^2 / L_y on an n-point grid
+    of [0, 1], with the limits g(0) and g(1) of rows with zeros at the ends."""
+    a = np.linspace(0.0, 1.0, n)[1:-1, None]
+    best = 0.0
+    for x in range(len(m)):
+        for x2 in range(x + 1, len(m)):
+            u, b = m[x], m[x2]
+            keep = (u > 0) | (b > 0)
+            e, L = (b - u)[keep], (1.0 - a) * u[keep] + a * b[keep]
+            g = a[:, 0] * (1.0 - a[:, 0]) * (e * e / L).sum(axis=1)
+            best = max(best, g.max(), b[u == 0].sum(), u[b == 0].sum())
+    return float(best)
 
-    def test_identity(self):
-        assert dobrushin_dmc(DMCKernel.identity(3)) == 1.0
 
-    def test_erasure(self):
-        assert dobrushin_dmc(DMCKernel.erasure(0.3, 2)) == pytest.approx(0.7, abs=1e-12)
+def kernel_with_zeros(rng, nx: int, ny: int) -> np.ndarray:
+    """Dirichlet rows with about a quarter of the entries set to 0."""
+    m = rng.dirichlet(np.full(ny, rng.choice([0.3, 1.0, 3.0])), size=nx)
+    m[rng.uniform(size=m.shape) < 0.25] = 0.0
+    m[m.sum(axis=1) == 0, 0] = 1.0
+    return m / m.sum(axis=1, keepdims=True)
+
+
+def chi2_contraction(p: np.ndarray, m: np.ndarray) -> float:
+    """eta_chi2(P, K), the squared maximal correlation of X ~ P and Y: the second
+    singular value of diag(sqrt P) K diag(1/sqrt(PK))."""
+    q = p @ m
+    keep = q > 0
+    b = np.sqrt(p)[:, None] * m[:, keep] / np.sqrt(q[keep])
+    return float(np.linalg.svd(b, compute_uv=False)[1] ** 2)
+
+
+class TestEtaKl:
+    # each end of the bracket may miss a closed form by rounding
+    ROUNDING = 1e-15
+
+    def contains(self, m, closed):
+        rep = eta_kl_dmc(DMCKernel(np.asarray(m, dtype=float)))
+        lower, upper = rep.bracket
+        assert rep.value == upper and 0.0 <= lower <= upper <= 1.0
+        assert lower - self.ROUNDING <= closed <= upper + self.ROUNDING
+        return rep
+
+    @pytest.mark.parametrize("delta", [0.0, 0.1, 0.3, 0.5])
+    def test_bsc(self, delta):
+        self.contains(DMCKernel.bsc(delta).matrix, (1.0 - 2.0 * delta) ** 2)
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_erasure(self, size):
+        self.contains(DMCKernel.erasure(0.3, size).matrix, 0.7)
+
+    def test_identity_equal_rows_and_one_input(self):
+        self.contains(np.eye(3), 1.0)
+        self.contains([[0.2, 0.3, 0.5]] * 3, 0.0)
+        assert eta_kl_dmc(DMCKernel(np.array([[0.2, 0.3, 0.5]]))).bracket == (0.0, 0.0)
+
+    def test_tighter_than_dobrushin(self):
+        # the TV contraction of BSC(0.1), max TV between rows, is 0.8
+        assert eta_kl_dmc(DMCKernel.bsc(0.1)).value == pytest.approx(0.64, abs=1e-9)
+
+    def test_contains_a_dense_grid(self):
+        rng = np.random.default_rng(36)
+        for nx in (2, 3, 4, 5):
+            for _ in range(4):
+                m = kernel_with_zeros(rng, nx, int(rng.integers(2, 6)))
+                lower, upper = eta_kl_dmc(DMCKernel(m)).bracket
+                ref = eta_kl_reference(m)
+                # the grid maximum is below the sup by at most g'' h^2 / 8
+                assert lower <= ref * (1.0 + 1e-9) + self.ROUNDING and ref <= upper + self.ROUNDING
+                assert upper - lower <= 1e-6 * upper
+
+    def test_binary_inputs_attain_the_sup(self):
+        # eta_chi2(P, K) on every lattice input P of random 3-input kernels stays
+        # below the upper end, which inputs on two letters give
+        rng = np.random.default_rng(7)
+        k = simplex_lattice(30, 3)
+        grid = k[k.min(axis=1) > 0] / 30
+        for _ in range(12):
+            m = rng.dirichlet(np.full(int(rng.integers(2, 5)), 0.7), size=3)
+            upper = eta_kl_dmc(DMCKernel(m)).bracket[1]
+            assert max(chi2_contraction(p, m) for p in grid) <= upper
+
+    @pytest.mark.parametrize("m", [
+        [[0.5, 0.0, 0.5], [0.2, 0.0, 0.8], [1.0, 0.0, 0.0]],
+        [[0.9, 0.1], [0.9, 0.1], [0.1, 0.9]],
+        SUBNORMAL_KERNEL,
+        [[5e-324, 1.0 - 5e-324], [1.0, 0.0]],
+        [[1e-300, 1.0 - 1e-300], [0.5, 0.5]],
+    ], ids=["zero-column", "duplicate-row", "subnormal", "subnormal-entry", "tiny-entry"])
+    def test_no_warning(self, m):
+        # every test is warnings-strict: a RuntimeWarning fails it
+        m = np.asarray(m, dtype=float)
+        lower, upper = eta_kl_dmc(DMCKernel(m)).bracket
+        assert 0.0 <= lower <= upper <= 1.0
+        assert eta_kl_reference(m, 4001) <= upper + self.ROUNDING
 
 
 class TestAlphaStar:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdpi.channels import DMCKernel
-from sdpi.core_prob import LOG2, binary_entropy, mi_joint, xlogx
+from sdpi.contraction import eta_kl_dmc
+from sdpi.core_prob import LOG2, ThresholdReport, binary_entropy, mi_joint, xlogx
 from sdpi import fi_curves
 from sdpi.errors import DomainError
 from sdpi.fi_curves import (
@@ -209,6 +210,31 @@ class TestEnvelope:
         assert curve.meta["lattice_resolution"] == 1
         assert np.all(curve.values == 0.0)
 
+    @pytest.mark.parametrize("params", [{"n_lambdas": 0}, {"n_lambdas": -3},
+                                        {"n_lambdas": 2.5}, {"n_lambdas": 8.0},
+                                        {"n_lambdas": "8"}, {"refinements": -1},
+                                        {"refinements": math.nan}, {"refinements": 1.5}],
+                             ids=["n0", "n-3", "n2.5", "n8.0", "n-str", "r-1", "r-nan", "r1.5"])
+    def test_rejects_bad_solver_params(self, params):
+        with pytest.raises(DomainError, match=next(iter(params))):
+            fi_dmc_envelope(DMCKernel.bsc(0.1), [0.0, 0.5], params)
+
+    def test_ignores_other_solver_params(self):
+        ts = np.linspace(0.0, 0.6, 4)
+        params = {"n_lambdas": np.int64(8), "refinements": 4}
+        assert (fi_dmc_envelope(DMCKernel.bsc(0.1), ts, {**params, "restarts": 4, "seed": 3})
+                == fi_dmc_envelope(DMCKernel.bsc(0.1), ts, params))
+        one = fi_dmc_envelope(DMCKernel.bsc(0.1), ts, {"n_lambdas": 1, "refinements": 0})
+        assert one.meta["n_lambdas"] == 1 and np.all(one.values >= 0.0)
+
+    def test_no_bracket_without_an_interior_point(self, monkeypatch):
+        def fail(K):
+            raise AssertionError("eta_kl_dmc called")
+
+        monkeypatch.setattr(fi_curves, "eta_kl_dmc", fail)
+        curve = fi_dmc_envelope(DMCKernel.identity(45), [0.0, 0.5], {"n_lambdas": 4})
+        assert np.all(curve.values == 0.0)
+
 
 def _qhull_lagrangian(K: DMCKernel, lam: float) -> float:
     """max of phi - (lower convex envelope of phi) on the solver's lattice,
@@ -391,53 +417,84 @@ class TestSplitRounds:
 
 
 _SHORTCUT_RNG = np.random.default_rng(28)
-# 2-input kernels for the convexity shortcut: Dirichlet rows from spiky to near-equal,
-# and structured ones whose phi is nearly flat (BSC near 1/2, rows 1e-9 apart)
+# kernels for the eta_KL shortcut: Dirichlet rows from spiky to near-equal, 2 and 3
+# inputs, and structured ones whose phi is nearly flat (BSC near 1/2, rows 1e-9 apart)
 _SHORTCUT_KERNELS = {
     **{f"dirichlet{a}": [_SHORTCUT_RNG.dirichlet(np.full(ny, a), size=2)
                          for ny in (2, 3, 4, 6) for _ in range(2)]
        for a in (0.3, 1.0, 5.0, 50.0)},
+    **{f"dirichlet{a}-3": [_SHORTCUT_RNG.dirichlet(np.full(ny, a), size=3)
+                           for ny in (2, 3, 4)]
+       for a in (0.3, 1.0, 5.0)},
     "structured": [DMCKernel.bsc(d).matrix for d in (0.0, 0.01, 0.1, 0.2, 0.45, 0.499)]
     + [DMCKernel.erasure(a, 2).matrix for a in (0.1, 0.5, 0.9)]
     + [np.array([[1.0, 0.0], [e, 1.0 - e]]) for e in (0.1, 0.5)]
     + [np.array([[0.3, 0.7], [0.3 + 1e-9, 0.7 - 1e-9]])],
+    "erasure3": [DMCKernel.erasure(a, 3).matrix for a in (0.1, 0.3, 0.6, 0.9)],
 }
 
 
+def _no_bracket(K):
+    """`eta_kl_dmc` with an infinite upper end: every multiplier below 1 searched."""
+    return ThresholdReport(math.inf, 0, (0.0, math.inf))
+
+
 class TestConvexShortcut:
-    def test_lattice_line_is_ascending(self):
-        # `_convex_on_line` reads f between e_2 (p_1 = 0) and e_1 (p_1 = 1)
-        n, pts = _interior_lattice(2)
-        assert np.array_equal(pts[:, 0], np.arange(1, n) / n)
+    """Above the upper end of the eta_KL bracket phi is convex and no search runs."""
 
     @pytest.mark.parametrize("family", list(_SHORTCUT_KERNELS))
     def test_certified_phi_has_the_trivial_split(self, family):
-        # wherever the test certifies phi convex, the search returns the trivial coupling
-        pts = _interior_lattice(2)[1]
+        # above the upper end of the eta_KL bracket the search finds the trivial coupling
         certified = 0
         for Km in _SHORTCUT_KERNELS[family]:
+            nx = Km.shape[0]
+            pts = _interior_lattice(nx)[1]
+            upper = eta_kl_dmc(DMCKernel(Km)).bracket[1]
             h_x, h_y, h_rows = (-xlogx(a).sum(axis=1) for a in (pts, pts @ Km, Km))
             for lam in np.linspace(0.0, 0.999, 80):
-                f = h_y - lam * h_x
-                if fi_curves._convex_on_line(f, h_rows):
+                if lam > upper:
                     certified += 1
-                    assert np.array_equal(_best_split(pts, f, h_rows), np.full((1, 2), 0.5))
+                    q = _best_split(pts, h_y - lam * h_x, h_rows)
+                    assert np.array_equal(q, fi_curves._trivial_coupling(nx))
         assert certified > 0
 
-    def test_three_inputs_are_searched(self):
-        pts, f, fv = _phi(DMCKernel.erasure(0.3, 3), 0.99)
-        assert not fi_curves._convex_on_line(f, fv)
+    def test_three_inputs_are_skipped(self, monkeypatch):
+        # eta_KL of erasure(0.3, 3) is 0.7, so lambda = 0.99 lies above the bracket and no
+        # multiplier there is searched, though the search alone visits some; recover
+        # each searched lambda from phi = H(PK) - lambda H(P)
+        K = DMCKernel.erasure(0.3, 3)
+        upper = eta_kl_dmc(K).bracket[1]
+        assert upper < 0.99
+        points = _interior_lattice(3)[1]
+        h_x, h_y = -xlogx(points).sum(axis=1), -xlogx(points @ K.matrix).sum(axis=1)
+        searched = []
+
+        def spy(pts, f, f_vertices):
+            searched.append(float(np.median((h_y - f) / h_x)))
+            return _best_split(pts, f, f_vertices)
+
+        monkeypatch.setattr(fi_curves, "_best_split", spy)
+        fi_dmc_envelope(K, np.linspace(0.0, 1.0, 5))
+        assert searched and max(searched) < upper
+        searched.clear()
+        monkeypatch.setattr(fi_curves, "eta_kl_dmc", _no_bracket)
+        fi_dmc_envelope(K, np.linspace(0.0, 1.0, 5))
+        assert max(searched) > upper
 
     @pytest.mark.parametrize("K", [DMCKernel.bsc(0.1), DMCKernel.erasure(0.3, 2),
+                                   DMCKernel.erasure(0.3, 3),
                                    DMCKernel(_SHORTCUT_KERNELS["dirichlet1.0"][0]),
-                                   DMCKernel(_SHORTCUT_KERNELS["dirichlet1.0"][2])],
-                             ids=["bsc", "erasure2", "random2x2", "random2x3"])
+                                   DMCKernel(_SHORTCUT_KERNELS["dirichlet1.0"][2]),
+                                   DMCKernel(_SHORTCUT_KERNELS["dirichlet1.0-3"][0]),
+                                   DMCKernel(_SHORTCUT_KERNELS["dirichlet1.0-3"][1])],
+                             ids=["bsc", "erasure2", "erasure3", "random2x2", "random2x3",
+                                  "random3x2", "random3x3"])
     @pytest.mark.parametrize("params", [{"n_lambdas": 8, "refinements": 4}, None],
                              ids=["8-4", "defaults"])
     def test_curve_is_bit_identical_to_the_search(self, K, params, monkeypatch):
         ts = np.linspace(0.0, 1.0, 21)
         fast = fi_dmc_envelope(K, ts, params)
-        monkeypatch.setattr(fi_curves, "_convex_on_line", lambda f, f_vertices: False)
+        monkeypatch.setattr(fi_curves, "eta_kl_dmc", _no_bracket)
         searched = fi_dmc_envelope(K, ts, params)
         assert fast.points == searched.points and fast.meta == searched.meta
 

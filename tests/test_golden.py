@@ -49,6 +49,7 @@ NUMERIC = {
     "bounds-general-diag-grid": ["bounds", "general-diag", "--noise", "grid:noise.csv",
                                  "--t-grid", "0.1:0.5:0.1"],
     "fi-curve-csv2": ["fi-curve", "--channel", "csv:K2.csv", "--t-grid", "0:0.6:0.1"],
+    "fi-curve-csv3": ["fi-curve", "--channel", "csv:K3.csv", "--t-grid", "0:1.1:0.05"],
     "deconv": ["deconv", "--noise", "gaussian", "--p", str(GOLDEN / "P.csv"),
                "--q", str(GOLDEN / "Q.csv")],
 }

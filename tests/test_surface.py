@@ -23,7 +23,6 @@ ALLOWED = {
     "ks_from_capacity_gap": "ROADMAP item 2",
     "ks_talagrand": "ROADMAP item 2",
     "concentration_radius": "ROADMAP item 2",
-    "dobrushin_dmc": "ROADMAP item 5",
     "tv_distance": "test reference",
 }
 
