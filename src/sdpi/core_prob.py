@@ -346,7 +346,7 @@ def binary_entropy_inv(h: float) -> float:
 # coefficients, Horner order and branches, erf odd in x, and e^{-x^2} from
 # libm's exp (math.exp), so each value is the compiled Cephes one bit for bit.
 # It runs as scalar Python; an array goes through the same code element by
-# element, which only gd_lower's once-per-gamma scan does.
+# element, which only gd_lower's once-per-gamma table (2,001 points) does.
 _ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
            4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
            9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)

@@ -50,39 +50,50 @@ def _gd_terms(xp: np.ndarray, gamma: float):
             -xp * np.log(xp) - (1 - xp) * np.log1p(-xp) + 0.5 * xp * np.log1p(gamma / xp))
 
 
-# gd_lower's first scan of x over [0, 1/2]
-_GD_X = np.linspace(0.0, 0.5, 2001)
-_GD_X.setflags(write=False)
+# gd_lower's table runs over x in [gamma/1420, 1/2]: at and below its first
+# point (gamma/x above twice core_prob._MAXLOG) `erfc` gives 2 Q(sqrt(gamma/x))
+# = 0 exactly, and so the bracket is 0 there
+_GD_SNR_MAX = 1420.0
+_GD_POINTS = 2001
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @functools.lru_cache(maxsize=8)
-def _gd_scan_terms(gamma: float):
-    """`_gd_terms` on `_GD_X`, zero at x = 0, where the bracket is 0."""
-    terms = np.zeros((2, len(_GD_X)))
-    terms[:, 1:] = _gd_terms(_GD_X[1:], gamma)
-    terms.setflags(write=False)
-    return terms
-
-
-_SQRT_8PI = math.sqrt(8.0 * math.pi)
+def _gd_table(gamma: float):
+    """gd_lower's table for one gamma: the geometric grid x of `_GD_POINTS`
+    points from gamma/`_GD_SNR_MAX` (1/2 for gamma >= 710, where the bracket
+    is 0 everywhere) to 1/2, `_gd_terms` there (amp = 2 Q(sqrt(gamma/x)) and
+    B), the level L = B + B'/M of `_gd_point`, and the runs of the grid on
+    which L does not fall, as (first, last) index pairs."""
+    x = np.geomspace(min(gamma / _GD_SNR_MAX, 0.5), 0.5, _GD_POINTS)
+    amp, b = _gd_terms(x, gamma)
+    snr = gamma / x
+    db = np.log((1.0 - x) / x) + 0.5 * np.log1p(snr) - gamma / (2.0 * (x + gamma))
+    inv_m = np.divide(_SQRT_2PI * x * amp, np.exp(-0.5 * snr) * np.sqrt(snr),
+                      out=np.zeros_like(x), where=amp > 0.0)
+    level = b + db * inv_m
+    rises = np.concatenate(([False], np.diff(level) >= 0.0, [False]))
+    edges = np.flatnonzero(rises[1:] != rises[:-1])
+    runs = tuple(zip(edges[0::2].tolist(), edges[1::2].tolist()))
+    for a in (x, amp, b, level):
+        a.setflags(write=False)
+    return x, amp, b, level, runs
 
 
 def _gd_point(x: float, t: float, gamma: float) -> tuple[float, float]:
-    """`_gd_bracket` at one x in [0, 1/2], and the sign of its slope there:
-    phi(u) u / (2 x Q(u)) (t - B(x)) - B'(x) at u = sqrt(gamma/x), with
-    B'(x) = log((1 - x)/x) + (1/2) log1p(gamma/x) - gamma/(2 (x + gamma)),
-    which is (t - B(x)) times the slope of the bracket's log where the bracket
-    is positive.  Where Q(u) underflows (x = 0 among them) the bracket is 0 and
-    rises, and the slope reads +inf."""
-    q = q_function(math.sqrt(gamma / x)) if x > 0.0 else 0.0
-    if q == 0.0:
-        return 0.0, math.inf
+    """`_gd_bracket` at one x in (0, 1/2], and the level L(x) = B(x) + B'(x)/M(x)
+    there, with M = phi(u) u / (2 x Q(u)) at u = sqrt(gamma/x) and
+    B'(x) = log((1 - x)/x) + (1/2) log1p(gamma/x) - gamma/(2 (x + gamma)).
+    The bracket's log-slope is M - B'/(t - B) = M (t - L)/(t - B), so the
+    bracket rises at x exactly when t > L(x).  Where Q(u) underflows, 1/M
+    reads 0 and L(x) = B(x), as in `_gd_table`."""
+    amp = 2.0 * q_function(math.sqrt(gamma / x))
     snr = gamma / x
     log1p_snr = math.log1p(snr)
-    gap = t - (-x * math.log(x) - (1.0 - x) * math.log1p(-x) + 0.5 * x * log1p_snr)
-    mills = math.exp(-0.5 * snr) * math.sqrt(snr) / (_SQRT_8PI * x * q)
+    b = -x * math.log(x) - (1.0 - x) * math.log1p(-x) + 0.5 * x * log1p_snr
     db = math.log((1.0 - x) / x) + 0.5 * log1p_snr - gamma / (2.0 * (x + gamma))
-    return max(2.0 * q * gap, 0.0), mills * gap - db
+    inv_m = _SQRT_2PI * x * amp / (math.exp(-0.5 * snr) * math.sqrt(snr)) if amp > 0.0 else 0.0
+    return max(amp * (t - b), 0.0), b + db * inv_m
 
 
 # gd_lower's refinement stops at this relative width of its x-bracket, or
@@ -92,13 +103,23 @@ _GD_STEPS = 100
 
 
 def gd_lower(t: float, gamma: float) -> float:
-    """Lower bound on the diagonal gap g_d(t) for the AWGN channel.
+    """Lower bound on the diagonal gap g_d(t) for the AWGN channel:
+    max over x in (0, 1/2] of the bracket 2 Q(sqrt(gamma/x)) (t - B(x)).
 
-    The bracket's largest value on `_GD_X`, refined by an Illinois secant
-    (Dowell and Jarratt, BIT 11, 1971) on the slope of `_gd_point` between
-    the best grid point and its neighbour on the side where the bracket rises;
-    a step that leaves that interval bisects it.  Returns the largest value
-    of the bracket seen, so the bracket at one point.
+    Where the bracket is positive its log-slope is M (t - L)/(t - B), with
+    M(x) = phi(u) u / (2 x Q(u)) > 0 at u = sqrt(gamma/x) and the level
+    L = B + B'/M (`_gd_point`), so the bracket rises at x exactly when
+    t > L(x).  Each local maximum is therefore an up-crossing of t by L, or
+    the end x = 1/2.  `_gd_table` holds L on a geometric grid, once per
+    gamma.  On each run of the grid where L rises (one run, L rising and
+    then falling, at each of 3,000 log-spaced gamma in [1e-7, 710) checked)
+    a binary search finds the cell where t is crossed; below the table's
+    first point the bracket is 0, so a crossing there adds nothing.  From
+    the cell's ends and their levels in the table, with no evaluation, an
+    Illinois secant (Dowell and Jarratt, BIT 11, 1971) on t - L(x) refines
+    the crossing; a step that leaves the cell bisects it.  Returns the
+    largest bracket value seen (the cell's ends and x = 1/2 from the table,
+    and every evaluated point), so the bracket at one point.
     """
     if not 0 <= t < math.inf:
         raise DomainError("t must be nonnegative and finite")
@@ -106,43 +127,38 @@ def gd_lower(t: float, gamma: float) -> float:
         raise DomainError("gamma must be positive and finite")
     if t == 0.0:
         return 0.0
-    # the first scan from the cached terms: only t - B depends on t
-    amp, b = _gd_scan_terms(gamma)
-    vals = amp * (t - b)
-    i = int(np.argmax(vals))
-    x0 = float(_GD_X[i])
-    v0, s0 = _gd_point(x0, t, gamma)
-    best = max(float(vals[i]), v0)
-    j = i + 1 if s0 > 0.0 else i - 1
-    if not 0 <= j < len(_GD_X):
-        return best
-    x1 = float(_GD_X[j])
-    v1, s1 = _gd_point(x1, t, gamma)
-    best = max(best, v1)
-    if not s0 * s1 < 0.0:
-        return best
-    (lo, s_lo), (hi, s_hi) = sorted([(x0, s0), (x1, s1)])
-    kept = 0  # +1 after a step that moved lo, -1 after one that moved hi
-    for _ in range(_GD_STEPS):
-        if hi - lo <= _GD_XTOL * hi:
-            break
-        x = hi - s_hi * (hi - lo) / (s_hi - s_lo)
-        if not lo < x < hi:
-            x = 0.5 * (lo + hi)
-        v, s = _gd_point(x, t, gamma)
-        best = max(best, v)
-        if s > 0.0:
-            lo, s_lo = x, s
-            if kept > 0:  # hi kept twice running: Illinois halves its slope
-                s_hi *= 0.5
-            kept = 1
-        elif s < 0.0:
-            hi, s_hi = x, s
-            if kept < 0:
-                s_lo *= 0.5
-            kept = -1
-        else:
-            break
+    xs, amp, b, level, runs = _gd_table(gamma)
+    best = max(float(amp[-1]) * (t - float(b[-1])), 0.0)
+    for first, last in runs:
+        k = first + int(np.searchsorted(level[first:last + 1], t))
+        if not first < k <= last:  # t is not crossed inside this run
+            continue
+        lo, hi = float(xs[k - 1]), float(xs[k])
+        g_lo, g_hi = t - float(level[k - 1]), t - float(level[k])
+        best = max(best, float(amp[k - 1]) * (t - float(b[k - 1])),
+                   float(amp[k]) * (t - float(b[k])))
+        kept = 0  # +1 after a step that moved lo, -1 after one that moved hi
+        for _ in range(_GD_STEPS):
+            if hi - lo <= _GD_XTOL * hi:
+                break
+            x = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+            if not lo < x < hi:
+                x = 0.5 * (lo + hi)
+            v, lev = _gd_point(x, t, gamma)
+            best = max(best, v)
+            g = t - lev
+            if g > 0.0:
+                lo, g_lo = x, g
+                if kept > 0:  # hi kept twice running: Illinois halves its value
+                    g_hi *= 0.5
+                kept = 1
+            elif g < 0.0:
+                hi, g_hi = x, g
+                if kept < 0:
+                    g_lo *= 0.5
+                kept = -1
+            else:
+                break
     return best
 
 

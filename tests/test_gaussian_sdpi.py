@@ -1,16 +1,20 @@
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sdpi import gaussian_sdpi
+from sdpi.channels import NoiseModel
 from sdpi.errors import AccuracyError, DomainError
 from sdpi.gaussian_sdpi import (
     A0, A1, A2, A5, _gd_bracket, concentration_radius, diag_achievability,
     gauss_hermite_input, gd_lower, gh_upper_achievability, horizontal_constants,
     ks_from_capacity_gap, ks_from_mmse_gap, ks_talagrand, t_lower_from_gap,
 )
+from sdpi.oracle import sdpi_pair_sampler
 
 
 class TestGdLower:
@@ -44,6 +48,8 @@ class TestGdLower:
     @example(0.2, 1.0)
     @example(0.1, 1.0)
     @example(0.01, 1.0)
+    @example(0.0512, 7.109)
+    @example(0.0557, 7.914)
     def test_bracket_is_restriction(self, t, gamma):
         # evaluating the bracket at any single point never beats the max: a
         # 7,001-point scan of (0, 1/2], plus the small-t point
@@ -202,18 +208,85 @@ class TestGhUpperAchievability:
             gh_upper_achievability(0.5, 1.0)
 
 
+def _mp_bracket_sup(t, gamma):
+    """sup over x in (0, 1/2] of 2 Q(sqrt(gamma/x)) (t - B(x)) at 40 digits:
+    a 281-point log scan of [5e-8, 1/2], then the root of the log-slope's
+    numerator between the best point's neighbours, where it changes sign."""
+    with mpmath.workdps(40):
+        t, gamma = mpmath.mpf(t), mpmath.mpf(gamma)
+
+        def parts(x):
+            u = mpmath.sqrt(gamma / x)
+            b = -x * mpmath.log(x) - (1 - x) * mpmath.log1p(-x) + x / 2 * mpmath.log1p(gamma / x)
+            return u, mpmath.erfc(u / mpmath.sqrt(2)) / 2, b
+
+        def bracket(x):
+            _, q, b = parts(x)
+            return max(2 * q * (t - b), 0)
+
+        def slope(x):  # (t - B) times the bracket's log-slope
+            u, q, b = parts(x)
+            db = mpmath.log((1 - x) / x) + mpmath.log1p(gamma / x) / 2 - gamma / (2 * (x + gamma))
+            return mpmath.npdf(u) * u / (2 * x * q) * (t - b) - db
+
+        xs = [mpmath.mpf(10) ** e / 2 for e in mpmath.linspace(-7, 0, 281)]
+        vals = [bracket(x) for x in xs]
+        i = max(range(len(xs)), key=vals.__getitem__)
+        best = vals[i]
+        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
+        if best > 0 and slope(lo) > 0 > slope(hi):
+            best = max(best, bracket(mpmath.findroot(slope, (lo, hi), solver="anderson")))
+        return best
+
+
+class TestGdLowerOracle:
+    """gd_lower against the bracket's sup found another way: a 40-digit
+    scan and root solve."""
+
+    def test_within_1e12_of_the_sup(self):
+        # t uniform on [0.005, 2], gamma log-uniform on [0.01, 100]; a sup
+        # below the double range (subnormal or 0 in double) is left out
+        rng = np.random.default_rng(37)
+        ts = rng.uniform(0.005, 2.0, 30)
+        gammas = np.exp(rng.uniform(math.log(0.01), math.log(100.0), 30))
+        checked = 0
+        for t, gamma in zip(ts.tolist(), gammas.tolist()):
+            sup = _mp_bracket_sup(t, gamma)
+            if sup < 2.2250738585072014e-308:
+                continue
+            got = gd_lower(t, gamma)
+            assert (1 - 1e-12) * sup <= got <= (1 + 1e-12) * sup, (t, gamma, got, sup)
+            checked += 1
+        assert checked >= 25
+
+    def test_window_between_scan_points(self):
+        # the two-point t at a = 30: the bracket is positive only for x in
+        # about [7.0e-4, 7.6e-4], where the 2,001-point linear scan had no point
+        sup = float(_mp_bracket_sup(0.0087, 1.0))
+        assert abs(gd_lower(0.0087, 1.0) - sup) <= 0.02 * sup
+
+
 class TestGdLowerScanCache:
-    """gd_lower's secant refinement of its cached first scan against the
-    17-point zoom it replaced."""
+    """gd_lower's per-gamma level table, its evaluation count, and its
+    values against the 17-point zoom from the linear first scan that the
+    table replaced."""
 
     @staticmethod
-    def zoom(t, gamma):
-        # the largest bracket value of a 17-point zoom from the first scan on
-        # _GD_X: each round scans the best point's two neighbours and narrows
-        # them 8x, down to a width of 1e-10; the cached terms give
-        # _gd_bracket(_GD_X, t, gamma) without its Q calls
-        amp, b = gaussian_sdpi._gd_scan_terms(gamma)
-        xs, vals = gaussian_sdpi._GD_X, np.maximum(amp * (t - b), 0.0)
+    @functools.lru_cache(maxsize=1)
+    def linear_scan_terms(gamma):
+        # `_gd_terms` on the nonzero points of the 2,001-point linear scan:
+        # max(amp * (t - b), 0) is _gd_bracket there bit for bit (the zoom
+        # test visits its pairs gamma by gamma)
+        return gaussian_sdpi._gd_terms(np.linspace(0.0, 0.5, 2001)[1:], gamma)
+
+    @classmethod
+    def zoom(cls, t, gamma):
+        # the largest bracket value of a 17-point zoom from the linear first
+        # scan: each round scans the best point's two neighbours and narrows
+        # them 8x, down to a width of 1e-10
+        amp, b = cls.linear_scan_terms(gamma)
+        xs = np.linspace(0.0, 0.5, 2001)
+        vals = np.concatenate(([0.0], np.maximum(amp * (t - b), 0.0)))
         best, width = -math.inf, math.inf
         while True:
             i = int(np.argmax(vals))
@@ -225,10 +298,56 @@ class TestGdLowerScanCache:
             vals = _gd_bracket(xs, t, gamma)
 
     def test_cached_scan_is_the_bracket(self):
-        for t, gamma in ((0.3, 0.02), (1.2, 1.0), (0.05, 60.0)):
-            amp, b = gaussian_sdpi._gd_scan_terms(gamma)
+        # the table's terms, and the zoom's linear first scan, give
+        # _gd_bracket on their grids byte for byte (gamma = 800: every
+        # table point is 1/2 and the bracket is 0)
+        for t, gamma in ((0.3, 0.02), (1.2, 1.0), (0.05, 60.0), (0.4, 800.0)):
+            xs, amp, b, _, _ = gaussian_sdpi._gd_table(gamma)
             scan = np.maximum(amp * (t - b), 0.0)
-            assert scan.tobytes() == _gd_bracket(gaussian_sdpi._GD_X, t, gamma).tobytes()
+            assert scan.tobytes() == _gd_bracket(xs, t, gamma).tobytes()
+        amp, b = self.linear_scan_terms(1.0)
+        scan = np.concatenate(([0.0], np.maximum(amp * (1.2 - b), 0.0)))
+        assert scan.tobytes() == _gd_bracket(np.linspace(0.0, 0.5, 2001), 1.2, 1.0).tobytes()
+
+    def test_level_is_the_slope_sign(self):
+        # the bracket rises at a table point exactly when t > L there: a
+        # central difference of the bracket at 1e-6 relative agrees wherever
+        # it is positive and moves by more than rounding
+        checked = 0
+        for gamma in (0.02, 1.0, 60.0):
+            xs, _, _, level, runs = gaussian_sdpi._gd_table(gamma)
+            assert len(runs) == 1
+            for t in (0.05, 0.3, 1.2):
+                x = xs[::50]
+                up = _gd_bracket(x * (1 + 1e-6), t, gamma)
+                down = _gd_bracket(x * (1 - 1e-6), t, gamma)
+                clear = (down > 0) & (np.abs(up - down) > 1e-10 * up)
+                assert np.array_equal((up > down)[clear], (t > level[::50])[clear])
+                checked += clear.sum()
+        assert checked > 200
+
+    def test_point_count(self, monkeypatch):
+        # mean `_gd_point` evaluations per call on the t values an AWGN
+        # coupling sweep checks (7.8 from the linear first scan this table
+        # replaced)
+        ts = {}
+        for gamma in (0.5, 1.0, 4.0):
+            seen = ts[gamma] = []
+            sdpi_pair_sampler(NoiseModel.gaussian(), gamma, 2.0, 100, seed=5,
+                              diag_bound=lambda t: seen.append(t) or 0.0)
+        calls = [0]
+        point = gaussian_sdpi._gd_point
+
+        def counted(*args):
+            calls[0] += 1
+            return point(*args)
+
+        monkeypatch.setattr(gaussian_sdpi, "_gd_point", counted)
+        for gamma, seen in ts.items():
+            for t in seen:
+                gd_lower(t, gamma)
+        assert sum(map(len, ts.values())) == 300
+        assert calls[0] / 300 <= 5.0
 
     def test_at_least_the_zoom(self):
         # 80 gammas log-uniform on [0.01, 100], 50 t uniform on [0.005, 2] each,
@@ -244,13 +363,13 @@ class TestGdLowerScanCache:
             assert got >= (1.0 - 1e-12) * zoom, (t, gamma, got, zoom)
             assert got > 0.0 or zoom == 0.0, (t, gamma, zoom)
             assert math.copysign(1.0, got) == 1.0, (t, gamma)
-        assert gd_lower(0.0314, 4.0) == pytest.approx(8.97e-295, rel=1e-3)
-        assert gd_lower(0.0081, 0.5) == pytest.approx(3.576e-162, rel=1e-3)
+        assert gd_lower(0.0314, 4.0) == pytest.approx(8.97e-295, rel=1e-3, abs=0.0)
+        assert gd_lower(0.0081, 0.5) == pytest.approx(3.576e-162, rel=1e-3, abs=0.0)
 
     def test_second_call_hits_cache(self):
-        gaussian_sdpi._gd_scan_terms.cache_clear()
+        gaussian_sdpi._gd_table.cache_clear()
         gd_lower(0.3, 2.5)
-        assert gaussian_sdpi._gd_scan_terms.cache_info().misses == 1
+        assert gaussian_sdpi._gd_table.cache_info().misses == 1
         gd_lower(0.7, 2.5)
-        assert gaussian_sdpi._gd_scan_terms.cache_info().hits == 1
-        assert gaussian_sdpi._gd_scan_terms.cache_info().misses == 1
+        assert gaussian_sdpi._gd_table.cache_info().hits == 1
+        assert gaussian_sdpi._gd_table.cache_info().misses == 1
