@@ -269,7 +269,14 @@ class GaussianNoise(NoiseModel):
             raise DomainError("sigma must be positive and finite")
 
     def _density(self, x):
-        return np.exp(-0.5 * (x / self.sigma) ** 2) / (self.sigma * math.sqrt(2 * math.pi))
+        """exp(-(x/sigma)^2/2)/(sigma sqrt(2 pi)) on one temporary, argument
+        untouched: the closed form's operations in its order, so its bits."""
+        u = np.divide(x, self.sigma, out=np.empty_like(x))
+        np.square(u, out=u)
+        u *= -0.5
+        np.exp(u, out=u)
+        u /= self.sigma * math.sqrt(2 * math.pi)
+        return u
 
     @property
     def m1(self) -> float:

@@ -483,8 +483,12 @@ def simplex_lattice(n: int, parts: int) -> np.ndarray:
 
 def xlogx(v: np.ndarray) -> np.ndarray:
     """Elementwise v log v for v >= 0 with the convention 0 log 0 = 0, so a zero
-    or underflowing v gives no warning."""
-    return v * np.log(np.where(v > 0, v, 1.0))
+    or underflowing v gives no warning; a scalar v gives a numpy float.  On one
+    temporary, argument untouched: log of v (1 where v is 0), times v."""
+    out = np.where(v > 0, v, 1.0)
+    np.log(out, out=out)
+    out *= v
+    return out if out.ndim else out[()]
 
 
 def mi_joint(q: np.ndarray):

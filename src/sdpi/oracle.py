@@ -366,19 +366,31 @@ class SweepResult:
 def _draw(rng, n: int):
     """n couplings, drawn one after another in a fixed order of rng calls: the
     atom counts, and the atoms of X, p_W and the rows p_{X|W=w}, zero-padded to
-    _MAX_ATOMS atoms and _MAX_W values of W."""
+    _MAX_ATOMS atoms and _MAX_W values of W.
+
+    p_W and each row are Dirichlet(1, ..., 1): Exp(1) variates over their sum
+    (Devroye 1986, ch. XI).  numpy's `Generator.dirichlet` draws it that way at
+    alpha = 1, so one `standard_exponential` fill per coupling reads the variates
+    of its two Dirichlet calls (p_W, then the nw rows) in their order.  The window
+    is then normalised as `dirichlet` does it, bit for bit: each group times
+    1/acc, acc its running sum (a cumsum's last entry; the padding adds exact
+    zeros), and a padded row of W stays 0."""
     ks = np.empty(n, dtype=int)
     atoms, pw = np.zeros((n, _MAX_ATOMS)), np.zeros((n, _MAX_W))
     rows = np.zeros((n, _MAX_W, _MAX_ATOMS))
     for i in range(n):
         nw = int(rng.integers(2, _MAX_W + 1))
         k = int(rng.integers(2, _MAX_ATOMS + 1))
-        a = np.sort(rng.standard_normal(k))
-        while (a[1:] - a[:-1] < 1e-6).any():
-            a = np.sort(rng.standard_normal(k))
+        a = sorted(rng.standard_normal(k).tolist())
+        while any(y - x < 1e-6 for x, y in zip(a, a[1:])):
+            a = sorted(rng.standard_normal(k).tolist())
         ks[i], atoms[i, :k] = k, a
-        pw[i, :nw] = rng.dirichlet(np.ones(nw))
-        rows[i, :nw, :k] = rng.dirichlet(np.ones(k), size=nw)
+        e = rng.standard_exponential(nw * (k + 1))
+        pw[i, :nw] = e[:nw]
+        rows[i, :nw, :k] = e[nw:].reshape(nw, k)
+    pw *= 1.0 / np.cumsum(pw, axis=1)[:, -1:]
+    acc = np.cumsum(rows, axis=2)[..., -1:]
+    rows *= np.divide(1.0, acc, out=np.zeros_like(acc), where=acc > 0.0)
     return ks, atoms, pw, rows
 
 

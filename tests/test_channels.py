@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +246,65 @@ class TestNoiseModel:
         x = z.sample(400_000, np.random.default_rng(3))
         assert x.shape == (400_000,)
         assert np.var(x) == pytest.approx(variance, rel=0.01)
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+class TestDensity:
+    # each family's density against its closed form as written out of place
+    FAMILIES = {
+        "gaussian": (NoiseModel.gaussian(0.7), lambda x: np.exp(
+            -0.5 * (x / 0.7) ** 2) / (0.7 * math.sqrt(2 * math.pi))),
+        "laplace": (NoiseModel.laplace(1.3), lambda x: np.exp(-np.abs(x) / 1.3) / (2.0 * 1.3)),
+        "uniform": (NoiseModel.uniform(-1.0, 2.0), lambda x: np.interp(
+            x, [-1.0, 2.0], [1.0 / 3.0, 1.0 / 3.0], left=0.0, right=0.0)),
+        "grid": (NoiseModel.from_grid(GOLDEN_NOISE), lambda x: np.interp(
+            x, GOLDEN_NOISE.grid, GOLDEN_NOISE.values, left=0.0, right=0.0)),
+    }
+
+    @staticmethod
+    def points(scale, seed):
+        # 0, subnormals, the tails out to 13 scales and beyond, where exp underflows
+        rng = np.random.default_rng(seed)
+        edge = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-300, scale, 13.0 * scale,
+                -13.0 * scale, 60.0 * scale, -60.0 * scale, np.inf]
+        return np.concatenate([edge, rng.normal(0.0, 4.0 * scale, 3000),
+                               rng.uniform(-13.0 * scale, 13.0 * scale, 3000)])
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_bits_as_closed_form(self, family, seed):
+        noise, closed = self.FAMILIES[family]
+        x = self.points(0.7 if family == "gaussian" else 1.3, seed)
+        keep = x.copy()
+        for shape in (x.shape, (2, -1), (3, 2, -1)):
+            got = noise.density(x.reshape(shape))
+            assert _bits(got) == _bits(closed(x.reshape(shape)))
+        assert _bits(x) == _bits(keep)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_float_in_float_out(self, family):
+        noise, _ = self.FAMILIES[family]
+        x = self.points(1.0, 3)[:200]
+        want = noise.density(x)
+        for i, v in enumerate(x.tolist()):
+            got = noise.density(v)
+            assert type(got) is float
+            # a scalar takes the array's arithmetic
+            assert got == want[i]
+        assert type(noise.density(np.float64(0.3))) is float
+        assert type(noise.density(np.array(0.3))) is float
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_no_warning_at_zero(self, family):
+        noise, _ = self.FAMILIES[family]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert noise.density(0.0) > 0.0
+            assert (noise.density(np.zeros((2, 3))) > 0.0).all()
 
 
 class TestMiAdditive:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -476,6 +477,35 @@ class TestMutualInformation:
     def test_xlogx(self):
         v = np.array([0.0, 0.5, 1.0, 2.0])
         np.testing.assert_array_equal(xlogx(v), [0.0, 0.5 * math.log(0.5), 0.0, 2.0 * math.log(2.0)])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_xlogx_same_bits_as_closed_form(self, seed):
+        # the out-of-place form, on 0, subnormals, tiny and huge values
+        rng = np.random.default_rng(seed)
+        v = np.concatenate([[0.0, 5e-324, 2.5e-310, 1e-300, 1.0, 0.5, 2.0, np.inf],
+                            rng.uniform(0.0, 1.0, 3000), rng.exponential(1.0, 2992) ** 9])
+        keep = v.copy()
+        for shape in (v.shape, (2, -1), (3, 4, -1)):
+            w = v.reshape(shape)
+            want = w * np.log(np.where(w > 0, w, 1.0))
+            got = xlogx(w)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert v.tobytes() == keep.tobytes()
+
+    def test_xlogx_scalar_in_scalar_out(self):
+        for v in (0.0, 5e-324, 0.5, 1.0, 3.0, np.float64(0.5), np.array(0.5)):
+            got = xlogx(v)
+            assert type(got) is np.float64
+            assert got == xlogx(np.atleast_1d(v))[0]
+        a = np.array(0.25)
+        xlogx(a)
+        assert a == 0.25
+
+    def test_xlogx_no_warning_at_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert xlogx(0.0) == 0.0
+            assert (xlogx(np.zeros((2, 3))) == 0.0).all()
 
     def test_mi_joint_matches_entropy_form(self):
         rng = np.random.default_rng(5)

@@ -194,7 +194,7 @@ class TestKsDeconvSolve:
         finally:
             tracemalloc.stop()
         assert 550.0 < T < 650.0
-        assert (1.0 / (1.0 + T * T)) ** 2 == pytest.approx(1e-25 * T ** 5, rel=1e-3)
+        assert (1.0 / (1.0 + T * T)) ** 2 == pytest.approx(1e-25 * T ** 5, rel=1e-3, abs=0.0)
         assert peak < 32 * 2 ** 20
 
     @pytest.mark.parametrize("d_tv", [0.0, -1.0, 1.0, math.nan])

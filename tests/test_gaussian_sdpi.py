@@ -23,7 +23,7 @@ class TestGdLower:
 
     def test_frozen_value(self):
         # pinned against the random-coupling sweep oracle
-        assert gd_lower(0.5, 1.0) == pytest.approx(8.614028673855235e-05, rel=1e-6)
+        assert gd_lower(0.5, 1.0) == pytest.approx(8.614028673855235e-05, rel=1e-6, abs=0.0)
 
     def test_positive_for_positive_t(self):
         for t in (0.2, 0.5, 1.0, 2.0):

@@ -41,7 +41,7 @@ class TestGeneralDiagBound:
     def test_gaussian_positive(self):
         # tiny but strictly positive: the complement path avoids underflow
         val = general_diag_bound(0.5, NoiseModel.gaussian(), 2.0, 1.0)
-        assert val == pytest.approx(1.5801007476730856e-43, rel=1e-6)
+        assert val == pytest.approx(1.5801007476730856e-43, rel=1e-6, abs=0.0)
         assert val > 0.0
 
     def test_laplace_positive(self):

@@ -370,6 +370,61 @@ class TestPairSampler:
         got = sdpi_pair_sampler(noise, gamma, p, n_couplings=n, seed=seed).samples
         np.testing.assert_array_equal(got, want)
 
+    @staticmethod
+    def dirichlet_draw(rng, n):
+        """`_draw` as numpy's Dirichlet sampler gives it: the reference for the
+        exponential fill."""
+        ks = np.empty(n, dtype=int)
+        atoms, pw, rows = np.zeros((n, 6)), np.zeros((n, 4)), np.zeros((n, 4, 6))
+        for i in range(n):
+            nw = int(rng.integers(2, 5))
+            k = int(rng.integers(2, 7))
+            a = np.sort(rng.standard_normal(k))
+            while np.any(np.diff(a) < 1e-6):
+                a = np.sort(rng.standard_normal(k))
+            ks[i], atoms[i, :k] = k, a
+            pw[i, :nw] = rng.dirichlet(np.ones(nw))
+            rows[i, :nw, :k] = rng.dirichlet(np.ones(k), size=nw)
+        return ks, atoms, pw, rows
+
+    @staticmethod
+    def assert_same_draws(got, want):
+        for g, w in zip(got, want, strict=True):
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+    @pytest.mark.parametrize("seed", range(32))
+    def test_draw_matches_dirichlet(self, seed):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        self.assert_same_draws(oracle._draw(got_rng, oracle._WINDOW),
+                               self.dirichlet_draw(want_rng, oracle._WINDOW))
+        # the same variates spent: the next window starts at the same state
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        self.assert_same_draws(oracle._draw(got_rng, 7), self.dirichlet_draw(want_rng, 7))
+
+    def test_draw_redraws_close_atoms(self):
+        class CloseFirstAtoms:
+            """A Generator whose first standard_normal(k) has two atoms 5e-7 apart."""
+
+            def __init__(self, seed):
+                self.rng, self.normals = np.random.default_rng(seed), 0
+
+            def standard_normal(self, k):
+                z = self.rng.standard_normal(k)
+                if not self.normals:
+                    z[1] = z[0] + 5e-7
+                self.normals += 1
+                return z
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        got_rng, want_rng = CloseFirstAtoms(3), CloseFirstAtoms(3)
+        got = oracle._draw(got_rng, 20)
+        self.assert_same_draws(got, self.dirichlet_draw(want_rng, 20))
+        # the first coupling's atoms were drawn twice, every other coupling's once
+        assert got_rng.normals == want_rng.normals == 21
+        assert np.diff(got[1][0, :got[0][0]]).min() >= 1e-6
+
     def test_memory_does_not_grow_with_the_sweep(self, monkeypatch):
         # aim 3: beyond the samples, 16 bytes a coupling, the peak stays the same.
         # A window's peak depends on how many of its couplings share an atom count,
