@@ -29,7 +29,8 @@ EXACT = {
                         "--t-grid", "0:6:0.1"],
     "check-strict": ["check", "strict", "--density", str(GOLDEN / "noise.csv"),
                      "--shift-grid=-5:5:0.25"],
-    "verify-bsc": ["verify", "--suite", "bsc", "--seed", "0"],
+    **{f"verify-{suite}": ["verify", "--suite", suite, "--seed", "0"]
+       for suite in ("bsc", "diag", "horiz", "deconv")},
     **{f"contraction-theta-{noise}": ["contraction", "--noise", noise, "--what", "theta"]
        for noise in ("gaussian", "uniform", "laplace")},
     "fi-curve-erasure3": ["fi-curve", "--channel", "erasure:0.3:3", "--t-grid", "0:1.1:0.05"],
