@@ -1,11 +1,13 @@
-"""Fast validation suites behind `sdpi verify --suite ...`.
+"""The oracle checks of the library, each written once.
 
-These are scaled-down versions of the full test-suite sweeps: small enough
-to run in seconds to a couple of minutes, strict enough to catch a broken
-bound; `deconv` and `horiz` check the CLI's own `deconv_report` and
-`t_lower_or_nan`.  Every suite returns a JSON-serializable report with a
-`violations` count; the CLI exits nonzero when it is positive.  `diag` and
-`horiz` also report how many of their checks ran as `checks`.
+`sdpi verify --suite ...` runs them at small fixed sizes, in seconds, and
+tests/test_acceptance.py runs the same loops at its own sizes, seeds and
+gates: criteria 1, 4/7 and 8 are the `bsc`, `diag`/`horiz` and `deconv`
+checks.  A new check goes here, once, for both.  `deconv` and `horiz` check
+the CLI's own `deconv_report` and `t_lower_or_nan`.  Every suite returns a
+JSON-serializable report with a `violations` count; the CLI exits nonzero
+when it is positive.  `diag` and `horiz` also report how many of their checks
+ran as `checks`.
 """
 
 from __future__ import annotations
@@ -23,25 +25,39 @@ from .gaussian_sdpi import gd_lower
 from .oracle import fi_bruteforce_dmc, sdpi_pair_sampler
 
 
+def _bsc_pairs(delta: float, ts, resolution: int) -> list:
+    """(t, brute force, closed form) of F_I for BSC(delta) at each t: the lattice
+    search over 3-valued W at `resolution` against `fi_bsc`."""
+    K = DMCKernel.bsc(delta)
+    return [(t, fi_bruteforce_dmc(K, t, w_size=3, resolution=resolution), fi_bsc(t, delta))
+            for t in ts]
+
+
 def _suite_bsc(seed: int) -> dict:
     rng = np.random.default_rng(seed)
     delta = float(rng.choice([0.1, 0.2, 0.3]))
-    K = DMCKernel.bsc(delta)
-    mismatches = []
-    for t in (0.1, 0.3, 0.5):
-        bf = fi_bruteforce_dmc(K, t, w_size=3, resolution=40)
-        ref = fi_bsc(t, delta)
-        if bf > ref + 1e-9 or ref - bf > 1e-8:
-            mismatches.append({"t": t, "bruteforce": bf, "closed_form": ref})
+    mismatches = [{"t": t, "bruteforce": bf, "closed_form": ref}
+                  for t, bf, ref in _bsc_pairs(delta, (0.1, 0.3, 0.5), 40)
+                  if bf > ref + 1e-9 or ref - bf > 1e-8]
     return {"suite": "bsc", "delta": delta, "violations": len(mismatches),
             "details": mismatches}
 
 
-def _sampler_suite(name: str, seed: int, **bounds) -> dict:
-    """500 random couplings of the AWGN channel at gamma = 1 against `bounds`, and
-    how many checks ran (each suite passes one bound)."""
+def _awgn_bounds(gamma: float) -> dict:
+    """The `sdpi_pair_sampler` bounds of the AWGN channel at snr gamma: g_d as
+    `gd_lower`, and the horizontal bound `sdpi bounds horiz` prints, with the
+    capacity it is measured from."""
+    return {"diag_bound": lambda t: gd_lower(t, gamma),
+            "horiz_bound": lambda eps: t_lower_or_nan(eps, gamma),
+            "capacity": awgn_capacity(gamma)}
+
+
+def _sampler_suite(name: str, seed: int, *bounds: str) -> dict:
+    """500 random couplings of the AWGN channel at gamma = 1 against the named
+    `_awgn_bounds`, and how many checks ran."""
+    chosen = {k: v for k, v in _awgn_bounds(1.0).items() if k in bounds}
     res = sdpi_pair_sampler(NoiseModel.gaussian(), gamma=1.0, p=2.0, n_couplings=500,
-                            seed=seed, **bounds)
+                            seed=seed, **chosen)
     return {"suite": name, "gamma": 1.0, "n_couplings": 500,
             "checks": res.diag_checks + res.horiz_checks,
             "violations": res.violation_count,
@@ -61,11 +77,13 @@ def _random_pair(rng):
     return P, Q
 
 
-def _suite_deconv(seed: int) -> dict:
-    """`sdpi deconv`'s KS bounds against its d_KS; a missing bound is a violation."""
+def _suite_deconv(seed: int, trials: int = 6) -> dict:
+    """`sdpi deconv`'s KS bounds against its d_KS on `trials` random pairs, the
+    noise Gaussian on even trials and uniform on [0, 2] on odd ones; a missing
+    bound is a violation."""
     rng = np.random.default_rng(seed)
     violations = []
-    for trial in range(6):
+    for trial in range(trials):
         noise = NoiseModel.gaussian() if trial % 2 == 0 else NoiseModel.uniform(0.0, 2.0)
         P, Q = _random_pair(rng)
         report = deconv_report(P, Q, noise, 0.01)
@@ -75,15 +93,14 @@ def _suite_deconv(seed: int) -> dict:
             if not bound >= d_ks - 1e-6:
                 violations.append({"trial": trial, "check": name,
                                    "bound": bound, "d_ks": d_ks})
-    return {"suite": "deconv", "trials": 6, "violations": len(violations),
+    return {"suite": "deconv", "trials": trials, "violations": len(violations),
             "details": violations}
 
 
 _SUITES = {
     "bsc": _suite_bsc,
-    "diag": lambda seed: _sampler_suite("diag", seed, diag_bound=lambda t: gd_lower(t, 1.0)),
-    "horiz": lambda seed: _sampler_suite("horiz", seed, capacity=awgn_capacity(1.0),
-                                         horiz_bound=lambda e: t_lower_or_nan(e, 1.0)),
+    "diag": lambda seed: _sampler_suite("diag", seed, "diag_bound"),
+    "horiz": lambda seed: _sampler_suite("horiz", seed, "horiz_bound", "capacity"),
     "deconv": _suite_deconv,
 }
 

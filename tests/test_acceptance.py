@@ -1,9 +1,12 @@
 """End-to-end acceptance checks.
 
 Each test exercises one headline guarantee of the library at its stated
-tolerance and runtime budget, and prints a single PASS/FAIL line.  The
-slow random-coupling sweep is shared between the diagonal and horizontal
-soundness checks through a module-scoped fixture.
+tolerance and runtime budget, and prints a single PASS/FAIL line.  Criteria
+1, 4/7 and 8 run the oracle loops of `sdpi verify`'s `bsc`, `diag`/`horiz`
+and `deconv` suites (`sdpi.verify`) at their own sizes, seeds and gates, so a
+new check is written once, there.  The slow random-coupling sweep is shared
+between the diagonal and horizontal soundness checks through a module-scoped
+fixture.
 """
 
 import math
@@ -12,70 +15,41 @@ import time
 import numpy as np
 import pytest
 
-from sdpi.channels import (
-    DMCKernel, NoiseModel, awgn_capacity, mi_additive,
-)
+from sdpi import verify
+from sdpi.channels import DMCKernel, NoiseModel, awgn_capacity
 from sdpi.contraction import eta_tv_amplitude
 from sdpi.core_prob import (
-    Ccurve, DiscretePMF, GridDensity, binary_entropy, char_fn, ks_distance,
-    levy_concentration, q_function, tv_after_noise, v_hat, v_window,
+    Ccurve, DiscretePMF, binary_entropy, char_fn, levy_concentration, mi_joint, q_function,
+    v_hat, v_window,
 )
-from sdpi.deconv import esseen_bound, g1_profile, ks_deconv_solve, ks_from_tv_bound
-from sdpi.errors import DomainError
 from sdpi.fi_curves import fi_bsc, fi_dmc_envelope, fi_properties_check, mrs_gerber
 from sdpi.gaussian_sdpi import (
-    diag_achievability, gd_lower, gh_upper_achievability, t_lower_from_gap,
+    concentration_radius, diag_achievability, gh_upper_achievability,
 )
 from sdpi.general_sdpi import strict_contraction_check
-from sdpi.oracle import fi_bruteforce_dmc, mc_mutual_info, sdpi_pair_sampler
+from sdpi.oracle import mc_mutual_info, sdpi_pair_sampler
 
 
 def report(n, ok, detail):
     print(f"[criterion {n}] {'PASS' if ok else 'FAIL'}: {detail}")
 
 
-def joint_mi(joint):
-    joint = np.asarray(joint, dtype=float)
-    pw = joint.sum(axis=1)
-    px = joint.sum(axis=0)
-    mask = joint > 0
-    val = float(np.sum(joint[mask] * np.log(joint[mask])))
-    val -= float(np.sum(pw[pw > 0] * np.log(pw[pw > 0])))
-    val -= float(np.sum(px[px > 0] * np.log(px[px > 0])))
-    return max(val, 0.0)
-
-
 @pytest.fixture(scope="module")
 def coupling_sweep():
-    """10^4 random couplings per gamma, checked against both gap bounds."""
-    capacity = {g: awgn_capacity(g) for g in (0.5, 1.0, 4.0)}
-
-    def horiz(gamma):
-        def bound(eps):
-            try:
-                return t_lower_from_gap(eps, gamma)
-            except DomainError:
-                return None  # gap too large for the certified regime
-        return bound
-
+    """10^4 random couplings per gamma, checked against both gap bounds of the
+    `diag` and `horiz` suites."""
     start = time.monotonic()
-    results = {}
-    for gamma in (0.5, 1.0, 4.0):
-        results[gamma] = sdpi_pair_sampler(
-            NoiseModel.gaussian(), gamma=gamma, p=2.0, n_couplings=10 ** 4,
-            seed=2024, diag_bound=lambda t, g=gamma: gd_lower(t, g),
-            horiz_bound=horiz(gamma), capacity=capacity[gamma])
+    results = {gamma: sdpi_pair_sampler(NoiseModel.gaussian(), gamma=gamma, p=2.0,
+                                        n_couplings=10 ** 4, seed=2024,
+                                        **verify._awgn_bounds(gamma))
+               for gamma in (0.5, 1.0, 4.0)}
     return results, time.monotonic() - start
 
 
 def test_criterion_1_bsc_bruteforce_agreement():
     start = time.monotonic()
-    worst = 0.0
-    for delta in (0.1, 0.3):
-        K = DMCKernel.bsc(delta)
-        for t in (0.1, 0.2, 0.4, 0.6):
-            bf = fi_bruteforce_dmc(K, t, w_size=3, resolution=60)
-            worst = max(worst, abs(bf - fi_bsc(t, delta)))
+    worst = max(abs(bf - ref) for delta in (0.1, 0.3)
+                for _, bf, ref in verify._bsc_pairs(delta, (0.1, 0.2, 0.4, 0.6), 60))
     elapsed = time.monotonic() - start
     ok = worst <= 2e-3 and elapsed <= 120.0
     report(1, ok, f"max |bruteforce - closed form| = {worst:.3e} nats "
@@ -92,8 +66,8 @@ def test_criterion_2_erasure_identity():
     for _ in range(200):
         nw = int(rng.integers(2, 5))
         joint = rng.dirichlet(np.ones(3 * nw)).reshape(nw, 3)
-        i_wx = joint_mi(joint)
-        i_wy = joint_mi(joint @ K.matrix)
+        i_wx = mi_joint(joint)
+        i_wy = mi_joint(joint @ K.matrix)
         worst = max(worst, abs(i_wy - (1.0 - alpha) * i_wx))
     ok = worst <= 1e-9
     report(2, ok, f"max |I(W;Y) - (1-alpha) I(W;X)| = {worst:.3e}")
@@ -180,32 +154,7 @@ def test_criterion_7_horizontal_soundness(coupling_sweep):
 
 def test_criterion_8_deconv_domination():
     start = time.monotonic()
-    rng = np.random.default_rng(12)
-    step = 0.01
-    violations = 0
-    for trial in range(60):
-        noise = NoiseModel.gaussian() if trial % 2 == 0 else NoiseModel.uniform(0.0, 2.0)
-        k = int(rng.integers(2, 5))
-        atoms = np.sort(rng.uniform(-1.5, 1.5, k))
-        while np.any(np.diff(atoms) < 0.05):
-            atoms = np.sort(rng.uniform(-1.5, 1.5, k))
-        P = DiscretePMF(atoms, rng.dirichlet(np.ones(k)))
-        sig = float(rng.uniform(0.7, 1.3))
-        Q = GridDensity.from_function(
-            lambda x: np.exp(-0.5 * (x / sig) ** 2), -8 * sig, 8 * sig, step)
-
-        d_tv = tv_after_noise(P, Q, noise.to_grid(step=step))
-        d_tv = min(max(d_tv, 1e-12), 1.0 - 1e-12)
-        d_ks = ks_distance(P, Q)
-        m2 = Q.max_density()
-        mom = (P.abs_moment(1.0), Q.abs_moment(1.0))
-        profile = g1_profile(noise)
-        T = profile.g1_of_u(min(noise.m1 * d_tv, 1.0))
-        for bound in (ks_from_tv_bound(noise, m2, mom, profile, T, d_tv),
-                      ks_deconv_solve(noise, d_tv, m2, mom),
-                      esseen_bound(P, Q, m2, max(T, 1.0))):
-            if bound < d_ks - 1e-6:
-                violations += 1
+    violations = verify._suite_deconv(12, trials=60)["violations"]
     elapsed = time.monotonic() - start
     ok = violations == 0 and elapsed <= 300.0
     report(8, ok, f"{violations} domination failures over 60 triples "
@@ -226,9 +175,9 @@ def test_criterion_9_concentration():
             eps = kl / 2.0
             if eps <= 0.0:
                 continue
-            r = eps ** 0.125
+            r, mass = concentration_radius(eps)
             tail = q if b > r else 0.0
-            worst_margin = max(worst_margin, tail - 108.0 * r)
+            worst_margin = max(worst_margin, tail - mass)
             checked += 1
     ok = checked > 0 and worst_margin <= 0.0
     report(9, ok, f"max P[|X| > eps^(1/8)] - 108 eps^(1/8) = {worst_margin:.3e} "

@@ -4,7 +4,8 @@ The `.out` files under tests/golden/ hold the stdout of each README command
 on the small inputs stored beside them, and of the CLI paths the README
 commands do not reach (theta curves, closed-form erasure and identity curves,
 grid-noise contraction curves, the general-diagonal bound where it is zero and
-where it is not, the envelope solver on a CSV kernel).  Commands run in
+where it is not, the envelope solver on a CSV kernel, the `diag`, `horiz` and
+`deconv` verify suites).  Commands run in
 tests/golden/, so file arguments and `# meta:` lines hold relative paths.
 Closed-form commands must reproduce their file byte for byte; commands that
 run numerical solvers must match number by number within GOLDEN_RTOL, with all

@@ -22,7 +22,6 @@ ALLOWED = {
     "ks_from_mmse_gap": "ROADMAP item 2",
     "ks_from_capacity_gap": "ROADMAP item 2",
     "ks_talagrand": "ROADMAP item 2",
-    "concentration_radius": "ROADMAP item 2",
     "tv_distance": "test reference",
 }
 
