@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,7 +129,7 @@ def gd_lower(t: float, gamma: float) -> float:
     if t == 0.0:
         return 0.0
     xs, amp, b, level, runs = _gd_table(gamma)
-    best = max(float(amp[-1]) * (t - float(b[-1])), 0.0)
+    best = max(0.0, float(amp[-1]) * (t - float(b[-1])))  # 0.0 first: max keeps it over -0.0
     for first, last in runs:
         k = first + int(np.searchsorted(level[first:last + 1], t))
         if not first < k <= last:  # t is not crossed inside this run
@@ -183,40 +184,8 @@ def diag_achievability(a: float, gamma: float) -> tuple[float, float, float]:
 
 
 # ---------------------------------------------------------------------------
-# KS-distance bounds from near-optimality
+# concentration of a near-optimal input
 # ---------------------------------------------------------------------------
-
-def ks_from_mmse_gap(epsilon: float, gamma: float) -> float:
-    """KS distance to the standard Gaussian from an MMSE gap epsilon."""
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError("epsilon must lie in (0, 1)")
-    if not gamma > 0:
-        raise DomainError("gamma must be positive")
-    L = math.log(1.0 / epsilon)
-    return A0 * math.sqrt(1.0 / (gamma * L)) + A1 * (1.0 + gamma) * epsilon ** 0.25 * math.sqrt(gamma * L)
-
-
-def ks_from_capacity_gap(epsilon: float, gamma: float) -> float:
-    """KS distance to the standard Gaussian from a capacity gap epsilon."""
-    if not epsilon > 0:
-        raise DomainError("epsilon must be positive")
-    if not gamma > 4.0 * epsilon:
-        raise DomainError("need gamma > 4 epsilon")
-    L = math.log(gamma / (4.0 * epsilon))
-    return (A0 * math.sqrt(2.0 / (gamma * L))
-            + A1 * (1.0 + gamma) * (gamma * epsilon) ** 0.25 * math.sqrt(2.0 * L))
-
-
-def ks_talagrand(epsilon: float, gamma: float) -> float:
-    """Transportation-inequality variant of the capacity-gap KS bound."""
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError("epsilon must lie in (0, 1)")
-    if not gamma > 0:
-        raise DomainError("gamma must be positive")
-    L = math.log(1.0 / epsilon)
-    return (24.0 / (math.pi ** 1.5 * math.sqrt(gamma * L))
-            + 2.0 * math.sqrt(2.0 * (1.0 + gamma)) * epsilon ** 0.25 * math.sqrt(L) / math.pi)
-
 
 def concentration_radius(epsilon: float) -> tuple[float, float]:
     """(radius, mass bound): P[|X| > eps^{1/8}] <= 108 eps^{1/8} under a
@@ -233,7 +202,6 @@ def concentration_radius(epsilon: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class HorizontalConstants:
-    gamma: float
     kappa: float
     a5: float
     c1: float
@@ -274,8 +242,11 @@ def horizontal_constants(gamma: float) -> HorizontalConstants:
     def cond(L):
         return A2 * math.exp(-L / 8.0) * (0.5 * math.log(L) + abs(math.log(kappa))) <= 1.0
 
-    hi, _, _ = bisect_up(cond, lmin, 0.0, 1e300)  # the cap only bounds the loop
-    return HorizontalConstants(gamma, kappa, A5, math.sqrt(c1_sq), log_c1, -hi)
+    # no threshold once 4 kappa^2 overflows (gamma outside about [7.27e-306, 6.747e122])
+    report = bisect_up(cond, lmin, 0.0, 1e300)
+    if report is None:
+        raise DomainError(f"gamma = {gamma!r} out of range: the validity threshold overflows")
+    return HorizontalConstants(kappa, A5, math.sqrt(c1_sq), log_c1, -report.value)
 
 
 def t_lower_from_gap(epsilon: float, gamma: float, log_eps: float | None = None) -> float:
@@ -305,8 +276,8 @@ def t_lower_from_gap(epsilon: float, gamma: float, log_eps: float | None = None)
 
 def gauss_hermite_input(m: int) -> DiscretePMF:
     """m-atom zero-mean unit-variance input on Gauss-Hermite nodes."""
-    if m < 1:
-        raise DomainError("m must be >= 1")
+    if not (isinstance(m, numbers.Integral) and m >= 1):
+        raise DomainError(f"m must be an integer >= 1, not {m!r}")
     atoms, w = gauss_hermite(m)
     return DiscretePMF(atoms, w / w.sum())
 
@@ -319,12 +290,14 @@ def gh_upper_achievability(t: float, gamma: float) -> tuple[int, float, float]:
     """
     if not gamma >= 0:
         raise DomainError("gamma must be nonnegative")
-    if not t >= math.log(2.0) - 1e-12:
+    # m is the largest integer with log m <= t + 1e-12: exp(log m) can round
+    # below m, and e^t overflows for large t
+    slack = t + 1e-12
+    if not math.log(2.0) <= slack:
         raise DomainError("need t >= log 2 so that m >= 2")
-    # m = floor(e^t) > 64, checked before e^t can overflow
-    if t > math.log(65.0):
+    if math.log(65.0) <= slack:
         raise AccuracyError("quadrature accuracy not certified beyond m = 64")
-    m = int(math.floor(math.exp(t)))
+    m = max(k for k in range(2, 65) if math.log(k) <= slack)
     bound = 4.0 * (1.0 + gamma) * (gamma / (1.0 + gamma)) ** (2 * m)
     if gamma == 0.0:
         return m, 0.0, 0.0

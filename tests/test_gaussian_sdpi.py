@@ -10,9 +10,8 @@ from sdpi import gaussian_sdpi
 from sdpi.channels import NoiseModel
 from sdpi.errors import AccuracyError, DomainError
 from sdpi.gaussian_sdpi import (
-    A0, A1, A2, A5, _gd_bracket, concentration_radius, diag_achievability,
-    gauss_hermite_input, gd_lower, gh_upper_achievability, horizontal_constants,
-    ks_from_capacity_gap, ks_from_mmse_gap, ks_talagrand, t_lower_from_gap,
+    A2, A5, _gd_bracket, concentration_radius, diag_achievability, gauss_hermite_input,
+    gd_lower, gh_upper_achievability, horizontal_constants, t_lower_from_gap,
 )
 from sdpi.oracle import sdpi_pair_sampler
 
@@ -84,34 +83,6 @@ class TestDiagAchievability:
             diag_achievability(4.0, 0.0)
 
 
-class TestKsBounds:
-    def test_mmse_gap_shape(self):
-        # first term decreasing in L, second vanishing with epsilon
-        v1 = ks_from_mmse_gap(1e-4, 1.0)
-        v2 = ks_from_mmse_gap(1e-8, 1.0)
-        assert v2 < v1
-
-    def test_mmse_gap_formula(self):
-        eps, gamma = 1e-6, 2.0
-        L = math.log(1.0 / eps)
-        expect = A0 / math.sqrt(gamma * L) + A1 * 3.0 * eps ** 0.25 * math.sqrt(gamma * L)
-        assert ks_from_mmse_gap(eps, gamma) == pytest.approx(expect, rel=1e-12)
-
-    def test_capacity_gap_needs_margin(self):
-        with pytest.raises(DomainError):
-            ks_from_capacity_gap(1.0, 1.0)
-
-    def test_capacity_gap_formula(self):
-        eps, gamma = 1e-6, 1.0
-        L = math.log(gamma / (4.0 * eps))
-        expect = (A0 * math.sqrt(2.0 / (gamma * L))
-                  + A1 * 2.0 * (gamma * eps) ** 0.25 * math.sqrt(2.0 * L))
-        assert ks_from_capacity_gap(eps, gamma) == pytest.approx(expect, rel=1e-12)
-
-    def test_talagrand_positive(self):
-        assert ks_talagrand(1e-6, 1.0) > 0.0
-
-
 class TestConcentrationRadius:
     def test_values(self):
         r, bound = concentration_radius(1e-8)
@@ -140,6 +111,15 @@ class TestHorizontalConstants:
         k_large = horizontal_constants(100.0).kappa
         assert k_small > k_mid
         assert k_large > k_mid
+
+    def test_overflowing_gamma_raises(self):
+        # outside gamma ~ [7.27e-306, 6.747e122] the threshold's 4 kappa^2 overflows
+        for gamma in (1e-305, 6.7e122):
+            hc = horizontal_constants(gamma)
+            assert all(map(math.isfinite, (hc.kappa, hc.c1, hc.log_c1, hc.log_eps0)))
+        for gamma in (1e-306, 1e123, 1e300):
+            with pytest.raises(DomainError, match="gamma"):
+                horizontal_constants(gamma)
 
 
 class TestTLowerFromGap:
@@ -176,6 +156,11 @@ class TestGaussHermiteInput:
         assert list(x.atoms) == pytest.approx([-1.0, 1.0], abs=1e-12)
         assert list(x.weights) == pytest.approx([0.5, 0.5], abs=1e-12)
 
+    @pytest.mark.parametrize("m", [2.5, 0, math.nan])
+    def test_domain(self, m):
+        with pytest.raises(DomainError):
+            gauss_hermite_input(m)
+
 
 class TestGhUpperAchievability:
     def test_m2_bound_exact_half(self):
@@ -192,6 +177,14 @@ class TestGhUpperAchievability:
 
     def test_gamma_zero(self):
         assert gh_upper_achievability(1.0, 0.0) == (2, 0.0, 0.0)
+
+    def test_m_at_log_m(self):
+        # exp(log m) rounds below m for 23 of these m (the first 5, 7 and 8)
+        for m in range(2, 65):
+            for t in (math.log(m), math.log(m) - 5e-13):
+                assert gh_upper_achievability(t, 0.0)[0] == m, (m, t)
+        with pytest.raises(AccuracyError):
+            gh_upper_achievability(math.log(65.0), 0.0)
 
     def test_accuracy_cutoff(self):
         with pytest.raises(AccuracyError):
@@ -351,13 +344,15 @@ class TestGdLowerScanCache:
 
     def test_at_least_the_zoom(self):
         # 80 gammas log-uniform on [0.01, 100], 50 t uniform on [0.005, 2] each,
-        # two pairs where Q underflows at the refinement's lower end, and t
-        # below 1e-3, where both are 0
+        # two pairs where Q underflows at the refinement's lower end, t below
+        # 1e-3, where both are 0, and gammas past 709.78, where the bracket at
+        # x = 1/2 rounds to -0.0 and both are 0
         rng = np.random.default_rng(26)
         pairs = [(t, gamma) for gamma in np.exp(rng.uniform(math.log(0.01), math.log(100.0), 80))
                  for t in rng.uniform(0.005, 2.0, 50)]
         pairs += [(0.0314, 4.0), (0.0081, 0.5)]
         pairs += [(t, 1.0) for t in rng.uniform(0.0, 1e-3, 20)]
+        pairs += [(t, gamma) for gamma in (709.79, 710.0, 800.0, 1e6) for t in (0.1, 0.5, 2.0)]
         for t, gamma in pairs:
             got, zoom = gd_lower(t, gamma), self.zoom(t, gamma)
             assert got >= (1.0 - 1e-12) * zoom, (t, gamma, got, zoom)

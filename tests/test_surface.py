@@ -17,11 +17,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "sdpi"
 
 ALLOWED = {
-    "lmmse": "ROADMAP item 2",
-    "mmse_numeric": "ROADMAP item 2",
-    "ks_from_mmse_gap": "ROADMAP item 2",
-    "ks_from_capacity_gap": "ROADMAP item 2",
-    "ks_talagrand": "ROADMAP item 2",
+    "lmmse": "ROADMAP item 21; I-MMSE reference for mi_additive in tests/test_channels.py",
+    "mmse_numeric": "ROADMAP item 21; I-MMSE reference for mi_additive in tests/test_channels.py",
     "tv_distance": "test reference",
 }
 
